@@ -32,14 +32,13 @@ exact expansion; nothing in the pipeline is trusted twice.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
-
-import mpmath
 
 from .decomp import (
     BorderDecomposition,
@@ -82,7 +81,7 @@ class DeborderConfig:
     check_levels: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One recursion step: which case fired, at what rank and degree.
 
@@ -98,7 +97,7 @@ class TraceRecord:
     branch_k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeborderReport:
     achieved_rank: int
     paper_bound: int
@@ -109,42 +108,56 @@ class DeborderReport:
     derivative_counts: Tuple[Tuple[int, int, int, int], ...] = ()
 
 
-def _bound_at(d: int, r: int, prec: int) -> int:
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        v = iv.mpf(d) * iv.mpf(r) ** (10 * iv.sqrt(r))
-        hi = v.b
-    finally:
-        iv.prec = old
-    # take the ceiling at enough working precision that the integer is exact
-    with mpmath.workprec(prec + 16):
-        return int(mpmath.ceil(hi))
+def _ceil(x: decimal.Decimal) -> int:
+    return int(x.to_integral_value(rounding=decimal.ROUND_CEILING))
+
+
+def _bound_bracket(d: int, r: int, prec: int) -> Tuple[int, int]:
+    """Ceilings of a lower and an upper bound of d * r**(10 * sqrt(r)), r >= 2.
+
+    decimal's sqrt, ln and exp are correctly rounded, within half an ulp of
+    the true value, so stepping each result two ulps outward brackets it;
+    the products round outward through the context's rounding direction.
+    """
+    near = decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    up = near.copy()
+    up.rounding = decimal.ROUND_CEILING
+    down = near.copy()
+    down.rounding = decimal.ROUND_FLOOR
+
+    def outward(x):
+        return near.next_minus(near.next_minus(x)), near.next_plus(near.next_plus(x))
+
+    s_lo, s_hi = outward(near.sqrt(r))
+    l_lo, l_hi = outward(near.ln(r))
+    e_lo = outward(near.exp(down.multiply(down.multiply(10, s_lo), l_lo)))[0]
+    e_hi = outward(near.exp(up.multiply(up.multiply(10, s_hi), l_hi)))[1]
+    return _ceil(down.multiply(d, e_lo)), _ceil(up.multiply(d, e_hi))
 
 
 def paper_bound(d: int, r: int) -> int:
-    """Certified integer ceiling of d * r**(10 * sqrt(r)); d itself for r = 1.
+    """Exact integer ceiling of d * r**(10 * sqrt(r)); d itself for r = 1.
 
-    Evaluated in interval arithmetic and rounded up from the upper endpoint,
-    so the result is always a true upper bound; the precision is doubled
-    until two consecutive evaluations agree, which pins down the exact
-    ceiling as well.
+    For a square r the value is an integer and is computed exactly.
+    Otherwise it is irrational, and a certified bracket (``_bound_bracket``)
+    is evaluated with the precision doubled until the ceilings of both of
+    its ends agree, which pins down the ceiling.
     """
     if d < 1 or r < 1:
         raise ValueError("degree and rank must be at least 1")
     if r == 1:
         return d
-    bits = int(10 * math.sqrt(r) * math.log2(r) + math.log2(d)) + 80
-    prec = max(160, bits)
-    prev = None
+    root = math.isqrt(r)
+    if root * root == r:
+        return d * r ** (10 * root)
+    # decimal digits of the value, plus a margin
+    prec = int(10 * math.sqrt(r) * math.log10(r) + math.log10(d)) + 30
     for _ in range(6):
-        cur = _bound_at(d, r, prec)
-        if prev is not None and cur == prev:
-            return cur
-        prev = cur
+        lo, hi = _bound_bracket(d, r, prec)
+        if lo == hi:
+            return hi
         prec *= 2
-    raise InvariantError("interval ceiling did not stabilize under refinement")
+    raise InvariantError("bound bracket did not narrow to one ceiling")
 
 
 def partition_into_local(

@@ -27,7 +27,23 @@ from .linalg import rat_inverse, rat_nullspace, rat_rank
 from .poly import HomoPoly, LinearForm, Monomial
 
 
-@dataclass(frozen=True)
+def _weighted_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
+    """sum of w * form**degree, accumulated term by term into one dict."""
+    acc: dict = {}
+    for w, form in summands:
+        for m, c in form.power(degree).items():
+            t = c * w
+            prev = acc.get(m)
+            if prev is not None:
+                t = prev + t
+                if not t:
+                    del acc[m]
+                    continue
+            acc[m] = t
+    return HomoPoly._make(nvars, degree, acc)
+
+
+@dataclass(frozen=True, slots=True)
 class WaringDecomposition:
     """sum of weight * form**degree over the summands; exact over Q."""
 
@@ -55,10 +71,7 @@ class WaringDecomposition:
         return len(self.summands)
 
     def expand(self) -> HomoPoly:
-        total = HomoPoly.zero(self.nvars, self.degree)
-        for w, form in self.summands:
-            total = total + form.power(self.degree).scale(w)
-        return total
+        return _weighted_power_sum(self.nvars, self.degree, self.summands)
 
     def scale_weights(self, s: Fraction) -> "WaringDecomposition":
         if s == 0:
@@ -129,10 +142,7 @@ class BorderDecomposition:
         return len(self.summands)
 
     def expand(self) -> HomoPoly:
-        total = HomoPoly.zero(self.nvars, self.degree).lift_to_eps()
-        for w, form in self.summands:
-            total = total + form.power(self.degree).scale(w)
-        return total
+        return _weighted_power_sum(self.nvars, self.degree, self.summands)
 
     def scale_weights(self, s) -> "BorderDecomposition":
         s = EpsScalar.from_rational(s) if isinstance(s, (int, Fraction)) else s

@@ -14,6 +14,12 @@ Two scalar types live here:
   The eps-valuation of a scalar is val(num) - val(den) and may be negative;
   nothing is ever truncated.
 
+Almost every denominator met in practice is 1 or a monomial c*eps**k, so
+``EpsPoly.gcd`` answers without the Euclidean algorithm when either operand
+is a monomial (constants included): the monic gcd is then
+eps**min(val(other), k).  ``exact_div`` by a monomial is a shift and a
+scale.  Both give exactly what the general algorithms give.
+
 Scalars coerce from int and Fraction on the fly, so generic polynomial code
 can mix them with plain rationals.
 """
@@ -53,6 +59,14 @@ class EpsPoly:
         self._terms = clean
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _make(cls, terms: Dict[int, Fraction]) -> "EpsPoly":
+        """Wrap a dict that already has Fraction values, no zeros, and
+        nonnegative int exponents, without re-checking it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "EpsPoly":
@@ -122,16 +136,12 @@ class EpsPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        out = EpsPoly.__new__(EpsPoly)
-        out._terms = acc
-        return out
+        return EpsPoly._make(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "EpsPoly":
-        out = EpsPoly.__new__(EpsPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return EpsPoly._make({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -158,9 +168,7 @@ class EpsPoly:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        out = EpsPoly.__new__(EpsPoly)
-        out._terms = acc
-        return out
+        return EpsPoly._make(acc)
 
     __rmul__ = __mul__
 
@@ -191,6 +199,13 @@ class EpsPoly:
         return EpsPoly(q), r
 
     def exact_div(self, other: "EpsPoly") -> "EpsPoly":
+        if len(other._terms) == 1:
+            ((k, c),) = other._terms.items()
+            if any(e < k for e in self._terms):
+                raise ValueError("exact_div with nonzero remainder")
+            if c == 1:
+                return EpsPoly._make({e - k: a for e, a in self._terms.items()})
+            return EpsPoly._make({e - k: a / c for e, a in self._terms.items()})
         q, r = divmod(self, other)
         if not r.is_zero:
             raise ValueError("exact_div with nonzero remainder")
@@ -219,7 +234,19 @@ class EpsPoly:
 
     @staticmethod
     def gcd(a: "EpsPoly", b: "EpsPoly") -> "EpsPoly":
-        """Monic gcd in Q[eps] by the Euclidean algorithm."""
+        """Monic gcd in Q[eps]; the gcd of two zeros is zero.
+
+        When either operand is a monomial c*eps**k (a nonzero constant is
+        the case k = 0) the gcd is eps**min(val(other), k), or eps**k when
+        the other operand is zero.  Otherwise it runs the Euclidean
+        algorithm.
+        """
+        for mono, other in ((b, a), (a, b)):
+            if len(mono._terms) == 1:
+                (k,) = mono._terms
+                if other._terms:
+                    k = min(k, min(other._terms))
+                return _EP_ONE if k == 0 else EpsPoly._make({k: Fraction(1)})
         while not b.is_zero:
             a, b = b, divmod(a, b)[1]
         return a.monic()

@@ -1,8 +1,8 @@
 """Exact linear algebra: rational matrices, matrices over Q(eps), Vandermonde.
 
-Everything here is plain Gaussian elimination over an exact field.  Matrices
-are small (bounded by the number of monomials of desk-scale polynomials), so
-no fraction-free or modular tricks are needed.
+Elimination is plain Gauss-Jordan over an exact field; matrices are small
+(bounded by the number of monomials of desk-scale polynomials).  Vandermonde
+systems are solved through the Lagrange basis in O(n^2).
 """
 
 from __future__ import annotations
@@ -103,35 +103,42 @@ def rat_inverse(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
 def solve_vandermonde(nodes: Sequence[Fraction], rhs: Sequence[Fraction]) -> List[Fraction]:
     """Solve sum_j c_j * nodes[j]**s = rhs[s] for s = 0..n-1, exactly.
 
-    Uses the Lagrange-basis expansion: c_j = sum_s lambda_{j,s} rhs[s] where
-    L_j(x) = prod_{k != j} (x - t_k)/(t_j - t_k) = sum_s lambda_{j,s} x**s.
-    O(n^2) and division-free except by node differences, so duplicate nodes
-    surface as an immediate error.
+    Uses the Lagrange basis: c_j = sum_s lambda_{j,s} rhs[s] / L_j where
+    prod_{k != j} (x - t_k) = sum_s lambda_{j,s} x**s and
+    L_j = prod_{k != j} (t_j - t_k).  The master polynomial
+    P(x) = prod_k (x - t_k) is built once in O(n^2); each node's numerator
+    is P deflated by (x - t_j) through synthetic division, and L_j is that
+    quotient evaluated at t_j, both in O(n).  O(n^2) in all.  Duplicate
+    nodes are rejected before any division.
     """
-    nodes = [Fraction(t) if isinstance(t, int) else t for t in nodes]
-    rhs = [Fraction(b) if isinstance(b, int) else b for b in rhs]
     n = len(nodes)
     if len(rhs) != n:
         raise ValueError("rhs length must match node count")
     if len(set(nodes)) != n:
         raise ValueError("duplicate interpolation nodes")
+    # integral nodes as plain ints, so that integer nodes build no Fraction
+    nodes = [t.numerator if t.denominator == 1 else t for t in nodes]
+    terms = [(s, b) for s, b in enumerate(rhs) if b]
+    # master polynomial, low-to-high coefficients; master[n] = 1
+    master = [1]
+    for t in nodes:
+        new = [0] + master
+        for s, c in enumerate(master):
+            new[s] -= t * c
+        master = new
     out: List[Fraction] = []
-    for j in range(n):
-        # numerator polynomial prod_{k != j} (x - t_k), low-to-high coefficients
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for k in range(n):
-            if k == j:
-                continue
-            tk = nodes[k]
-            new = [Fraction(0)] * (len(num) + 1)
-            for s, c in enumerate(num):
-                new[s + 1] += c
-                new[s] -= tk * c
-            num = new
-            denom *= nodes[j] - tk
-        c_j = sum((num[s] * rhs[s] for s in range(n)), Fraction(0)) / denom
-        out.append(c_j)
+    for tj in nodes:
+        # quotient P(x) / (x - tj), high to low: q_{s-1} = p_s + tj * q_s
+        q = [0] * n
+        acc = master[n]
+        for s in range(n - 1, -1, -1):
+            q[s] = acc
+            acc = master[s] + tj * acc
+        denom = 0
+        for c in reversed(q):
+            denom = denom * tj + c
+        num = sum(q[s] * Fraction(b) for s, b in terms)
+        out.append(Fraction(num) / denom)
     return out
 
 

@@ -7,18 +7,20 @@ stay distinguishable.  The canonical term order used for serialization and
 witnesses is graded lexicographic; since every stored polynomial is
 homogeneous that is plain descending tuple order on the exponents.
 
-``LinearForm`` is a thin wrapper around a coefficient vector with the
-operations the decomposition machinery needs: exact powers via multinomial
-expansion, composition with a linear change of variables, restriction.
+``LinearForm`` is a coefficient vector, as a tuple, with the operations the
+decomposition machinery needs: exact powers via multinomial expansion,
+composition with a linear change of variables, restriction.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Iterable, Sequence, Tuple
+from functools import lru_cache
+from math import factorial, lcm
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .epsilon import EpsScalar
+from .epsilon import EpsPoly, EpsScalar
 from .errors import PoleAtZero
 
 Monomial = Tuple[int, ...]
@@ -31,6 +33,20 @@ def _is_scalar(c) -> bool:
 def _as_coeff(c):
     if isinstance(c, int):
         return Fraction(c)
+    return c
+
+
+# One shared Fraction per small integer.  Form coefficients are nearly always
+# small integers, so a stored decomposition holds references to these rather
+# than a Fraction object per coefficient.
+_SMALL_INTS = {i: Fraction(i) for i in range(-256, 257)}
+
+
+def _form_coeff(c):
+    if isinstance(c, int):
+        c = Fraction(c)
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return _SMALL_INTS.get(c.numerator, c)
     return c
 
 
@@ -75,6 +91,13 @@ class HomoPoly:
         self._terms = clean
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _make(cls, nvars: int, degree: int, terms: Dict[Monomial, object]) -> "HomoPoly":
+        """Wrap terms that are already well-shaped and nonzero, unchecked."""
+        out = cls.__new__(cls)
+        out.nvars, out.degree, out._terms = nvars, degree, terms
+        return out
 
     @classmethod
     def zero(cls, nvars: int, degree: int) -> "HomoPoly":
@@ -132,15 +155,10 @@ class HomoPoly:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        out = HomoPoly.__new__(HomoPoly)
-        out.nvars, out.degree, out._terms = self.nvars, self.degree, acc
-        return out
+        return HomoPoly._make(self.nvars, self.degree, acc)
 
     def __neg__(self) -> "HomoPoly":
-        out = HomoPoly.__new__(HomoPoly)
-        out.nvars, out.degree = self.nvars, self.degree
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return HomoPoly._make(self.nvars, self.degree, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "HomoPoly") -> "HomoPoly":
         return self + (-other)
@@ -149,10 +167,7 @@ class HomoPoly:
         s = _as_coeff(s)
         if s == 0:
             return HomoPoly.zero(self.nvars, self.degree)
-        out = HomoPoly.__new__(HomoPoly)
-        out.nvars, out.degree = self.nvars, self.degree
-        out._terms = {m: c * s for m, c in self._terms.items()}
-        return out
+        return HomoPoly._make(self.nvars, self.degree, {m: c * s for m, c in self._terms.items()})
 
     def __mul__(self, other: "HomoPoly") -> "HomoPoly":
         if not isinstance(other, HomoPoly):
@@ -168,10 +183,7 @@ class HomoPoly:
                     acc[m] = s
                 else:
                     acc.pop(m, None)
-        out = HomoPoly.__new__(HomoPoly)
-        out.nvars, out.degree = self.nvars, self.degree + other.degree
-        out._terms = acc
-        return out
+        return HomoPoly._make(self.nvars, self.degree + other.degree, acc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomoPoly):
@@ -276,9 +288,7 @@ class HomoPoly:
             m: (c if isinstance(c, EpsScalar) else EpsScalar.from_rational(c))
             for m, c in self._terms.items()
         }
-        out = HomoPoly.__new__(HomoPoly)
-        out.nvars, out.degree, out._terms = self.nvars, self.degree, acc
-        return out
+        return HomoPoly._make(self.nvars, self.degree, acc)
 
     def min_valuation(self) -> Tuple[int, Monomial]:
         """Minimal eps-valuation over coefficients, with a witness monomial."""
@@ -345,36 +355,113 @@ def monomials_of_degree(nvars: int, degree: int) -> Tuple[Monomial, ...]:
     return tuple(sorted(_compositions(degree, nvars), key=monomial_key))
 
 
+@lru_cache(maxsize=512)
+def _multinomial_terms(d: int, parts: int) -> Tuple[Tuple[Monomial, int], ...]:
+    """(alpha, d! / prod(alpha_i!)) for every composition alpha of d."""
+    fact = [factorial(i) for i in range(d + 1)]
+    out = []
+    for alpha in _compositions(d, parts):
+        den = 1
+        for a in alpha:
+            den *= fact[a]
+        out.append((alpha, fact[d] // den))
+    return tuple(out)
+
+
+def _int_poly_mul(a: List[int], b: List[int]) -> List[int]:
+    """Product of two dense integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _power_table(base, d: int, one, mul=operator.mul) -> list:
+    """[one, base, base**2, ..., base**d]."""
+    table = [one, base]
+    for _ in range(d - 1):
+        table.append(mul(table[-1], base))
+    return table
+
+
 def _form_power(coefs: Sequence[object], d: int, nvars: int) -> HomoPoly:
-    """Expand (c . x)**d by the multinomial theorem."""
-    support = [i for i, c in enumerate(coefs) if c != 0]
+    """Expand (c . x)**d by the multinomial theorem.
+
+    Each support variable gets one table of the powers of its coefficient,
+    and the multinomials are integers.  Rational coefficients, and
+    coefficients that are all polynomials in Q[eps], are expanded on integer
+    numerators over one common denominator, so each output coefficient costs
+    a single reduced Fraction per eps-power.  Any other mix multiplies the
+    scalars themselves.
+    """
+    support = [i for i, c in enumerate(coefs) if c]
     if not support:
         return HomoPoly.zero(nvars, d)
     if d == 0:
         return HomoPoly(nvars, 0, {(0,) * nvars: Fraction(1)})
+    cs = [coefs[i] for i in support]
+    terms = _multinomial_terms(d, len(support))
     acc: Dict[Monomial, object] = {}
-    fact_d = factorial(d)
-    for alpha in _compositions(d, len(support)):
-        coef = Fraction(fact_d)
-        for a in alpha:
-            coef /= factorial(a)
-        term = coef
+
+    def key(alpha):
         exps = [0] * nvars
         for i, a in zip(support, alpha):
             exps[i] = a
-            if a:
-                term = term * coefs[i] ** a
-        acc[tuple(exps)] = term
-    return HomoPoly(nvars, d, acc)
+        return tuple(exps)
+
+    if all(isinstance(c, Fraction) for c in cs):
+        den = lcm(*(c.denominator for c in cs))
+        tables = [_power_table(c.numerator * (den // c.denominator), d, 1) for c in cs]
+        den_d = den**d
+        for alpha, mult in terms:
+            t = mult
+            for a, table in zip(alpha, tables):
+                t *= table[a]
+            acc[key(alpha)] = Fraction(t, den_d)
+    elif all(isinstance(c, EpsScalar) and c.is_polynomial for c in cs):
+        den = lcm(*(a.denominator for c in cs for _, a in c.num.pairs()))
+        lists = []
+        for c in cs:
+            dense = [0] * (c.num.degree() + 1)
+            for e, a in c.num.pairs():
+                dense[e] = a.numerator * (den // a.denominator)
+            lists.append(dense)
+        tables = [_power_table(x, d, [1], _int_poly_mul) for x in lists]
+        den_d = den**d
+        for alpha, mult in terms:
+            t = [mult]
+            for a, table in zip(alpha, tables):
+                if a:
+                    t = _int_poly_mul(t, table[a])
+            acc[key(alpha)] = EpsScalar(EpsPoly._make(
+                {e: Fraction(v, den_d) for e, v in enumerate(t) if v}
+            ))
+    else:
+        tables = [_power_table(c, d, None) for c in cs]
+        for alpha, mult in terms:
+            t = Fraction(mult)
+            for a, table in zip(alpha, tables):
+                if a:
+                    t = t * table[a]
+            acc[key(alpha)] = t
+    return HomoPoly._make(nvars, d, acc)
 
 
-class LinearForm:
-    """Nonzero linear form given by its coefficient vector."""
+class LinearForm(tuple):
+    """Nonzero linear form given by its coefficient vector.
 
-    __slots__ = ("coefs",)
+    A form is the tuple of its coefficients (``coefs`` is the form itself),
+    so equality and hashing are those of the tuple, and a stored
+    decomposition holds one object per form rather than a wrapper and a
+    tuple.
+    """
 
-    def __init__(self, coefs: Sequence[object]):
-        coefs = tuple(_as_coeff(c) for c in coefs)
+    __slots__ = ()
+
+    def __new__(cls, coefs: Sequence[object]):
+        coefs = tuple(_form_coeff(c) for c in coefs)
         if not coefs:
             raise ValueError("empty coefficient vector")
         if all(c == 0 for c in coefs):
@@ -385,7 +472,11 @@ class LinearForm:
                 c if isinstance(c, EpsScalar) else EpsScalar.from_rational(c)
                 for c in coefs
             )
-        self.coefs = coefs
+        return super().__new__(cls, coefs)
+
+    @property
+    def coefs(self) -> Tuple[object, ...]:
+        return self
 
     @property
     def is_rational(self) -> bool:
@@ -463,14 +554,6 @@ class LinearForm:
             elif r != ratio:
                 return False
         return True
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.coefs == other.coefs
-
-    def __hash__(self):
-        return hash(self.coefs)
 
     def __repr__(self) -> str:
         bits = []

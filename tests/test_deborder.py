@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, log10, sqrt
 
 import mpmath
 import pytest
@@ -49,13 +49,17 @@ def test_paper_bound_frozen_values():
 
 
 def test_paper_bound_against_plain_mpmath():
-    for d, r, expected in [(3, 2, 54242), (4, 2, 72322), (3, 5, 12781025284522298)]:
-        ceilings = set()
-        for dps in (50, 90):
-            with mpmath.workdps(dps):
-                v = mpmath.mpf(d) * mpmath.mpf(r) ** (10 * mpmath.sqrt(r))
-                ceilings.add(int(mpmath.ceil(v)))
-        assert ceilings == {expected}
+    # squares (exact integer values) and non-squares, at two precisions well
+    # past the value's digit count
+    for r in range(2, 82):
+        for d in (1, 2, 3, 4, 7, 31):
+            digits = int(10 * sqrt(r) * log10(r) + log10(d)) + 1
+            ceilings = set()
+            for dps in (digits + 20, digits + 60):
+                with mpmath.workdps(dps):
+                    v = mpmath.mpf(d) * mpmath.mpf(r) ** (10 * mpmath.sqrt(r))
+                    ceilings.add(int(mpmath.ceil(v)))
+            assert ceilings == {paper_bound(d, r)}, (d, r)
 
 
 def test_paper_bound_monotone_in_degree():

@@ -184,3 +184,78 @@ def test_eps_valuation_helper():
         eps_valuation(0)
     with pytest.raises(TypeError):
         eps_valuation("eps")
+
+
+# -- fast paths against the plain algorithms -----------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def ref_gcd(a, b):
+    """Plain Euclidean monic gcd, the definition the fast path must match."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+def ref_canonical(num, den):
+    """(num, den) reduced by ref_gcd, with den's lowest coefficient 1."""
+    if num.is_zero:
+        return EpsPoly.zero(), EpsPoly.const(1)
+    g = ref_gcd(num, den)
+    num, den = divmod(num, g)[0], divmod(den, g)[0]
+    inv = 1 / den.lowest()[1]
+    return num * inv, den * inv
+
+
+general_polys = st.dictionaries(
+    st.integers(0, 5), small_fractions, max_size=4
+).map(EpsPoly)
+monomials = st.builds(
+    lambda k, c: EpsPoly({k: c}),
+    st.integers(0, 5),
+    small_fractions.filter(bool),
+)
+constants = small_fractions.filter(bool).map(EpsPoly.const)
+any_polys = st.one_of(general_polys, monomials, constants)
+
+
+@PROPERTY
+@given(any_polys, any_polys)
+def test_gcd_matches_euclid(a, b):
+    got = EpsPoly.gcd(a, b)
+    want = ref_gcd(a, b)
+    assert got.pairs() == want.pairs()
+
+
+@PROPERTY
+@given(general_polys, st.one_of(monomials, constants))
+def test_gcd_with_a_monomial_is_an_eps_power(p, m):
+    for a, b in ((p, m), (m, p)):
+        g = EpsPoly.gcd(a, b)
+        k = m.valuation() if p.is_zero else min(m.valuation(), p.valuation())
+        assert g.pairs() == ((k, 1),)
+
+
+@PROPERTY
+@given(general_polys, st.one_of(monomials, constants))
+def test_exact_div_by_a_monomial_matches_division(p, m):
+    q, r = divmod(p, m)
+    if r.is_zero:
+        assert p.exact_div(m).pairs() == q.pairs()
+    else:
+        with pytest.raises(ValueError):
+            p.exact_div(m)
+
+
+@PROPERTY
+@given(any_polys, st.one_of(general_polys, monomials, constants).filter(bool))
+def test_escalar_canonical_form_matches_reference(num, den):
+    s = EpsScalar(num, den)
+    want_num, want_den = ref_canonical(num, den)
+    assert s.num.pairs() == want_num.pairs()
+    assert s.den.pairs() == want_den.pairs()

@@ -1,0 +1,51 @@
+"""Byte identity of the waring documents deborder writes for the families.
+
+The digests pin the exact output of the pipeline: a change to the arithmetic
+or expansion kernels must leave every document byte-for-byte as it was.  They
+were recorded before the kernels gained their fast paths (monomial gcd,
+tabled form powers, O(n^2) Vandermonde solve).
+"""
+
+import hashlib
+
+import pytest
+
+from waring import DeborderConfig, deborder, gen_multibase, gen_osculating, gen_tangent
+from waring.serialize import dumps_document
+
+CONFIGS = {
+    "default": DeborderConfig(),
+    "split": DeborderConfig(y_size=1, base_threshold=1),
+}
+
+GENERATORS = {f"tangent{d}": (gen_tangent, (d,)) for d in range(3, 9)}
+GENERATORS["osculating6_2"] = (gen_osculating, (6, 2))
+GENERATORS["multibase5"] = (gen_multibase, (5,))
+
+SHA256 = {
+    ("tangent3", "default"): "ee37282d48af9a5d630dc3bc58de99fdd3f6b4a6d8f9aeaa59f620ed9bcd14b7",
+    ("tangent3", "split"): "d037fcb5d31e49d12a8c06c76ad1e35877862c23e0f153e054e1a573557d91fc",
+    ("tangent4", "default"): "edd4cce531283448e5ee2d77bf3f1abc3cb6731eecaf18c1074f7a48db6a9867",
+    ("tangent4", "split"): "88d3df7b5dada508532508ad20baa7c13848039d6c88332bb87c3e044dfc700e",
+    ("tangent5", "default"): "72fb0479d76b8491279c466766510e550ba5001cefb62b0cbb4367da7fa127b2",
+    ("tangent5", "split"): "09e256e2d75ff2586a161c3d4eeeb57e5b9af20889f22583d1dc4154fb5e24a1",
+    ("tangent6", "default"): "ce8d8563e5554e26ebdc23d7bf99543089d12fea0fd5dff03f2d90e1f366a77d",
+    ("tangent6", "split"): "158f95278afaefd52e48052d199da3a2c1e0ce9e2edcb254b25ce0b0788afdf5",
+    ("tangent7", "default"): "3244981ecdc9e6a7a8a749446fd6c240a8ecc732644fa8fc73548ecc8a4691ac",
+    ("tangent7", "split"): "09dcd8fc9f9014a6ad9af0c51e791ef038006ccc0e7ffe7ea9c546d434a336a8",
+    ("tangent8", "default"): "8134c8746ca75e25eaf932bcdf2e2a68f42215654dee6271984b0197153b0922",
+    ("tangent8", "split"): "ec69a7edf48baf1dc4877f20d6be9777c7c0a411a74e0897b8ee5bf7f6ecc7cc",
+    ("osculating6_2", "default"): "68626cb5df23d6bb2dad1162069f321114a57cc6e3af0fdf2cab991214097f3c",
+    ("osculating6_2", "split"): "58aaede229ed0cf8546ab91d2d2f9428d85442a09d1dcda79e573b939867fe07",
+    ("multibase5", "default"): "032689c0d5705422b832d53fce379377db116d4432f77ec028dfb1311b6b9a63",
+    ("multibase5", "split"): "155daa0149ee7aa0d015cdbd1742ba7f5ed66b2f04a0cb38eab6d1d5dac16cdf",
+}
+
+
+@pytest.mark.parametrize("name,config", sorted(SHA256))
+def test_waring_document_bytes_are_unchanged(name, config):
+    gen, args = GENERATORS[name]
+    f, B = gen(*args)
+    W, _ = deborder(f, B, CONFIGS[config])
+    digest = hashlib.sha256(dumps_document("waring", W).encode()).hexdigest()
+    assert digest == SHA256[name, config]

@@ -168,3 +168,23 @@ def test_eps_matrix_product_random():
                 for k in range(n):
                     s = s + A.rows[i][k] * B.rows[k][j]
                 assert left[i][j] == s
+
+
+from hypothesis import given, settings, strategies as st
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=5),
+             min_size=1, max_size=25, unique=True).flatmap(
+        lambda nodes: st.tuples(
+            st.just(nodes),
+            st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                     min_size=len(nodes), max_size=len(nodes)),
+        )
+    )
+)
+def test_vandermonde_matches_dense_solve(case):
+    nodes, rhs = case
+    rows = [[t**s for t in nodes] for s in range(len(nodes))]
+    assert solve_vandermonde(nodes, rhs) == rat_solve(rows, rhs)

@@ -179,3 +179,73 @@ def _invert_unitriangular(rows):
             s = sum(rows[i][k] * inv[k][j] for k in range(i + 1, n))
             inv[i][j] = -s
     return inv
+
+
+# -- _form_power against the repeated product ----------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+from waring import EpsPoly
+from waring.poly import _form_power
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+eps_polys = st.dictionaries(st.integers(0, 3), small_fractions, max_size=3).map(EpsPoly)
+poly_scalars = eps_polys.map(EpsScalar.from_poly)
+quotient_scalars = st.builds(EpsScalar, eps_polys, eps_polys.filter(bool))
+
+
+def nonzero(coefs):
+    # a linear form is never the zero vector
+    return any(coefs)
+
+
+def repeated_product(coefs, d):
+    """l * l * ... * l through HomoPoly multiplication alone."""
+    n = len(coefs)
+    out = HomoPoly(n, 0, {(0,) * n: Fraction(1)})
+    linear = HomoPoly(n, 1, {
+        tuple(1 if j == i else 0 for j in range(n)): c for i, c in enumerate(coefs) if c
+    })
+    for _ in range(d):
+        out = out * linear
+    return out
+
+
+def assert_power_matches(coefs, d):
+    got = _form_power(coefs, d, len(coefs))
+    want = repeated_product(coefs, d)
+    assert (got.nvars, got.degree) == (want.nvars, want.degree)
+    assert dict(got.items()) == dict(want.items())
+    for m, c in want.items():
+        assert type(got.coeff(m)) is type(c)
+
+
+@PROPERTY
+@given(st.lists(small_fractions, min_size=1, max_size=4).filter(nonzero), st.integers(0, 7))
+def test_form_power_rational(coefs, d):
+    assert_power_matches(coefs, d)
+
+
+@PROPERTY
+@given(st.lists(poly_scalars, min_size=1, max_size=3).filter(nonzero), st.integers(0, 6))
+def test_form_power_over_q_eps_polynomials(coefs, d):
+    assert_power_matches(coefs, d)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(quotient_scalars, poly_scalars), min_size=1, max_size=3)
+       .filter(nonzero),
+       st.integers(0, 4))
+def test_form_power_with_quotient_coefficients(coefs, d):
+    assert_power_matches(coefs, d)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(small_fractions, poly_scalars), min_size=2, max_size=3)
+       .filter(nonzero),
+       st.integers(0, 5))
+def test_form_power_mixed_scalar_kinds(coefs, d):
+    # substitute_linear may hand over rows mixing Fractions and EpsScalars
+    assert_power_matches(coefs, d)
