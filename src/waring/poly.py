@@ -43,8 +43,7 @@ _SMALL_INTS = {i: Fraction(i) for i in range(-256, 257)}
 
 
 def _form_coeff(c):
-    if isinstance(c, int):
-        c = Fraction(c)
+    c = _as_coeff(c)
     if isinstance(c, Fraction) and c.denominator == 1:
         return _SMALL_INTS.get(c.numerator, c)
     return c

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from waring import (
     BorderDecomposition,
     EpsPoly,
@@ -15,6 +17,12 @@ from waring import (
     staircase_check,
 )
 from waring.linalg import rat_inverse
+
+
+# property tests run the same examples every time, write no example
+# database, and have no per-example deadline on a loaded host
+settings.register_profile("waring", deadline=None, derandomize=True, database=None)
+settings.load_profile("waring")
 
 
 def F(a, b=1):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from waring import EpsScalar, PoleAtZero, SingularMatrixError
 from waring.linalg import (
@@ -170,10 +171,7 @@ def test_eps_matrix_product_random():
                 assert left[i][j] == s
 
 
-from hypothesis import given, settings, strategies as st
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=5),
              min_size=1, max_size=25, unique=True).flatmap(

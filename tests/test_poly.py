@@ -5,8 +5,17 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from waring import EpsScalar, HomoPoly, LinearForm, falling_factorial, monomials_of_degree
+from waring import (
+    EpsPoly,
+    EpsScalar,
+    HomoPoly,
+    LinearForm,
+    falling_factorial,
+    monomials_of_degree,
+)
+from waring.poly import _form_power
 from conftest import F, esc, lf, mono, rand_poly
 
 
@@ -183,12 +192,8 @@ def _invert_unitriangular(rows):
 
 # -- _form_power against the repeated product ----------------------------------
 
-from hypothesis import given, settings, strategies as st
 
-from waring import EpsPoly
-from waring.poly import _form_power
-
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80)
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 eps_polys = st.dictionaries(st.integers(0, 3), small_fractions, max_size=3).map(EpsPoly)
