@@ -3,7 +3,7 @@
 Given a homogeneous polynomial f over Q and a border certificate -- a sum
 of weighted powers of linear forms over Q(eps) whose limit at eps = 0 is f
 -- this package produces an explicit weighted Waring decomposition of f
-over Q, exactly verified at every step, together with diagnostics and
+over Q, exactly verified against f, together with diagnostics and
 independent rank oracles.
 """
 
@@ -20,7 +20,6 @@ from .decomp import (
     is_local,
     normalize_border,
     restrict_vars_zero,
-    verify_border,
     verify_waring,
 )
 from .diagonal import (
@@ -29,7 +28,6 @@ from .diagonal import (
     diagonalize,
     dvr_reduce_step,
     staircase_check,
-    substitute_perturbation,
 )
 from .deborder import (
     DeborderConfig,
@@ -116,8 +114,6 @@ __all__ = [
     "restrict_vars_zero",
     "split_and_group",
     "staircase_check",
-    "substitute_perturbation",
     "sylvester_rank",
-    "verify_border",
     "verify_waring",
 ]

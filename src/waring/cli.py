@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .deborder import DeborderConfig, deborder, paper_bound
+from .deborder import DeborderConfig, bound_digits, deborder, paper_bound
 from .decomp import check_border, verify_waring
 from .errors import (
     CertificateCheckError,
@@ -97,10 +97,7 @@ def cmd_deborder(args) -> int:
     _, B = read_document(args.border, "border")
     _, f = read_document(args.poly, "polynomial")
     cfg = DeborderConfig(
-        seed=args.seed,
-        base_threshold=args.base_threshold,
-        y_size=args.y_size,
-        strengthened=args.strengthened,
+        seed=args.seed, base_threshold=args.base_threshold, y_size=args.y_size
     )
     W, report = deborder(f, B, cfg)
     payload = report_to_json(report, asdict(cfg))
@@ -134,6 +131,19 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    # Python refuses to print an int longer than its string conversion
+    # limit (0: none; Python before 3.10.7 has none), so a ceiling past it
+    # is refused before it is computed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.d >= 1 and args.r >= 1:
+        digits = bound_digits(args.d, args.r)
+        if digits > limit:
+            print(
+                f"error: the ceiling for r = {args.r} has {digits} decimal digits, "
+                f"more than the {limit} Python converts to a string",
+                file=sys.stderr,
+            )
+            return 2
     print(paper_bound(args.d, args.r))
     return 0
 
@@ -174,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--base-threshold", type=int, default=4, dest="base_threshold")
     d.add_argument("--y-size", type=int, default=None, dest="y_size")
-    d.add_argument("--strengthened", action="store_true")
     d.set_defaults(func=cmd_deborder)
 
     o = sub.add_parser("oracle", help="independent rank bounds for a polynomial")

@@ -26,8 +26,18 @@ The recursion, per level:
 4. pieces are reassembled with ``multiply_by_power``, which rewrites
    l**e * z**k as a sum of e + k + 1 powers through exact interpolation.
 
-Every intermediate certificate and every assembled piece is re-verified by
-exact expansion; nothing in the pipeline is trusted twice.
+Verification policy.  Each border certificate is verified by exact
+expansion once, where it enters the pipeline: the input in ``deborder`` and
+each derivative branch certificate in ``_split``.  Every recursion level
+verifies its assembled result against its target, the dense solve, the
+power multiplication and the Y/Z split check their own outputs, and the
+final decomposition is verified against f and held to the ceiling
+``paper_bound``.  The structural hypotheses the paper's lemmas rest on
+(group convergence, divisibility of a local limit by a power of its base
+variable, the staircase, the derivative summand cap) are checked wherever
+they are used.  Transformations between these points (diagonalization,
+differentiation, restriction) are not re-expanded: a fault in one surfaces
+at the next check, at the latest in the final verification.
 """
 
 from __future__ import annotations
@@ -64,21 +74,16 @@ class DeborderConfig:
     """Knobs for the debordering recursion.
 
     seed drives the dense solver's random draws; base_threshold is the rank
-    at or below which a local cofactor is solved densely instead of split;
+    at or below which a certificate is solved densely instead of split;
     y_size overrides the Y-block width (default: floor(10 * sqrt(rank)),
-    which at small ranks routes everything through the dense path -- set it
-    to 1 or 2 to force the split); strengthened re-diagonalizes every
-    derivative branch certificate and records the observed summand counts;
-    check_levels re-verifies the assembled decomposition at every recursion
-    level rather than only at the end.
+    which is at least the pivot count for every rank up to 100, so at
+    default settings everything goes through the dense path -- set it to 1
+    or 2 to force the split).
     """
 
     seed: int = 0
     base_threshold: int = 4
     y_size: Optional[int] = None
-    strengthened: bool = False
-    dense_retries: int = 32
-    check_levels: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +108,6 @@ class DeborderReport:
     paper_bound: int
     verified: bool
     trace: Tuple[TraceRecord, ...]
-    # (variable, order, summands kept, cap) per derivative branch; filled
-    # only when config.strengthened is set
-    derivative_counts: Tuple[Tuple[int, int, int, int], ...] = ()
 
 
 def _ceil(x: decimal.Decimal) -> int:
@@ -135,6 +137,15 @@ def _bound_bracket(d: int, r: int, prec: int) -> Tuple[int, int]:
     return _ceil(down.multiply(d, e_lo)), _ceil(up.multiply(d, e_hi))
 
 
+def bound_digits(d: int, r: int) -> int:
+    """Decimal digit count of d * r**(10 * sqrt(r)), estimated in floating point.
+
+    floor(log10 d + 10 * sqrt(r) * log10 r) + 1; exact unless the value lies
+    within rounding error of a power of ten.
+    """
+    return int(math.log10(d) + 10 * math.sqrt(r) * math.log10(r)) + 1
+
+
 def paper_bound(d: int, r: int) -> int:
     """Exact integer ceiling of d * r**(10 * sqrt(r)); d itself for r = 1.
 
@@ -151,7 +162,7 @@ def paper_bound(d: int, r: int) -> int:
     if root * root == r:
         return d * r ** (10 * root)
     # decimal digits of the value, plus a margin
-    prec = int(10 * math.sqrt(r) * math.log10(r) + math.log10(d)) + 30
+    prec = bound_digits(d, r) + 29
     for _ in range(6):
         lo, hi = _bound_bracket(d, r, prec)
         if lo == hi:
@@ -271,7 +282,11 @@ def split_and_group(
     return f0, parts
 
 
-def dense_decompose(h: HomoPoly, seed: int = 0, retries: int = 32) -> WaringDecomposition:
+# singular draws tolerated before dense_decompose gives up
+_DENSE_RETRIES = 32
+
+
+def dense_decompose(h: HomoPoly, seed: int = 0) -> WaringDecomposition:
     """Decompose h by solving a square linear system against random forms.
 
     Draws C(nvars + degree - 1, degree) integer forms with coefficients in
@@ -292,7 +307,7 @@ def dense_decompose(h: HomoPoly, seed: int = 0, retries: int = 32) -> WaringDeco
     basis = monomials_of_degree(m, e)
     rhs = [h.coeff(mon) for mon in basis]
     M = len(basis)
-    for attempt in range(retries):
+    for attempt in range(_DENSE_RETRIES):
         rng = random.Random(seed * 7919 + attempt)
         forms: List[LinearForm] = []
         while len(forms) < M:
@@ -312,7 +327,7 @@ def dense_decompose(h: HomoPoly, seed: int = 0, retries: int = 32) -> WaringDeco
         if W.expand() != h:
             raise InvariantError("dense solve produced a non-matching decomposition")
         return W
-    raise InvariantError(f"no solvable dense draw in {retries} attempts")
+    raise InvariantError(f"no solvable dense draw in {_DENSE_RETRIES} attempts")
 
 
 def _interpolation_nodes(count: int) -> List[Fraction]:
@@ -370,7 +385,6 @@ class _Session:
     def __init__(self, cfg: DeborderConfig):
         self.cfg = cfg
         self.trace: List[TraceRecord] = []
-        self.derivative_counts: List[Tuple[int, int, int, int]] = []
         self._dense_calls = 0
 
     def y_size(self, rank: int) -> int:
@@ -424,7 +438,6 @@ def deborder(
         paper_bound=bound,
         verified=verified,
         trace=tuple(ses.trace),
-        derivative_counts=tuple(ses.derivative_counts),
     )
     return W, report
 
@@ -444,7 +457,7 @@ def _rec(
         W = W1.extend_vars(n).substitute(rat_inverse(T))
     else:
         W = _solve(f, B, ses, bi, bk, fuel)
-    if ses.cfg.check_levels and not verify_waring(W, f):
+    if not verify_waring(W, f):
         raise InvariantError("level result does not expand to its target")
     return W
 
@@ -491,9 +504,7 @@ def _local(
         W = WaringDecomposition(n, d, ((c, x0),))
     elif rk <= ses.cfg.base_threshold or Dk.p <= ses.y_size(rk):
         ses.record("BASE", rk, g.degree, bi, bk)
-        Wg = dense_decompose(
-            g.take_vars(Dk.p), ses.next_dense_seed(), ses.cfg.dense_retries
-        ).extend_vars(n)
+        Wg = dense_decompose(g.take_vars(Dk.p), ses.next_dense_seed()).extend_vars(n)
         W = multiply_by_power(Wg, x0, epow) if epow else Wg
     else:
         W = _split(g, epow, Dk, rk, ses, bi, bk, fuel)
@@ -508,9 +519,8 @@ def _nonlocal(
     fA = D.limit
     if r <= ses.cfg.base_threshold or D.p <= ses.y_size(r):
         ses.record("BASE", r, fA.degree, bi, bk)
-        return dense_decompose(
-            fA.take_vars(D.p), ses.next_dense_seed(), ses.cfg.dense_retries
-        ).extend_vars(fA.nvars)
+        W = dense_decompose(fA.take_vars(D.p), ses.next_dense_seed())
+        return W.extend_vars(fA.nvars)
     ses.record("NONLOCAL", r, fA.degree, bi, bk)
     return _split(fA, 0, D, r, ses, bi, bk, fuel)
 
@@ -540,9 +550,7 @@ def _split(
     total: Optional[WaringDecomposition] = None
     if not f0.is_zero:
         ses.record("BASE", rr, f0.degree, bi, bk)
-        W0 = dense_decompose(
-            f0.take_vars(y), ses.next_dense_seed(), ses.cfg.dense_retries
-        ).extend_vars(n)
+        W0 = dense_decompose(f0.take_vars(y), ses.next_dense_seed()).extend_vars(n)
         if epow:
             W0 = multiply_by_power(W0, x0, epow)
         total = W0
@@ -566,13 +574,6 @@ def _split(
                 raise InvariantError(
                     f"branch certificate (z_{i}, order {k}) fails: {res.reason}"
                 )
-            if ses.cfg.strengthened:
-                # re-certification only; diagonalize re-checks the staircase
-                # and the limit on the branch certificate
-                diagonalize(Bik, h)
-                ses.derivative_counts.append(
-                    (zvar, k, Bik.rank(), D.decomposition.rank() - zvar)
-                )
             Wh = _rec(h, Bik, ses, i, k, fuel - 1)
             piece = multiply_by_power(Wh, z, k)
         total = piece if total is None else total + piece
@@ -585,6 +586,7 @@ __all__ = [
     "DeborderConfig",
     "DeborderReport",
     "TraceRecord",
+    "bound_digits",
     "deborder",
     "dense_decompose",
     "extract_local_cofactor",

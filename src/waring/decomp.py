@@ -181,7 +181,17 @@ class BorderCheck:
 
 
 def check_border(B: BorderDecomposition, f: HomoPoly) -> BorderCheck:
-    """Exact verification with diagnostics; see verify_border for the contract."""
+    """Exact verification of a border certificate, with diagnostics.
+
+    ok is True iff the expansion converges at eps = 0 with limit exactly f.
+    q is the diagnostic order: the minimal eps-valuation over the
+    coefficients of (expansion - f), or None when the expansion equals f
+    with no eps dependence at all (and on a pole); on success q >= 1
+    whenever it is not None.  On failure, witness is a monomial where the
+    pole sits or where the limit differs from f.  An expansion that is
+    identically zero against a nonzero f raises
+    DegenerateDecompositionError.
+    """
     if f.nvars != B.nvars or f.degree != B.degree:
         raise ValueError("target polynomial shape does not match the decomposition")
     S = B.expand()
@@ -202,17 +212,6 @@ def check_border(B: BorderDecomposition, f: HomoPoly) -> BorderCheck:
     bad = (limit - f)
     wit = bad.monomials()[0]
     return BorderCheck(False, q, "limit differs from target", wit)
-
-
-def verify_border(B: BorderDecomposition, f: HomoPoly) -> Tuple[bool, Optional[int]]:
-    """True iff the expansion converges at eps = 0 with limit exactly f.
-
-    The second component is the diagnostic order q = minimal eps-valuation
-    over coefficients of (expansion - f), or None when the expansion equals f
-    with no eps dependence at all.  On success q >= 1 whenever it is not None.
-    """
-    out = check_border(B, f)
-    return out.ok, out.q
 
 
 def verify_waring(W: WaringDecomposition, f: HomoPoly) -> bool:

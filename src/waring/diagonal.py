@@ -12,9 +12,11 @@ after which the transformed summands have a staircase shape:
   valuation >= q_j;
 * 0 = q_0 <= q_1 <= ... and the limit matrix A(0) is invertible.
 
-All of this is asserted, not assumed: the constructor re-checks the staircase
-coefficient by coefficient and re-verifies the transformed certificate
-against f(A(0) x) by exact expansion.
+The staircase is asserted coefficient by coefficient, A is checked to be a
+unit at eps = 0, and a local input is checked to stay based at x0.  The
+transformed certificate is not re-expanded: A is regular at eps = 0, so the
+transformed expansion is the input one composed with A and its limit is
+f(A(0) x) by construction (the tests assert it on every corpus).
 
 The reduction loop needs one non-obvious ingredient to terminate: a candidate
 lying in the ring-span of the pivots can have its tail chased forever (reduce
@@ -34,7 +36,6 @@ from typing import List, Optional, Sequence, Tuple
 from .decomp import (
     BorderDecomposition,
     base_of_form,
-    check_border,
     is_local,
     normalize_border,
     restrict_vars_zero,
@@ -104,37 +105,9 @@ def _vec_lead(v: Sequence[EpsScalar], val: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _eps_rank(vectors: Sequence[Sequence[EpsScalar]]) -> int:
-    """Rank over the field Q(eps) by Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = EpsScalar.one() / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _in_eps_span(pivots: Sequence[Pivot], v: Vector) -> bool:
     vecs = [p.vector for p in pivots]
-    return _eps_rank(vecs + [v]) == len(vecs)
+    return rat_rank(vecs + [v]) == len(vecs)
 
 
 def _reduce_vector(vec: Vector, pivots: Sequence[Pivot]) -> Optional[Tuple[int, Vector]]:
@@ -210,23 +183,14 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     n = Bn.nvars
     local_base = is_local(Bn)
 
-    vectors: List[Vector] = [tuple(form.coefs) for _, form in Bn.summands]
     pivots: List[Pivot] = []
-    remaining = list(range(len(vectors)))
+    remaining = list(range(len(Bn.summands)))
     while remaining:
-        best = None
-        for idx in remaining:
-            res = _reduce_vector(vectors[idx], pivots)
-            if res is None:
-                continue
-            val, red = res
-            if best is None or val < best[1]:
-                best = (idx, val, red)
-        if best is None:
+        try:
+            j, val, red = dvr_reduce_step([Bn.summands[i][1] for i in remaining], pivots)
+        except NoPivotError:
             break
-        idx, val, red = best
-        pivots.append(Pivot(idx, val, red, _vec_lead(red, val)))
-        remaining.remove(idx)
+        pivots.append(Pivot(remaining.pop(j), val, red.coefs, _vec_lead(red, val)))
     if not pivots:
         raise NoPivotError("no pivot found; decomposition expands to zero")
 
@@ -269,11 +233,6 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         limit=f.substitute_linear(A0),
     )
     staircase_check(D)
-    out = check_border(D.decomposition, D.limit)
-    if not out.ok:
-        raise InvariantError(
-            f"transformed certificate fails against f(A0 x): {out.reason} at {out.witness}"
-        )
     if local_base is not None:
         e0 = LinearForm.variable(n, 0)
         for _, form in D.decomposition.summands:
@@ -337,47 +296,6 @@ def staircase_check(D: DiagonalizedDecomposition) -> None:
                     )
 
 
-def substitute_perturbation(
-    D: DiagonalizedDecomposition, var: int, tail: LinearForm
-) -> DiagonalizedDecomposition:
-    """Replace x_var by x_var - tail throughout the transformed summands.
-
-    The tail must have every coefficient of valuation >= 1; the substitution
-    is then a unit at eps = 0 and the limit polynomial is unchanged, which is
-    re-verified by exact expansion.
-    """
-    n = D.decomposition.nvars
-    if not 0 <= var < n:
-        raise ValueError(f"variable index {var} out of range")
-    if tail.nvars != n:
-        raise ValueError("tail arity mismatch")
-    tcoefs = tuple(
-        c if isinstance(c, EpsScalar) else EpsScalar.from_rational(c) for c in tail.coefs
-    )
-    for c in tcoefs:
-        if not c.is_zero and c.valuation() < 1:
-            raise ValueError("perturbation tail must vanish at eps = 0")
-    mrows = [
-        [EpsScalar.from_rational(1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    for j in range(n):
-        mrows[var][j] = mrows[var][j] - tcoefs[j]
-    M = EpsMatrix(mrows)
-    newB = D.decomposition.substitute(M.rows)
-    out = check_border(newB, D.limit)
-    if not out.ok:
-        raise InvariantError(f"perturbation changed the limit: {out.reason}")
-    return DiagonalizedDecomposition(
-        decomposition=newB,
-        transform=D.transform * M,
-        base_change=D.base_change,
-        base_change_inv=D.base_change_inv,
-        pivots=D.pivots,
-        perm=D.perm,
-        limit=D.limit,
-    )
-
-
 def derivative_decomposition(
     D: DiagonalizedDecomposition, var: int, order: int
 ) -> BorderDecomposition:
@@ -423,11 +341,7 @@ def derivative_decomposition(
         raise InvariantError(
             f"derivative certificate has {len(kept)} summands, expected <= {r - var}"
         )
-    out = BorderDecomposition(D.decomposition.nvars, d - order, tuple(kept))
-    res = check_border(out, target)
-    if not res.ok:
-        raise InvariantError(f"derivative certificate fails: {res.reason} at {res.witness}")
-    return out
+    return BorderDecomposition(D.decomposition.nvars, d - order, tuple(kept))
 
 
 __all__ = [
@@ -436,7 +350,6 @@ __all__ = [
     "diagonalize",
     "dvr_reduce_step",
     "staircase_check",
-    "substitute_perturbation",
     "derivative_decomposition",
     "restrict_vars_zero",
 ]

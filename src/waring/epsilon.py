@@ -27,11 +27,9 @@ can mix them with plain rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .errors import PoleAtZero
-
-Coeff = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -81,13 +79,6 @@ class EpsPoly:
         if power < 0:
             raise ValueError("EpsPoly exponents are nonnegative")
         return cls({power: Fraction(1)})
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, Fraction]]) -> "EpsPoly":
-        acc: Dict[int, Fraction] = {}
-        for e, c in pairs:
-            acc[e] = acc.get(e, Fraction(0)) + _frac(c)
-        return cls(acc)
 
     # -- predicates and views --------------------------------------------
 

@@ -1,8 +1,9 @@
 """Exact linear algebra: rational matrices, matrices over Q(eps), Vandermonde.
 
-Elimination is plain Gauss-Jordan over an exact field; matrices are small
-(bounded by the number of monomials of desk-scale polynomials).  Vandermonde
-systems are solved through the Lagrange basis in O(n^2).
+Elimination is plain Gauss-Jordan over an exact field, Q or Q(eps), in one
+routine (``rat_rref``); matrices are small (bounded by the number of
+monomials of desk-scale polynomials).  Vandermonde systems are solved
+through the Lagrange basis in O(n^2).
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ def _frac_rows(rows) -> List[List[Fraction]]:
 
 
 def rat_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
+    """Reduced row echelon form; returns (rref, pivot column indices).
+
+    Entries are Fractions (ints are lifted) or EpsScalars; only field
+    operations and truth testing are used, so the same elimination serves
+    Q and Q(eps).
+    """
     m = _frac_rows(rows)
     if not m:
         return [], []
@@ -29,7 +35,7 @@ def rat_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], 
     for col in range(ncols):
         pivot = None
         for r in range(row, len(m)):
-            if m[r][col] != 0:
+            if m[r][col]:
                 pivot = r
                 break
         if pivot is None:
@@ -38,7 +44,7 @@ def rat_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], 
         inv = 1 / m[row][col]
         m[row] = [x * inv for x in m[row]]
         for r in range(len(m)):
-            if r != row and m[r][col] != 0:
+            if r != row and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
         pivots.append(col)
@@ -172,10 +178,6 @@ class EpsMatrix:
     def identity(cls, n: int) -> "EpsMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_rational(cls, rows: Sequence[Sequence[Fraction]]) -> "EpsMatrix":
-        return cls(rows)
-
     def __mul__(self, other: "EpsMatrix") -> "EpsMatrix":
         if not isinstance(other, EpsMatrix):
             return NotImplemented
@@ -197,26 +199,15 @@ class EpsMatrix:
         return EpsMatrix(out)
 
     def inverse(self) -> "EpsMatrix":
-        """Gauss-Jordan over the field Q(eps)."""
+        """Gauss-Jordan over the field Q(eps) on [M | I]."""
         n = self.dim
-        aug = [list(self.rows[i]) + [EpsScalar.from_rational(1 if i == j else 0)
-                                     for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if not aug[r][col].is_zero:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular over Q(eps)")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = EpsScalar.one() / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return EpsMatrix([row[n:] for row in aug])
+        zero, one = EpsScalar.zero(), EpsScalar.one()
+        aug = [list(row) + [one if i == j else zero for j in range(n)]
+               for i, row in enumerate(self.rows)]
+        rref, pivots = rat_rref(aug)
+        if pivots[:n] != list(range(n)):
+            raise SingularMatrixError("matrix is singular over Q(eps)")
+        return EpsMatrix([row[n:] for row in rref])
 
     def at_zero(self) -> List[List[Fraction]]:
         """Entrywise limit at eps = 0; raises PoleAtZero on a pole."""
@@ -247,7 +238,3 @@ class EpsMatrix:
     def __repr__(self) -> str:
         return "EpsMatrix([" + ", ".join(repr(list(r)) for r in self.rows) + "])"
 
-
-def invert_matrix(m: EpsMatrix) -> EpsMatrix:
-    """Module-level alias for EpsMatrix.inverse."""
-    return m.inverse()

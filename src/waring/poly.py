@@ -561,12 +561,3 @@ class LinearForm(tuple):
                 bits.append(f"({c!r})*x{i}")
         return " + ".join(bits)
 
-
-def substitute_linear(p: HomoPoly, rows: Sequence[Sequence[object]]) -> HomoPoly:
-    """Module-level alias for HomoPoly.substitute_linear."""
-    return p.substitute_linear(rows)
-
-
-def differentiate(p: HomoPoly, var: int, order: int = 1) -> HomoPoly:
-    """Module-level alias for HomoPoly.differentiate."""
-    return p.differentiate(var, order)

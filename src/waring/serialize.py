@@ -207,7 +207,6 @@ def report_to_json(report, flags: Dict) -> Dict:
             }
             for t in report.trace
         ],
-        "derivative_counts": [list(c) for c in report.derivative_counts],
         "flags": dict(flags),
     }
 

@@ -369,7 +369,7 @@ def test_criterion_9_serialization_roundtrip():
     f, B = gen_random(2, 4, 3, seed=17)
     reports.append(deborder(f, B)[1])
     for i in range(100):
-        flags = asdict(DeborderConfig(seed=i, strengthened=bool(i % 2)))
+        flags = asdict(DeborderConfig(seed=i, y_size=(i % 3) or None))
         roundtrip("report", report_to_json(reports[i % len(reports)], flags))
     crit.check(count == 1000, f"only {count} documents exercised")
     crit.conclude("400 polynomial, 300 border, 200 waring, 100 report")

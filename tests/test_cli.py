@@ -5,12 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 
 import pytest
 
-from waring import CertificateCheckError, DeborderConfig, EpsScalar, LinearForm
+from waring import CertificateCheckError, DeborderConfig, EpsScalar, LinearForm, paper_bound
 from waring.cli import main
 from waring.decomp import BorderDecomposition
 from waring.serialize import parse_document, read_document, write_document
@@ -72,15 +73,22 @@ def test_report_carries_the_full_flag_set(workdir):
             "--seed", "5",
             "--base-threshold", "2",
             "--y-size", "3",
-            "--strengthened",
         ]
     )
     assert code == 0
     _, payload = parse_document(out)
-    expected = asdict(
-        DeborderConfig(seed=5, base_threshold=2, y_size=3, strengthened=True)
+    expected = asdict(DeborderConfig(seed=5, base_threshold=2, y_size=3))
+    assert payload["flags"] == expected == {"seed": 5, "base_threshold": 2, "y_size": 3}
+    assert "derivative_counts" not in payload
+    code, _, err = run_cli(
+        [
+            "deborder",
+            "--border", "tangent_d4_border.json",
+            "--poly", "tangent_d4_poly.json",
+            "--strengthened",
+        ]
     )
-    assert payload["flags"] == expected
+    assert code == 2 and "--strengthened" in err
 
 
 def test_gen_explicit_output_paths(workdir):
@@ -192,6 +200,33 @@ def test_bound_prints_the_frozen_ceiling():
     assert out.strip() == "54242"
     code, out, _ = run_cli(["bound", "--d", "7", "--r", "1"])
     assert out.strip() == "7"
+
+
+@pytest.fixture
+def str_digits_4300():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string conversion limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_bound_refuses_a_ceiling_past_the_printable_digits(str_digits_4300):
+    # at d = 2,000,000 the last printable r is the square 106**2 = 11236,
+    # whose ceiling is exact and has exactly 4300 digits
+    code, out, _ = run_cli(["bound", "--d", "2000000", "--r", "11236"])
+    assert code == 0
+    assert out.strip() == str(paper_bound(2_000_000, 11236))
+    assert len(out.strip()) == 4300
+    # the next r, and the first r past the limit at d = 3, are refused
+    # before the ceiling is computed (which would take seconds)
+    for d, r, digits in (("2000000", "11237", 4301), ("3", "11262", 4301), ("3", "12100", 4492)):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["bound", "--d", d, "--r", r])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert f"r = {r}" in err and f"{digits} decimal digits" in err
 
 
 def test_lemma_failure_maps_to_exit_three(workdir, monkeypatch):

@@ -1,5 +1,7 @@
 """The debordering recursion and its building blocks."""
 
+import dataclasses
+import importlib
 import random
 from fractions import Fraction
 from math import comb, isqrt, log10, sqrt
@@ -13,9 +15,11 @@ from waring import (
     DeborderConfig,
     EpsScalar,
     HomoPoly,
+    InvariantError,
     LinearForm,
     VerificationError,
     WaringDecomposition,
+    check_border,
     deborder,
     dense_decompose,
     extract_local_cofactor,
@@ -23,7 +27,6 @@ from waring import (
     paper_bound,
     partition_into_local,
     split_and_group,
-    verify_border,
     verify_waring,
 )
 from waring.oracle import gen_multibase, gen_random, gen_tangent, sylvester_rank
@@ -80,8 +83,7 @@ def test_partition_multibase_two_groups():
     total = HomoPoly.zero(4, 5)
     for Bk, fk in groups:
         assert Bk.rank() == 2
-        ok, _ = verify_border(Bk, fk)
-        assert ok
+        assert check_border(Bk, fk).ok
         total = total + fk
     assert total == f
 
@@ -108,8 +110,8 @@ def test_partition_group_convergence_is_checked():
         ),
     )
     f = mono(2, (0, 2)) - mono(2, (2, 0))
-    ok, q = verify_border(B, f)
-    assert ok and q is None
+    out = check_border(B, f)
+    assert out.ok and out.q is None
     with pytest.raises(CertificateCheckError) as info:
         partition_into_local(B, f)
     assert info.value.check == "group-convergence"
@@ -298,16 +300,17 @@ def test_deborder_report_is_reproducible():
 
 def test_deborder_forced_split_runs_the_derivative_branches():
     f, B = gen_random(5, 3, 5, seed=8)
-    cfg = DeborderConfig(y_size=1, base_threshold=1, strengthened=True)
+    cfg = DeborderConfig(y_size=1, base_threshold=1)
     W, report = deborder(f, B, cfg)
     assert report.verified and verify_waring(W, f)
     cases = [t.case for t in report.trace]
     assert "NONLOCAL" in cases
-    branches = [(t.branch_i, t.branch_k) for t in report.trace if t.branch_k]
+    branches = [t for t in report.trace if t.branch_k]
     assert branches, "no derivative branch was recorded"
-    for var, order, kept, cap in report.derivative_counts:
-        assert 1 <= order
-        assert 0 <= kept <= cap
+    # z_i is the i-th Z variable (i >= 1); differentiating in it drops at
+    # least the first pivot row, so every branch has a smaller rank
+    assert {(t.branch_i, t.branch_k) for t in branches} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert all(t.rank < B.rank() for t in branches)
 
 
 def test_deborder_forced_split_on_local_certificate():
@@ -354,3 +357,58 @@ def test_deborder_achieved_ranks_bounded_by_input_data():
         assert report.verified
         assert report.achieved_rank == W.rank()
         assert report.achieved_rank <= report.paper_bound
+
+
+# -- faults that only the kept checks can catch ---------------------------
+#
+# Each certificate is verified once, where it enters the pipeline; the
+# transformations between checks are not re-expanded.  These tests corrupt
+# such a transformation from outside and show that a kept check still stops
+# the run.
+
+_DEBORDER = importlib.import_module("waring.deborder")
+
+
+def test_fault_in_diagonalized_weights_is_caught_by_the_partition(monkeypatch):
+    real = _DEBORDER.diagonalize
+
+    def doubled(B, f):
+        D = real(B, f)
+        return dataclasses.replace(D, decomposition=D.decomposition.scale_weights(2))
+
+    monkeypatch.setattr(_DEBORDER, "diagonalize", doubled)
+    f, B = gen_multibase(5)
+    with pytest.raises(InvariantError, match="group limits do not sum"):
+        deborder(f, B)
+
+
+def test_fault_in_diagonalized_limit_is_caught_by_the_result_check(monkeypatch):
+    real = _DEBORDER.diagonalize
+
+    def shifted(B, f):
+        D = real(B, f)
+        x0_power = mono(f.nvars, (f.degree,) + (0,) * (f.nvars - 1))
+        return dataclasses.replace(D, limit=D.limit + x0_power)
+
+    f, B = gen_random(3, 3, 6, seed=1)
+    _, report = deborder(f, B)
+    assert [t.case for t in report.trace] == ["BASE"]  # the dense route
+    monkeypatch.setattr(_DEBORDER, "diagonalize", shifted)
+    # the dense solve decomposes the shifted limit exactly; the assembled
+    # result is then checked against f itself
+    with pytest.raises(InvariantError, match="does not expand to"):
+        deborder(f, B)
+
+
+def test_fault_in_a_derivative_certificate_is_caught_by_the_branch_check(monkeypatch):
+    real = _DEBORDER.derivative_decomposition
+
+    def corrupted(D, var, order):
+        out = real(D, var, order)
+        (w, form), *rest = out.summands
+        return BorderDecomposition(out.nvars, out.degree, ((w * 3, form), *rest))
+
+    monkeypatch.setattr(_DEBORDER, "derivative_decomposition", corrupted)
+    f, B = gen_random(5, 3, 5, seed=8)
+    with pytest.raises(InvariantError, match="branch certificate"):
+        deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))

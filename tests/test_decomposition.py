@@ -21,7 +21,6 @@ from waring import (
     is_local,
     normalize_border,
     restrict_vars_zero,
-    verify_border,
     verify_waring,
 )
 from waring.linalg import rat_inverse
@@ -90,14 +89,13 @@ def test_waring_extend_vars():
     assert W.expand() == mono(3, (2, 0, 0))
 
 
-# -- check_border / verify_border -------------------------------------------
+# -- check_border ----------------------------------------------------------
 
 
 def test_border_exact_certificate_has_no_residual():
     B = BorderDecomposition(2, 2, ((F(1, 4), lf(F(1), F(1))), (F(-1, 4), lf(F(1), F(-1)))))
-    ok, q = verify_border(B, mono(2, (1, 1)))
-    assert ok and q is None
     out = check_border(B, mono(2, (1, 1)))
+    assert out.ok and out.q is None
     assert out.reason == "ok" and out.witness is None
 
 
@@ -113,8 +111,6 @@ def test_border_pole_detected_with_witness():
     assert not out.ok
     assert "pole" in out.reason
     assert out.witness == (3, 0)
-    ok, _ = verify_border(B, mono(2, (3, 0)))
-    assert not ok
 
 
 def test_border_wrong_limit():
@@ -145,8 +141,8 @@ def test_border_residual_order_is_exactly_min_valuation():
     B = BorderDecomposition(
         2, 2, ((F(1), lf(F(1), F(0))), (EpsScalar.eps(2), lf(F(0), F(1)))),
     )
-    ok, q = verify_border(B, mono(2, (2, 0)))
-    assert ok and q == 2
+    out = check_border(B, mono(2, (2, 0)))
+    assert out.ok and out.q == 2
 
 
 # -- normalize_border -------------------------------------------------------
@@ -188,8 +184,7 @@ def test_normalize_preserves_verification_on_random_certificates():
     for seed in range(12):
         f, B = gen_random(2, 3, 3, seed=seed)
         N = normalize_border(B)
-        ok, _ = verify_border(N, f)
-        assert ok
+        assert check_border(N, f).ok
         assert N.rank() <= B.rank()
 
 
@@ -243,13 +238,11 @@ def test_essential_reduce_drops_unused_direction():
     rows = [[F(1), F(0), F(1)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
     f3 = f.extend_vars(3).substitute_linear(rows)
     B3 = B.extend_vars(3).substitute([[EpsScalar.from_rational(x) for x in r] for r in rows])
-    ok, _ = verify_border(B3, f3)
-    assert ok
+    assert check_border(B3, f3).ok
     f1, B1, T, N = essential_reduce(f3, B3)
     assert N == 2
     assert all(not any(m[N:]) for m, _ in f1.items())
-    ok1, _ = verify_border(B1, f1)
-    assert ok1
+    assert check_border(B1, f1).ok
     # T is exactly invertible and conjugating back recovers f
     assert f1.substitute_linear(rat_inverse(T)) == f3
 
@@ -259,7 +252,7 @@ def test_essential_reduce_random_certificates_agree():
         f, B = gen_random(3, 3, 4, seed=seed)
         f1, B1, T, N = essential_reduce(f, B)
         assert N == essential_rank(f)
-        assert verify_border(B1, f1)[0]
+        assert check_border(B1, f1).ok
         if N < 3:
             assert all(not any(m[N:]) for m, _ in f1.items())
 

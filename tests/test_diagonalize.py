@@ -14,8 +14,6 @@ from waring import (
     diagonalize,
     dvr_reduce_step,
     falling_factorial,
-    substitute_perturbation,
-    verify_border,
 )
 from waring.diagonal import Pivot
 from waring.oracle import gen_multibase, gen_random, gen_tangent
@@ -90,27 +88,6 @@ def test_diagonalize_random_corpus_invariants():
             assert_staircase_invariants(f, B)
             count += 1
     assert count == 30
-
-
-def test_substitute_perturbation_keeps_the_limit():
-    f, B = gen_tangent(3)
-    D = diagonalize(B, f)
-    tail = lf(EpsScalar.zero(), eps(2))
-    D2 = substitute_perturbation(D, 0, tail)
-    assert D2.limit == D.limit
-    assert check_border(D2.decomposition, D2.limit).ok
-    assert D2.pivots == D.pivots
-    # the composed transform is the original times the elementary move
-    assert D2.transform.rows[0][1] == D.transform.rows[0][1] - eps(2) * D.transform.rows[1][1]
-
-
-def test_substitute_perturbation_rejects_unit_tails():
-    f, B = gen_tangent(3)
-    D = diagonalize(B, f)
-    with pytest.raises(ValueError):
-        substitute_perturbation(D, 0, lf(EpsScalar.zero(), EpsScalar.one()))
-    with pytest.raises(ValueError):
-        substitute_perturbation(D, 7, lf(EpsScalar.zero(), eps(2)))
 
 
 def test_derivative_of_pure_power():

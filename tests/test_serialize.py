@@ -113,6 +113,47 @@ def test_report_document_roundtrip():
     assert dumps_document("report", back) == text
 
 
+# A version-1 report as written before the report lost its derivative_counts
+# key and the strengthened, dense_retries and check_levels flags (tangent
+# d = 3, --y-size 1 --base-threshold 1 --strengthened).
+OLDER_REPORT = """{
+  "kind": "report",
+  "payload": {
+    "achieved_rank": 4,
+    "derivative_counts": [[1, 1, 1, 1]],
+    "flags": {"base_threshold": 1, "check_levels": true, "dense_retries": 32,
+              "seed": 0, "strengthened": true, "y_size": 1},
+    "paper_bound": 54242,
+    "trace": [
+      {"branch_i": 0, "branch_k": 0, "case": "LOCAL", "degree": 3, "rank": 2},
+      {"branch_i": 1, "branch_k": 1, "case": "LOCAL", "degree": 2, "rank": 1}
+    ],
+    "verified": true
+  },
+  "version": 1
+}
+"""
+
+
+def test_older_version_one_report_still_reads(tmp_path):
+    path = tmp_path / "old_report.json"
+    path.write_text(OLDER_REPORT, encoding="utf-8")
+    kind, payload = read_document(path, "report")
+    assert kind == "report"
+    assert payload["derivative_counts"] == [[1, 1, 1, 1]]
+    assert payload["flags"]["strengthened"] is True
+    assert payload["flags"]["check_levels"] is True
+    assert payload["flags"]["dense_retries"] == 32
+    # today's report of the same run carries the same trace and figures
+    f, B = gen_tangent(3)
+    cfg = DeborderConfig(y_size=1, base_threshold=1)
+    now = report_to_json(deborder(f, B, cfg)[1], asdict(cfg))
+    assert set(payload) - set(now) == {"derivative_counts"}
+    assert {k: payload[k] for k in now if k != "flags"} == {
+        k: v for k, v in now.items() if k != "flags"
+    }
+
+
 def test_document_envelope_validation():
     f, _ = gen_tangent(3)
     good = dumps_document("polynomial", f)
