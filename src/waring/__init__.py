@@ -7,7 +7,7 @@ over Q, exactly verified against f, together with diagnostics and
 independent rank oracles.
 """
 
-from .epsilon import EpsPoly, EpsScalar, eps_valuation
+from .epsilon import EpsPoly, EpsScalar
 from .poly import HomoPoly, LinearForm, falling_factorial, monomials_of_degree
 from .decomp import (
     BorderCheck,
@@ -48,7 +48,6 @@ from .oracle import (
     gen_osculating,
     gen_random,
     gen_tangent,
-    monomial_upper,
     sylvester_rank,
 )
 from .errors import (
@@ -94,7 +93,6 @@ __all__ = [
     "derivative_decomposition",
     "diagonalize",
     "dvr_reduce_step",
-    "eps_valuation",
     "essential_rank",
     "essential_reduce",
     "extract_local_cofactor",
@@ -105,7 +103,6 @@ __all__ = [
     "gen_random",
     "gen_tangent",
     "is_local",
-    "monomial_upper",
     "monomials_of_degree",
     "multiply_by_power",
     "normalize_border",

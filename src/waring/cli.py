@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 
 from .deborder import DeborderConfig, bound_digits, deborder, paper_bound
-from .decomp import check_border, verify_waring
+from .decomp import check_border
 from .errors import (
     CertificateCheckError,
     DegenerateDecompositionError,

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .epsilon import EpsPoly, EpsScalar
 from .errors import DegenerateDecompositionError, InvariantError
-from .linalg import rat_inverse, rat_nullspace, rat_rank
+from .linalg import rat_nullspace, rat_rank
 from .poly import HomoPoly, LinearForm, Monomial
 
 
@@ -72,13 +72,6 @@ class WaringDecomposition:
 
     def expand(self) -> HomoPoly:
         return _weighted_power_sum(self.nvars, self.degree, self.summands)
-
-    def scale_weights(self, s: Fraction) -> "WaringDecomposition":
-        if s == 0:
-            raise ValueError("scaling weights by zero")
-        return WaringDecomposition(
-            self.nvars, self.degree, tuple((w * s, f) for w, f in self.summands)
-        )
 
     def __add__(self, other: "WaringDecomposition") -> "WaringDecomposition":
         if self.nvars != other.nvars or self.degree != other.degree:

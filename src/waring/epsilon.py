@@ -110,10 +110,6 @@ class EpsPoly:
         """Terms as ((exponent, coefficient), ...) in ascending exponent order."""
         return tuple(sorted(self._terms.items()))
 
-    def evaluate(self, t: Fraction) -> Fraction:
-        t = _frac(t)
-        return sum((c * t**e for e, c in self._terms.items()), Fraction(0))
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "EpsPoly":
@@ -201,14 +197,6 @@ class EpsPoly:
         if not r.is_zero:
             raise ValueError("exact_div with nonzero remainder")
         return q
-
-    def shift(self, k: int) -> "EpsPoly":
-        """Multiply by eps**k; k may be negative if the valuation allows it."""
-        if self.is_zero:
-            return self
-        if k < 0 and self.valuation() < -k:
-            raise ValueError("shift below eps^0")
-        return EpsPoly({e + k: c for e, c in self._terms.items()})
 
     def truncate(self, max_exponent: int) -> "EpsPoly":
         """Drop all terms with exponent strictly above max_exponent."""
@@ -468,16 +456,3 @@ class EpsScalar:
         if self.is_polynomial:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
-
-
-def eps_valuation(s) -> int:
-    """eps-valuation of an EpsScalar, EpsPoly, or rational; raises on zero."""
-    if isinstance(s, EpsPoly):
-        return s.valuation()
-    if isinstance(s, (int, Fraction)):
-        if s == 0:
-            raise ValueError("valuation of zero")
-        return 0
-    if isinstance(s, EpsScalar):
-        return s.valuation()
-    raise TypeError(f"no eps-valuation for {type(s).__name__}")

@@ -174,30 +174,6 @@ class EpsMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "EpsMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other: "EpsMatrix") -> "EpsMatrix":
-        if not isinstance(other, EpsMatrix):
-            return NotImplemented
-        n = self.dim
-        if other.dim != n:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = EpsScalar.zero()
-                for k in range(n):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return EpsMatrix(out)
-
     def inverse(self) -> "EpsMatrix":
         """Gauss-Jordan over the field Q(eps) on [M | I]."""
         n = self.dim
@@ -229,11 +205,6 @@ class EpsMatrix:
         except PoleAtZero:
             return False
         return rat_rank(m0) == self.dim
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpsMatrix):
-            return NotImplemented
-        return self.rows == other.rows
 
     def __repr__(self) -> str:
         return "EpsMatrix([" + ", ".join(repr(list(r)) for r in self.rows) + "])"

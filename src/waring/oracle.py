@@ -19,8 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import List, Sequence, Tuple
 
-from .decomp import BorderDecomposition, WaringDecomposition, check_border
-from .deborder import multiply_by_power
+from .decomp import BorderDecomposition, check_border
 from .epsilon import EpsPoly, EpsScalar
 from .errors import InvariantError
 from .linalg import rat_nullspace, rat_rank
@@ -166,8 +165,12 @@ def _rand_eps_coef(rng: random.Random) -> EpsScalar:
     return EpsScalar.from_poly(EpsPoly(terms))
 
 
+# draws gen_random tries before it gives up
+_RANDOM_RETRIES = 2000
+
+
 def gen_random(
-    nvars: int, degree: int, rank: int, seed: int = 0, retries: int = 2000
+    nvars: int, degree: int, rank: int, seed: int = 0
 ) -> Tuple[HomoPoly, BorderDecomposition]:
     """Seeded random certificate; the target is the limit of the drawn sum.
 
@@ -179,7 +182,7 @@ def gen_random(
     if nvars < 1 or degree < 1 or rank < 1:
         raise ValueError("nvars, degree and rank must be at least 1")
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(_RANDOM_RETRIES):
         summands = []
         for _i in range(rank):
             while True:
@@ -198,7 +201,7 @@ def gen_random(
         if f.is_zero:
             continue
         return f, B
-    raise RuntimeError(f"no convergent random certificate in {retries} draws")
+    raise RuntimeError(f"no convergent random certificate in {_RANDOM_RETRIES} draws")
 
 
 def gen_family(
@@ -229,32 +232,6 @@ def gen_family(
     raise ValueError(f"unknown family {family!r}")
 
 
-def monomial_upper(exps: Sequence[int]) -> WaringDecomposition:
-    """Verified decomposition of a monomial by iterated power multiplication.
-
-    Starts from the pure power of the first variable present and multiplies
-    the remaining variables in one at a time, so x * z^2 costs the three
-    summands of the e = 1, k = 2 interpolation rather than four.
-    """
-    exps = tuple(int(e) for e in exps)
-    if not exps or any(e < 0 for e in exps):
-        raise ValueError("monomial exponents must be nonnegative")
-    if sum(exps) < 1:
-        raise ValueError("constant monomials have no decomposition")
-    n = len(exps)
-    first = next(i for i, e in enumerate(exps) if e > 0)
-    W = WaringDecomposition(
-        n, exps[first], ((Fraction(1), LinearForm.variable(n, first)),)
-    )
-    for i in range(first + 1, n):
-        if exps[i]:
-            W = multiply_by_power(W, LinearForm.variable(n, i), exps[i])
-    target = HomoPoly.monomial(n, exps)
-    if W.expand() != target:
-        raise InvariantError("monomial decomposition does not expand to the monomial")
-    return W
-
-
 def _require_verified(B: BorderDecomposition, f: HomoPoly, what: str) -> None:
     out = check_border(B, f)
     if not out.ok:
@@ -268,6 +245,5 @@ __all__ = [
     "gen_osculating",
     "gen_random",
     "gen_tangent",
-    "monomial_upper",
     "sylvester_rank",
 ]

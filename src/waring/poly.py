@@ -106,11 +106,6 @@ class HomoPoly:
     def monomial(cls, nvars: int, exps: Monomial, coeff=Fraction(1)) -> "HomoPoly":
         return cls(nvars, sum(exps), {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "HomoPoly":
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, 1, {exps: Fraction(1)})
-
     # -- views -----------------------------------------------------------
 
     @property
@@ -128,14 +123,6 @@ class HomoPoly:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def used_vars(self) -> Tuple[int, ...]:
-        used = set()
-        for m in self._terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return tuple(sorted(used))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -492,9 +479,6 @@ class LinearForm(tuple):
     def power(self, d: int) -> HomoPoly:
         return _form_power(self.coefs, d, self.nvars)
 
-    def to_poly(self) -> HomoPoly:
-        return self.power(1)
-
     def scale(self, s) -> "LinearForm":
         s = _as_coeff(s)
         if s == 0:
@@ -515,9 +499,6 @@ class LinearForm(tuple):
                 if mij != 0:
                     out[j] = out[j] + ci * mij
         return LinearForm(out)
-
-    def derivative(self, var: int):
-        return self.coefs[var]
 
     def restrict_zero(self, vars_to_zero: Iterable[int]) -> "LinearForm | None":
         """Zero out the listed coordinates; None if the form vanishes."""

@@ -31,6 +31,11 @@ class FormatError(ValueError):
     """A document does not follow the serialization format."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false load as bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rational_to_str(x: Fraction) -> str:
     if not isinstance(x, Fraction):
         raise FormatError(f"expected a rational, got {type(x).__name__}")
@@ -61,7 +66,7 @@ def eps_poly_from_json(obj) -> EpsPoly:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"bad eps-polynomial entry {entry!r}")
         e, c = entry
-        if not isinstance(e, int) or e < 0:
+        if not _is_int(e) or e < 0:
             raise FormatError(f"bad eps exponent {e!r}")
         if e in acc:
             raise FormatError(f"duplicate eps exponent {e}")
@@ -97,7 +102,7 @@ def _shape_of(obj) -> Tuple[int, int]:
         raise FormatError("payload must be an object")
     nvars = obj.get("nvars")
     degree = obj.get("degree")
-    if not isinstance(nvars, int) or not isinstance(degree, int):
+    if not _is_int(nvars) or not _is_int(degree):
         raise FormatError("nvars and degree must be integers")
     return nvars, degree
 
@@ -112,7 +117,7 @@ def poly_from_json(obj) -> HomoPoly:
         if not isinstance(t, dict) or set(t) != {"exps", "coef"}:
             raise FormatError(f"bad term {t!r}")
         exps = t["exps"]
-        if not isinstance(exps, list) or not all(isinstance(e, int) for e in exps):
+        if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
             raise FormatError(f"bad exponent list {exps!r}")
         key = tuple(exps)
         if key in acc:
@@ -253,7 +258,7 @@ def parse_document(text: str, expect: str | None = None):
     kind = doc.get("kind")
     if kind not in KINDS:
         raise FormatError(f"unknown document kind {kind!r}")
-    if doc.get("version") != DOCUMENT_VERSION:
+    if not _is_int(doc.get("version")) or doc["version"] != DOCUMENT_VERSION:
         raise FormatError(f"unsupported document version {doc.get('version')!r}")
     if expect is not None and kind != expect:
         raise FormatError(f"expected a {expect} document, got {kind}")

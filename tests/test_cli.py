@@ -163,6 +163,27 @@ def test_malformed_input_is_exit_two(workdir):
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
 
+    # JSON booleans where integers are required
+    bools = {"nvars": True, "degree": True, "terms": [{"exps": [True], "coef": "3"}]}
+    doc = {"kind": "polynomial", "version": 1, "payload": bools}
+    (workdir / "bools.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(["oracle", "bools.json"])
+    assert code == 2 and "error:" in err
+
+
+def test_deborder_rejects_y_size_below_one(workdir):
+    run_cli(["gen", "--family", "tangent", "--d", "4"])
+    for bad in ("0", "-2"):
+        code, out, err = run_cli(
+            [
+                "deborder",
+                "--border", "tangent_d4_border.json",
+                "--poly", "tangent_d4_poly.json",
+                "--y-size", bad,
+            ]
+        )
+        assert code == 2 and out == "" and "y_size" in err
+
 
 def test_help_exits_zero():
     code, out, _ = run_cli(["--help"])

@@ -8,6 +8,7 @@ from math import comb, isqrt, log10, sqrt
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from waring import (
     BorderDecomposition,
@@ -29,7 +30,14 @@ from waring import (
     split_and_group,
     verify_waring,
 )
-from waring.oracle import gen_multibase, gen_random, gen_tangent, sylvester_rank
+from waring.oracle import (
+    gen_multibase,
+    gen_osculating,
+    gen_random,
+    gen_tangent,
+    sylvester_rank,
+)
+from waring.poly import monomials_of_degree
 from conftest import F, eps, lf, mono
 
 
@@ -176,6 +184,34 @@ def test_split_and_group_charges_first_z_variable():
             assert all(m[1 + j] == 0 for j in range(i))
 
 
+@st.composite
+def _poly_and_y(draw):
+    nvars = draw(st.integers(2, 4))
+    degree = draw(st.integers(1, 4))
+    pool = monomials_of_degree(nvars, degree)
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    coefs = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=len(chosen),
+                          max_size=len(chosen)))
+    g = HomoPoly(nvars, degree, {m: F(c) for m, c in zip(chosen, coefs)})
+    return g, draw(st.integers(1, nvars - 1))
+
+
+@given(_poly_and_y())
+def test_split_and_group_reassembles_property(case):
+    # f0 + sum z_i**k * g_{i,k} == g, and no g_{i,k} involves z_j for j <= i
+    g, y = case
+    f0, parts = split_and_group(g, y)
+    assert all(all(e == 0 for e in m[y:]) for m, _ in f0.items())
+    total = f0
+    for (i, k), gik in parts.items():
+        assert 1 <= i <= g.nvars - y and k >= 1 and gik.degree == g.degree - k
+        for m, _ in gik.items():
+            assert all(m[y + j - 1] == 0 for j in range(1, i + 1))
+        zk = tuple(k if j == y + i - 1 else 0 for j in range(g.nvars))
+        total = total + mono(g.nvars, zk) * gik
+    assert total == g
+
+
 def test_split_and_group_validation():
     g = mono(2, (1, 1))
     with pytest.raises(ValueError):
@@ -254,6 +290,22 @@ def test_multiply_by_power_general_products():
             assert verify_waring(out, W.expand() * z.power(k))
 
 
+def test_multiply_by_power_builds_monomials():
+    # a monomial from a power of its first variable, multiplying the others
+    # in one at a time; x * z^2 takes the three summands of e = 1, k = 2
+    for exps, rank in [((1, 0, 2), 3), ((0, 4, 0), 1), ((2, 3), None),
+                       ((1, 1, 1), None), ((0, 1, 0, 2), None)]:
+        n = len(exps)
+        first = next(i for i, e in enumerate(exps) if e)
+        W = WaringDecomposition(n, exps[first], ((F(1), LinearForm.variable(n, first)),))
+        for i in range(first + 1, n):
+            if exps[i]:
+                W = multiply_by_power(W, LinearForm.variable(n, i), exps[i])
+        assert verify_waring(W, mono(n, exps))
+        if rank is not None:
+            assert W.rank() == rank
+
+
 def test_multiply_by_power_validation():
     W = WaringDecomposition(2, 2, ((F(1), lf(F(1), F(1))),))
     with pytest.raises(ValueError):
@@ -326,6 +378,14 @@ def test_deborder_rank_one_exact():
     W, report = deborder(f, B)
     assert report.achieved_rank == 1
     assert verify_waring(W, f)
+
+
+def test_deborder_config_rejects_y_size_below_one():
+    for bad in (0, -1, -7):
+        with pytest.raises(ValueError, match="y_size"):
+            DeborderConfig(y_size=bad)
+    assert DeborderConfig(y_size=1).y_size == 1
+    assert DeborderConfig().y_size is None
 
 
 def test_deborder_rejects_failing_certificates():
@@ -412,3 +472,61 @@ def test_fault_in_a_derivative_certificate_is_caught_by_the_branch_check(monkeyp
     f, B = gen_random(5, 3, 5, seed=8)
     with pytest.raises(InvariantError, match="branch certificate"):
         deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))
+
+
+def test_fault_in_a_branch_result_is_caught_where_the_branch_returns(monkeypatch):
+    real = _DEBORDER.dense_decompose
+
+    def doubled(h, seed=0):
+        W = real(h, seed)
+        return WaringDecomposition(W.nvars, W.degree, tuple((2 * w, l) for w, l in W.summands))
+
+    # osculating (6, 3) under the forced split: no dense solve at the top
+    # level, one inside the branch (z_1, order 3)
+    f, B = gen_osculating(6, 3)
+    cfg = DeborderConfig(y_size=1, base_threshold=1)
+    _, report = deborder(f, B, cfg)
+    assert [(t.case, t.branch_i, t.branch_k) for t in report.trace] == [
+        ("LOCAL", 0, 0), ("LOCAL", 1, 3), ("BASE", 1, 3)]
+    monkeypatch.setattr(_DEBORDER, "dense_decompose", doubled)
+    with pytest.raises(InvariantError, match=r"branch result \(z_1, order 3\)"):
+        deborder(f, B, cfg)
+
+
+# -- how often each check runs ----------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    real = getattr(_DEBORDER, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_DEBORDER, name, counted)
+    return calls
+
+
+def test_local_run_verifies_the_input_and_the_result_once(monkeypatch):
+    f, B = gen_tangent(5)
+    borders = _count_calls(monkeypatch, "check_border")
+    results = _count_calls(monkeypatch, "verify_waring")
+    W, report = deborder(f, B)
+    assert report.verified
+    assert len(borders) == 1 and borders[0] == (B, f)
+    assert len(results) == 1 and results[0] == (W, f)
+
+
+def test_split_run_verifies_each_branch_once_each_way(monkeypatch):
+    f, B = gen_random(5, 3, 5, seed=8)
+    branches = _count_calls(monkeypatch, "derivative_decomposition")
+    borders = _count_calls(monkeypatch, "check_border")
+    results = _count_calls(monkeypatch, "verify_waring")
+    _, report = deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))
+    assert report.verified and branches
+    assert len(borders) == len(results) == 1 + len(branches)
+    # branch targets are checked both ways; the last result check is the final one
+    targets = [args[1] for args in borders[1:]]
+    assert all(any(h == t for t in targets) for _, h in results[:-1])
+    assert results[-1][1] == f

@@ -67,11 +67,8 @@ def test_waring_merged_combines_and_cancels():
     assert M.expand() == W.expand()
 
 
-def test_waring_scale_weights_and_add():
+def test_waring_add():
     W = WaringDecomposition(2, 2, ((F(1), lf(F(1), F(1))),))
-    assert W.scale_weights(F(3)).expand() == W.expand().scale(3)
-    with pytest.raises(ValueError):
-        W.scale_weights(F(0))
     both = W + W
     assert both.rank() == 2
     assert both.expand() == W.expand().scale(2)

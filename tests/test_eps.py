@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waring import EpsPoly, EpsScalar, PoleAtZero, eps_valuation
+from waring import EpsPoly, EpsScalar, PoleAtZero
 from conftest import F, epoly, esc
 
 
@@ -37,7 +37,6 @@ def test_epoly_basic_ops():
     assert (one + e) * (one - e) == one - e * e
     assert (one + e) ** 3 == EpsPoly({0: F(1), 1: F(3), 2: F(3), 3: F(1)})
     assert -e + e == EpsPoly.zero()
-    assert e.shift(2) == EpsPoly.eps(3)
     assert (one + e + e * e).truncate(1) == one + e
     assert (one + e * e * e).derivative() == EpsPoly({2: F(3)})
 
@@ -56,12 +55,6 @@ def test_epoly_valuation_and_lowest():
 def test_epoly_pairs_ascending():
     p = EpsPoly({4: F(1), 0: F(2), 2: F(-3)})
     assert p.pairs() == ((0, F(2)), (2, F(-3)), (4, F(1)))
-
-
-def test_epoly_evaluate():
-    p = epoly((0, 1), (1, -2), (3, F(1, 2)))
-    assert p.evaluate(F(2)) == 1 - 4 + 4
-    assert p.evaluate(F(0)) == 1
 
 
 def test_epoly_divmod_property():
@@ -174,17 +167,6 @@ def test_escalar_mixed_scalar_coercion():
     assert 1 - EpsScalar.eps() == EpsScalar.one() - EpsScalar.eps()
     assert 1 / EpsScalar.eps() == EpsScalar.eps(-1)
     assert EpsScalar.from_rational(F(1, 3)) * 3 == EpsScalar.one()
-
-
-def test_eps_valuation_helper():
-    assert eps_valuation(EpsPoly.eps(2)) == 2
-    assert eps_valuation(F(5)) == 0
-    assert eps_valuation(3) == 0
-    assert eps_valuation(EpsScalar.eps(-1)) == -1
-    with pytest.raises(ValueError):
-        eps_valuation(0)
-    with pytest.raises(TypeError):
-        eps_valuation("eps")
 
 
 # -- fast paths against the plain algorithms -----------------------------------

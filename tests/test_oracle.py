@@ -18,9 +18,7 @@ from waring import (
     gen_random,
     gen_tangent,
     is_local,
-    monomial_upper,
     sylvester_rank,
-    verify_waring,
 )
 from conftest import F, mono, rand_poly
 
@@ -248,36 +246,3 @@ def test_gen_family_dispatch():
         gen_family("random", d=3)
     with pytest.raises(ValueError):
         gen_family("cubature", d=3)
-
-
-# -- monomial decompositions ------------------------------------------------
-
-
-def test_monomial_upper_xz2():
-    W = monomial_upper((1, 0, 2))
-    assert W.rank() == 3
-    assert verify_waring(W, mono(3, (1, 0, 2)))
-    forms = {form.coefs for _, form in W.summands}
-    assert forms == {(F(1), F(0), F(0)), (F(1), F(0), F(1)), (F(1), F(0), F(-1))}
-
-
-def test_monomial_upper_various():
-    cases = [(3,), (0, 2), (2, 3), (1, 1, 1), (0, 1, 0, 2)]
-    for exps in cases:
-        W = monomial_upper(exps)
-        assert verify_waring(W, mono(len(exps), exps))
-
-
-def test_monomial_upper_pure_power_is_rank_one():
-    W = monomial_upper((0, 4, 0))
-    assert W.rank() == 1
-    assert W.summands[0][1].coefs == (F(0), F(1), F(0))
-
-
-def test_monomial_upper_validation():
-    with pytest.raises(ValueError):
-        monomial_upper((0, 0))
-    with pytest.raises(ValueError):
-        monomial_upper((1, -1))
-    with pytest.raises(ValueError):
-        monomial_upper(())

@@ -193,6 +193,29 @@ def test_polynomial_payload_validation():
         poly_from_json(dup)
 
 
+def test_json_booleans_are_not_integers():
+    # json loads true/false as bools, which Python also counts as ints
+    bools = {"nvars": True, "degree": True, "terms": [{"exps": [True], "coef": "3"}]}
+    doc = {"kind": "polynomial", "version": 1, "payload": bools}
+    with pytest.raises(FormatError):
+        parse_document(json.dumps(doc))
+    for shape in ({"nvars": True, "degree": 1}, {"nvars": 1, "degree": False}):
+        with pytest.raises(FormatError):
+            poly_from_json({**shape, "terms": []})
+    with pytest.raises(FormatError):
+        poly_from_json({"nvars": 2, "degree": 1, "terms": [{"exps": [True, 0], "coef": "3"}]})
+    with pytest.raises(FormatError):
+        eps_poly_from_json([[True, "1/2"]])
+    f, B = gen_tangent(3)
+    border = json.loads(dumps_document("border", B))
+    border["payload"]["summands"][0]["weight"]["num"][0][0] = False
+    with pytest.raises(FormatError):
+        parse_document(json.dumps(border))
+    with pytest.raises(FormatError):
+        parse_document(json.dumps({**json.loads(dumps_document("polynomial", f)),
+                                   "version": True}))
+
+
 def test_decomposition_payload_validation():
     f, B = gen_tangent(3)
     obj = border_to_json(B)
