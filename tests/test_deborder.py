@@ -290,22 +290,6 @@ def test_multiply_by_power_general_products():
             assert verify_waring(out, W.expand() * z.power(k))
 
 
-def test_multiply_by_power_builds_monomials():
-    # a monomial from a power of its first variable, multiplying the others
-    # in one at a time; x * z^2 takes the three summands of e = 1, k = 2
-    for exps, rank in [((1, 0, 2), 3), ((0, 4, 0), 1), ((2, 3), None),
-                       ((1, 1, 1), None), ((0, 1, 0, 2), None)]:
-        n = len(exps)
-        first = next(i for i, e in enumerate(exps) if e)
-        W = WaringDecomposition(n, exps[first], ((F(1), LinearForm.variable(n, first)),))
-        for i in range(first + 1, n):
-            if exps[i]:
-                W = multiply_by_power(W, LinearForm.variable(n, i), exps[i])
-        assert verify_waring(W, mono(n, exps))
-        if rank is not None:
-            assert W.rank() == rank
-
-
 def test_multiply_by_power_validation():
     W = WaringDecomposition(2, 2, ((F(1), lf(F(1), F(1))),))
     with pytest.raises(ValueError):

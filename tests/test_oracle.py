@@ -10,6 +10,8 @@ import sympy
 from waring import (
     EpsScalar,
     HomoPoly,
+    LinearForm,
+    WaringDecomposition,
     catalecticant_bound,
     check_border,
     gen_family,
@@ -18,7 +20,9 @@ from waring import (
     gen_random,
     gen_tangent,
     is_local,
+    multiply_by_power,
     sylvester_rank,
+    verify_waring,
 )
 from conftest import F, mono, rand_poly
 
@@ -246,3 +250,39 @@ def test_gen_family_dispatch():
         gen_family("random", d=3)
     with pytest.raises(ValueError):
         gen_family("cubature", d=3)
+
+
+# -- monomial decompositions ------------------------------------------------
+
+
+def monomial_upper(exps):
+    """A monomial from a power of its first variable, multiplying the others
+    in one at a time; x * z^2 takes the three summands of e = 1, k = 2."""
+    n = len(exps)
+    first = next(i for i, e in enumerate(exps) if e)
+    W = WaringDecomposition(n, exps[first], ((F(1), LinearForm.variable(n, first)),))
+    for i in range(first + 1, n):
+        if exps[i]:
+            W = multiply_by_power(W, LinearForm.variable(n, i), exps[i])
+    return W
+
+
+def test_monomial_upper_xz2():
+    W = monomial_upper((1, 0, 2))
+    assert W.rank() == 3
+    assert verify_waring(W, mono(3, (1, 0, 2)))
+    forms = {form.coefs for _, form in W.summands}
+    assert forms == {(F(1), F(0), F(0)), (F(1), F(0), F(1)), (F(1), F(0), F(-1))}
+
+
+def test_monomial_upper_various():
+    cases = [(3,), (0, 2), (2, 3), (1, 1, 1), (0, 1, 0, 2)]
+    for exps in cases:
+        W = monomial_upper(exps)
+        assert verify_waring(W, mono(len(exps), exps))
+
+
+def test_monomial_upper_pure_power_is_rank_one():
+    W = monomial_upper((0, 4, 0))
+    assert W.rank() == 1
+    assert W.summands[0][1].coefs == (F(0), F(1), F(0))
