@@ -284,7 +284,7 @@ def split_and_group(
     return f0, parts
 
 
-# singular draws tolerated before dense_decompose gives up
+# inconsistent draws tolerated before dense_decompose gives up
 _DENSE_RETRIES = 32
 
 
@@ -293,7 +293,10 @@ def dense_decompose(h: HomoPoly, seed: int = 0) -> WaringDecomposition:
 
     Draws C(nvars + degree - 1, degree) integer forms with coefficients in
     [-9, 9], expands their powers in the monomial basis and solves for the
-    weights; a singular draw is re-seeded deterministically.  Degree-1
+    weights.  Only a draw whose system is inconsistent (h is not in the span
+    of its powers) is re-seeded, deterministically; a singular but
+    consistent draw is accepted with the solution ``rat_solve`` returns, in
+    which every free weight is 0 (and its form is dropped).  Degree-1
     targets are themselves linear forms and need no solve.  The result is
     not re-expanded here; in ``deborder`` the check of the enclosing result
     (a branch's or the final one) covers it.

@@ -42,7 +42,7 @@ from .decomp import (
 )
 from .epsilon import EpsPoly, EpsScalar
 from .errors import InvariantError, NoPivotError, ZeroDerivativeError
-from .linalg import EpsMatrix, rat_inverse, rat_rank, rat_solve
+from .linalg import EpsMatrix, eps_rref, rat_inverse, rat_rank, rat_solve
 from .poly import HomoPoly, LinearForm, falling_factorial
 
 Vector = Tuple[EpsScalar, ...]
@@ -107,7 +107,7 @@ def _vec_lead(v: Sequence[EpsScalar], val: int) -> Tuple[Fraction, ...]:
 
 def _in_eps_span(pivots: Sequence[Pivot], v: Vector) -> bool:
     vecs = [p.vector for p in pivots]
-    return rat_rank(vecs + [v]) == len(vecs)
+    return len(eps_rref(vecs + [v])[1]) == len(vecs)
 
 
 def _reduce_vector(vec: Vector, pivots: Sequence[Pivot]) -> Optional[Tuple[int, Vector]]:

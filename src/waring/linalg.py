@@ -1,32 +1,146 @@
 """Exact linear algebra: rational matrices, matrices over Q(eps), Vandermonde.
 
-Elimination is plain Gauss-Jordan over an exact field, Q or Q(eps), in one
-routine (``rat_rref``); matrices are small (bounded by the number of
-monomials of desk-scale polynomials).  Vandermonde systems are solved
+Every matrix over Q is eliminated fraction-free on Python ints, in one
+routine (``_int_rref``, after Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
+scaled to integers, every Gauss-Jordan update is divided exactly by the
+previous pivot, and the pivot is divided out only when a caller needs the
+Fractions (``rat_rank`` builds none, ``rat_solve`` one per pivot unknown).
+Matrices over Q(eps) keep plain Gauss-Jordan over the field (``eps_rref``):
+on the Q(eps) matrices of the shipped families, fraction-free elimination
+over Q[eps] took about twice as long.  Vandermonde systems are solved
 through the Lagrange basis in O(n^2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .epsilon import EpsScalar
 from .errors import PoleAtZero, SingularMatrixError
 
 
-def _frac_rows(rows) -> List[List[Fraction]]:
-    return [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+def _int_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan on a matrix of ints and Fractions.
+
+    Returns (m, pivots, d): the integer matrix m is d times the reduced row
+    echelon form, d is the last pivot (1 at rank 0), and pivots are the
+    pivot columns.  Each row is first scaled by the lcm of its denominators,
+    which changes neither the row space nor the echelon form.  A step with
+    pivot a replaces every other row r by (a*r - c*pivot_row) // prev, with
+    c the entry of r in the pivot column and prev the previous pivot; every
+    entry is then a minor of the scaled matrix (Sylvester's identity), so
+    the division is exact, and every pivot entry equals the current pivot.
+    Raises ValueError on rows of unequal length and TypeError on an entry
+    that is not an int or a Fraction.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m: List[List[int]] = []
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("matrix rows have unequal lengths")
+        for x in r:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"matrix entry {x!r} is not rational")
+        den = lcm(*(x.denominator for x in r))
+        m.append([x.numerator * (den // x.denominator) for x in r])
+    nrows = len(m)
+    pivots: List[int] = []
+    prev = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        for k in range(row, nrows):
+            if m[k][col]:
+                break
+        else:
+            continue
+        m[row], m[k] = m[k], m[row]
+        prow = m[row]
+        a = prow[col]
+        for i, mi in enumerate(m):
+            if i != row:
+                c = mi[col]
+                m[i] = [(a * x - c * y) // prev for x, y in zip(mi, prow)]
+        pivots.append(col)
+        prev = a
+    return m, pivots, prev
 
 
 def rat_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices).
+    """Reduced row echelon form over Q; returns (rref, pivot column indices).
 
-    Entries are Fractions (ints are lifted) or EpsScalars; only field
-    operations and truth testing are used, so the same elimination serves
-    Q and Q(eps).
+    Entries are ints or Fractions; every returned entry is a Fraction.
     """
-    m = _frac_rows(rows)
+    m, pivots, d = _int_rref(rows)
+    return [[Fraction(x, d) for x in r] for r in m], pivots
+
+
+def rat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(_int_rref(rows)[1])
+
+
+def rat_nullspace(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Basis of the right kernel, one vector per free column."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots, d = _int_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = Fraction(-m[r][fc], d)
+        basis.append(v)
+    return basis
+
+
+def rat_solve(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> List[Fraction] | None:
+    """One exact solution of A x = b, or None if the system is inconsistent.
+
+    The solution returned is the one read off the reduced echelon form of
+    [A | b]: every free unknown (a column of A without a pivot) is 0.  It is
+    the unique solution when A has full column rank.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("rhs length mismatch")
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots, d = _int_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None  # pivot in the rhs column: inconsistent
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = Fraction(m[r][ncols], d)
+    return x
+
+
+def rat_inverse(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("inverse of a non-square matrix")
+    m, pivots, d = _int_rref(
+        [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    )
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular over Q")
+    return [[Fraction(x, d) for x in r[n:]] for r in m]
+
+
+def eps_rref(rows: Sequence[Sequence[EpsScalar]]) -> Tuple[List[List[EpsScalar]], List[int]]:
+    """Reduced row echelon form over Q(eps) by Gauss-Jordan over the field.
+
+    Returns (rref, pivot column indices), like ``rat_rref``.
+    """
+    m = [list(r) for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -52,58 +166,6 @@ def rat_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], 
         if row == len(m):
             break
     return m, pivots
-
-
-def rat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rat_rref(rows)[1])
-
-
-def rat_nullspace(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = rat_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
-
-
-def rat_solve(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> List[Fraction] | None:
-    """One exact solution of A x = b, or None if the system is inconsistent."""
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length mismatch")
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(_frac_rows(rows), rhs)]
-    rref, pivots = rat_rref(aug)
-    if ncols in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][ncols]
-    return x
-
-
-def rat_inverse(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, r in enumerate(_frac_rows(rows))]
-    rref, pivots = rat_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular over Q")
-    return [r[n:] for r in rref[:n]]
 
 
 def solve_vandermonde(nodes: Sequence[Fraction], rhs: Sequence[Fraction]) -> List[Fraction]:
@@ -180,7 +242,7 @@ class EpsMatrix:
         zero, one = EpsScalar.zero(), EpsScalar.one()
         aug = [list(row) + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(self.rows)]
-        rref, pivots = rat_rref(aug)
+        rref, pivots = eps_rref(aug)
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular over Q(eps)")
         return EpsMatrix([row[n:] for row in rref])

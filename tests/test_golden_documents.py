@@ -3,14 +3,28 @@
 The digests pin the exact output of the pipeline: a change to the arithmetic
 or expansion kernels must leave every document byte-for-byte as it was.  They
 were recorded before the kernels gained their fast paths (monomial gcd,
-tabled form powers, O(n^2) Vandermonde solve).
+tabled form powers, O(n^2) Vandermonde solve).  The dense digests pin
+``dense_decompose`` on cubics in 4 and 5 variables (square systems of 20 and
+35 unknowns); they were recorded on the Fraction Gauss-Jordan, before the
+fraction-free integer elimination replaced it.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
-from waring import DeborderConfig, deborder, gen_multibase, gen_osculating, gen_tangent
+from waring import (
+    DeborderConfig,
+    HomoPoly,
+    deborder,
+    dense_decompose,
+    gen_multibase,
+    gen_osculating,
+    gen_tangent,
+)
+from waring.poly import monomials_of_degree
 from waring.serialize import dumps_document
 
 CONFIGS = {
@@ -49,3 +63,40 @@ def test_waring_document_bytes_are_unchanged(name, config):
     W, _ = deborder(f, B, CONFIGS[config])
     digest = hashlib.sha256(dumps_document("waring", W).encode()).hexdigest()
     assert digest == SHA256[name, config]
+
+
+def seeded_cubic(nvars, seed, rational):
+    """About 60% of the cubic monomials, coefficients in [-9, 9] (over 1..7)."""
+    rng = random.Random(seed)
+    terms = {}
+    for m in monomials_of_degree(nvars, 3):
+        if rng.random() < 0.4:
+            continue
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 7) if rational else 1)
+        if c:
+            terms[m] = c
+    return HomoPoly(nvars, 3, terms)
+
+
+# name: (nvars, seed of the cubic and of the draw, rational coefficients)
+DENSE_CUBICS = {
+    "n4_int": (4, 11, False),
+    "n4_rational": (4, 12, True),
+    "n5_int": (5, 13, False),
+    "n5_rational": (5, 14, True),
+}
+
+DENSE_SHA256 = {
+    "n4_int": "b643fee30803b3d4f578f9c6cc4290e93e17c43e8cc6d574715c6b19a98b5003",
+    "n4_rational": "83cdc45fffda97a1491300e958012c0b0e936e65d4995383c69e63ed5fe614a7",
+    "n5_int": "2a58410659c112f113ee9e6c9db1adbd18a959fc03581c8d229045128f5592f8",
+    "n5_rational": "2cc0919cc519b57e0163d42c7e66000fc631cf9720b17124856ea6599fea777e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SHA256))
+def test_dense_decompose_document_bytes_are_unchanged(name):
+    nvars, seed, rational = DENSE_CUBICS[name]
+    W = dense_decompose(seeded_cubic(nvars, seed, rational), seed)
+    digest = hashlib.sha256(dumps_document("waring", W).encode()).hexdigest()
+    assert digest == DENSE_SHA256[name]

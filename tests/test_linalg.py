@@ -20,6 +20,158 @@ from waring.linalg import (
 from conftest import F, esc
 
 
+# The Fraction Gauss-Jordan that the fraction-free kernel replaced, kept as
+# the reference the property tests below compare against.
+def ref_rref(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row, len(m)):
+            if m[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m, pivots
+
+
+def ref_nullspace(rows):
+    ncols = len(rows[0])
+    rref, pivots = ref_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(rows, rhs):
+    ncols = len(rows[0])
+    rref, pivots = ref_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][ncols]
+    return x
+
+
+def ref_inverse(rows):
+    n = len(rows)
+    rref, pivots = ref_rref([list(r) + [1 if i == j else 0 for j in range(n)]
+                             for i, r in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in rref[:n]]
+
+
+# ints and Fractions mixed, zero drawn often
+entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """Wide, tall or square; a low-rank product half the time; zeroed rows and columns."""
+    nrows = nrows or draw(st.integers(1, 6))
+    ncols = ncols or draw(st.integers(1, 7))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, ncols)))
+        B, C = block(nrows, k), block(k, ncols)
+        A = [[sum((B[i][t] * C[t][j] for t in range(k)), 0) for j in range(ncols)]
+             for i in range(nrows)]
+    else:
+        A = block(nrows, ncols)
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            for i, r in enumerate(A)]
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+@given(rational_matrices())
+def test_rref_rank_nullspace_match_the_fraction_reference(A):
+    R, pivots = rat_rref(A)
+    assert (R, pivots) == ref_rref(A)
+    assert all_fractions(R)
+    assert rat_rank(A) == len(pivots)
+    ker = rat_nullspace(A)
+    assert ker == ref_nullspace(A)
+    assert all_fractions(ker)
+
+
+@given(rational_matrices(), st.data())
+def test_solve_matches_the_fraction_reference(A, data):
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(entries, min_size=len(A[0]), max_size=len(A[0])))
+        b = [sum((a * t for a, t in zip(r, x)), 0) for r in A]  # consistent
+    else:
+        b = data.draw(st.lists(entries, min_size=len(A), max_size=len(A)))
+    sol = rat_solve(A, b)
+    assert sol == ref_solve(A, b)
+    if sol is not None:
+        assert all_fractions([sol])
+
+
+@given(st.integers(1, 6).flatmap(lambda n: rational_matrices(n, n)))
+def test_inverse_matches_the_fraction_reference(A):
+    expected = ref_inverse(A)
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            rat_inverse(A)
+    else:
+        inv = rat_inverse(A)
+        assert inv == expected
+        assert all_fractions(inv)
+
+
+@pytest.mark.parametrize("func,args", [
+    (rat_rref, ([[1], [2, 3]],)),
+    (rat_rank, ([[1], [2, 3]],)),
+    (rat_rank, ([[1, 2], [3]],)),
+    (rat_nullspace, ([[1, 2], [3]],)),
+    (rat_solve, ([[1, 2], [3]], [1, 2])),
+    (rat_inverse, ([[1, 2], [3]],)),
+], ids=["rref", "rank_short_first", "rank_short_last", "nullspace", "solve", "inverse"])
+def test_ragged_rows_are_a_value_error(func, args):
+    with pytest.raises(ValueError):
+        func(*args)
+
+
+def test_entries_over_q_eps_are_a_type_error():
+    with pytest.raises(TypeError):
+        rat_rank([[EpsScalar.one(), EpsScalar.eps()]])
+
+
 def rand_matrix(rng, rows, cols, height=6):
     return [[F(rng.randint(-height, height)) for _ in range(cols)] for _ in range(rows)]
 
