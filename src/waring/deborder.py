@@ -233,7 +233,8 @@ def extract_local_cofactor(f: HomoPoly, rank: int) -> HomoPoly:
     A local certificate of the given rank forces its limit to be divisible
     by that power of the base variable; divisibility is a checked hypothesis
     (tag "base-power-divisibility"), not an assumption.  The quotient has
-    degree rank - 1.
+    degree rank - 1.  The witness of a failure is the first monomial in
+    graded-lex order that x0**(degree - rank + 1) does not divide.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -245,6 +246,7 @@ def extract_local_cofactor(f: HomoPoly, rank: int) -> HomoPoly:
     acc = {}
     for m, c in f.items():
         if m[0] < e:
+            m = next(k for k in f.monomials() if k[0] < e)
             raise CertificateCheckError(
                 "base-power-divisibility",
                 f"local limit is not divisible by x0^{e}",

@@ -41,7 +41,13 @@ from .decomp import (
     restrict_vars_zero,
 )
 from .epsilon import EpsPoly, EpsScalar
-from .errors import InvariantError, NoPivotError, ZeroDerivativeError
+from .errors import (
+    InvariantError,
+    NoPivotError,
+    PoleAtZero,
+    SingularMatrixError,
+    ZeroDerivativeError,
+)
 from .linalg import EpsMatrix, eps_rref, rat_inverse, rat_rank, rat_solve
 from .poly import HomoPoly, LinearForm, falling_factorial
 
@@ -214,10 +220,11 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
 
     G = EpsMatrix(grows)
     A = G.inverse()
-    if not A.is_unit_at_zero():
-        raise InvariantError("change of variables is not a unit at eps = 0")
-    A0 = A.at_zero()
-    A0_inv = rat_inverse(A0)
+    try:
+        A0 = A.at_zero()
+        A0_inv = rat_inverse(A0)
+    except (PoleAtZero, SingularMatrixError) as exc:
+        raise InvariantError("change of variables is not a unit at eps = 0") from exc
 
     order = [pv.original_index for pv in pivots] + remaining
     summands = tuple(

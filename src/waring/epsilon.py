@@ -298,6 +298,26 @@ class EpsScalar:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _from_laurent(cls, terms: Dict[int, Fraction]) -> "EpsScalar":
+        """sum of c * eps**e over a nonempty dict with nonzero Fraction
+        values and int exponents of any sign, built unchecked.
+
+        With v the smallest exponent, a pole is num / eps**(-v) where num
+        has a nonzero constant term, so the gcd is 1 and the denominator's
+        lowest coefficient is 1: the representation is canonical without a
+        reduction step.
+        """
+        out = cls.__new__(cls)
+        v = min(terms)
+        if v < 0:
+            out.num = EpsPoly._make({e - v: c for e, c in terms.items()})
+            out.den = EpsPoly._make({-v: Fraction(1)})
+        else:
+            out.num = EpsPoly._make(terms)
+            out.den = _EP_ONE
+        return out
+
+    @classmethod
     def from_rational(cls, c) -> "EpsScalar":
         return cls(EpsPoly.const(_frac(c)))
 
@@ -329,6 +349,11 @@ class EpsScalar:
     @property
     def is_polynomial(self) -> bool:
         return self.den == _EP_ONE
+
+    @property
+    def is_laurent(self) -> bool:
+        """True when the denominator is a power of eps (1 included)."""
+        return len(self.den._terms) == 1
 
     def valuation(self) -> int:
         """eps-valuation val(num) - val(den); raises on zero."""

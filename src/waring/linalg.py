@@ -260,14 +260,6 @@ class EpsMatrix:
             out.append(orow)
         return out
 
-    def is_unit_at_zero(self) -> bool:
-        """All entries regular at 0 and the limit matrix invertible over Q."""
-        try:
-            m0 = self.at_zero()
-        except PoleAtZero:
-            return False
-        return rat_rank(m0) == self.dim
-
     def __repr__(self) -> str:
         return "EpsMatrix([" + ", ".join(repr(list(r)) for r in self.rows) + "])"
 

@@ -341,19 +341,6 @@ def monomials_of_degree(nvars: int, degree: int) -> Tuple[Monomial, ...]:
     return tuple(sorted(_compositions(degree, nvars), key=monomial_key))
 
 
-@lru_cache(maxsize=512)
-def _multinomial_terms(d: int, parts: int) -> Tuple[Tuple[Monomial, int], ...]:
-    """(alpha, d! / prod(alpha_i!)) for every composition alpha of d."""
-    fact = [factorial(i) for i in range(d + 1)]
-    out = []
-    for alpha in _compositions(d, parts):
-        den = 1
-        for a in alpha:
-            den *= fact[a]
-        out.append((alpha, fact[d] // den))
-    return tuple(out)
-
-
 def _int_poly_mul(a: List[int], b: List[int]) -> List[int]:
     """Product of two dense integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -372,15 +359,67 @@ def _power_table(base, d: int, one, mul=operator.mul) -> list:
     return table
 
 
+@lru_cache(maxsize=1024)
+def _support_terms(d: int, nvars: int, support: Tuple[int, ...]):
+    """(monomial, alpha, d! / prod(alpha_i!)) for every composition alpha of
+    d spread over the variables in support."""
+    fact = [factorial(i) for i in range(d + 1)]
+    out = []
+    for alpha in _compositions(d, len(support)):
+        exps = [0] * nvars
+        den = 1
+        for i, a in zip(support, alpha):
+            exps[i] = a
+            den *= fact[a]
+        out.append((tuple(exps), alpha, fact[d] // den))
+    return tuple(out)
+
+
+def _int_power_terms(vals, d: int, nvars: int, support, scale=1):
+    """scale * (sum_i vals[i] * x_support[i])**d by the multinomial theorem.
+
+    Every value is an integer, or every value (scale included) is a dense
+    list of integer coefficients in ascending powers of eps.  Returns
+    [(monomial, coefficient)] over all compositions of d on the support,
+    with coefficients of the same kind; d >= 1.
+    """
+    poly = isinstance(scale, list)
+    if poly:
+        mul, one = _int_poly_mul, [1]
+    else:
+        mul, one = operator.mul, 1
+    tables = [_power_table(v, d, one, mul) for v in vals]
+    out = []
+    for key, alpha, mult in _support_terms(d, nvars, tuple(support)):
+        t = [mult * x for x in scale] if poly else mult * scale
+        for a, table in zip(alpha, tables):
+            if a:
+                t = mul(t, table[a])
+        out.append((key, t))
+    return out
+
+
+def _int_eps_list(p: EpsPoly, den: int, shift: int = 0) -> List[int]:
+    """Dense integer coefficients of eps**shift * den * p, ascending.
+
+    den must clear every denominator of p, and shift may be negative down
+    to -val(p).
+    """
+    out = [0] * (shift + p.degree() + 1)
+    for e, a in p.pairs():
+        out[shift + e] = a.numerator * (den // a.denominator)
+    return out
+
+
 def _form_power(coefs: Sequence[object], d: int, nvars: int) -> HomoPoly:
     """Expand (c . x)**d by the multinomial theorem.
 
-    Each support variable gets one table of the powers of its coefficient,
-    and the multinomials are integers.  Rational coefficients, and
-    coefficients that are all polynomials in Q[eps], are expanded on integer
-    numerators over one common denominator, so each output coefficient costs
-    a single reduced Fraction per eps-power.  Any other mix multiplies the
-    scalars themselves.
+    Rational coefficients, and coefficients that are all polynomials in
+    Q[eps], are scaled to integers over one common denominator and expanded
+    by ``_int_power_terms``, the integer kernel the weighted power sums of
+    ``decomp`` share; each output coefficient then costs a single reduced
+    Fraction per eps-power.  Any other mix multiplies the scalars
+    themselves, from one table of powers per support variable.
     """
     support = [i for i, c in enumerate(coefs) if c]
     if not support:
@@ -388,50 +427,29 @@ def _form_power(coefs: Sequence[object], d: int, nvars: int) -> HomoPoly:
     if d == 0:
         return HomoPoly(nvars, 0, {(0,) * nvars: Fraction(1)})
     cs = [coefs[i] for i in support]
-    terms = _multinomial_terms(d, len(support))
     acc: Dict[Monomial, object] = {}
-
-    def key(alpha):
-        exps = [0] * nvars
-        for i, a in zip(support, alpha):
-            exps[i] = a
-        return tuple(exps)
-
     if all(isinstance(c, Fraction) for c in cs):
         den = lcm(*(c.denominator for c in cs))
-        tables = [_power_table(c.numerator * (den // c.denominator), d, 1) for c in cs]
+        ints = [c.numerator * (den // c.denominator) for c in cs]
         den_d = den**d
-        for alpha, mult in terms:
-            t = mult
-            for a, table in zip(alpha, tables):
-                t *= table[a]
-            acc[key(alpha)] = Fraction(t, den_d)
+        for m, t in _int_power_terms(ints, d, nvars, support):
+            acc[m] = Fraction(t, den_d)
     elif all(isinstance(c, EpsScalar) and c.is_polynomial for c in cs):
         den = lcm(*(a.denominator for c in cs for _, a in c.num.pairs()))
-        lists = []
-        for c in cs:
-            dense = [0] * (c.num.degree() + 1)
-            for e, a in c.num.pairs():
-                dense[e] = a.numerator * (den // a.denominator)
-            lists.append(dense)
-        tables = [_power_table(x, d, [1], _int_poly_mul) for x in lists]
+        lists = [_int_eps_list(c.num, den) for c in cs]
         den_d = den**d
-        for alpha, mult in terms:
-            t = [mult]
-            for a, table in zip(alpha, tables):
-                if a:
-                    t = _int_poly_mul(t, table[a])
-            acc[key(alpha)] = EpsScalar(EpsPoly._make(
+        for m, t in _int_power_terms(lists, d, nvars, support, [1]):
+            acc[m] = EpsScalar._from_laurent(
                 {e: Fraction(v, den_d) for e, v in enumerate(t) if v}
-            ))
+            )
     else:
         tables = [_power_table(c, d, None) for c in cs]
-        for alpha, mult in terms:
+        for m, alpha, mult in _support_terms(d, nvars, tuple(support)):
             t = Fraction(mult)
             for a, table in zip(alpha, tables):
                 if a:
                     t = t * table[a]
-            acc[key(alpha)] = t
+            acc[m] = t
     return HomoPoly._make(nvars, d, acc)
 
 

@@ -153,6 +153,17 @@ def test_extract_local_cofactor_divisibility_is_checked():
     assert info.value.witness["required_power"] == 2
 
 
+def test_extract_local_cofactor_witness_is_the_first_violator_in_graded_lex_order():
+    # x0^2 divides x0^3*x1 only; of the other three, x0*x1^3 comes first in
+    # graded-lex order whatever order the terms were inserted in
+    orders = [(0, 4), (3, 1), (1, 3)], [(3, 1), (1, 3), (0, 4)], [(1, 3), (0, 4), (3, 1)]
+    for order in orders:
+        f = HomoPoly(2, 4, {m: F(1) for m in order})
+        with pytest.raises(CertificateCheckError) as info:
+            extract_local_cofactor(f, 3)
+        assert info.value.witness == {"monomial": [1, 3], "required_power": 2}
+
+
 def test_extract_local_cofactor_validation():
     with pytest.raises(ValueError):
         extract_local_cofactor(mono(2, (2, 1)), 0)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waring import (
     BorderDecomposition,
@@ -23,9 +24,10 @@ from waring import (
     restrict_vars_zero,
     verify_waring,
 )
+from waring import decomp
 from waring.linalg import rat_inverse
 from waring.oracle import gen_random, gen_tangent, gen_multibase
-from conftest import F, eps, esc, lf, mono
+from conftest import F, eps, esc, lf, mono, unit_denominator_tangent
 
 
 def x_var(n, i):
@@ -284,3 +286,130 @@ def test_restrict_vars_zero_commutes_with_expansion():
         kill = [rng.randint(0, 2)]
         R = restrict_vars_zero(B, kill)
         assert R.expand() == B.expand().restrict_zero(kill)
+
+
+# -- expansion kernel against the scalar loop --------------------------------
+
+
+# The per-term scalar loop that the integer kernel replaced, kept as the
+# reference the properties below compare against.
+def ref_weighted_power_sum(nvars, degree, summands):
+    acc = {}
+    for w, form in summands:
+        for m, c in form.power(degree).items():
+            t = c * w
+            prev = acc.get(m)
+            if prev is not None:
+                t = prev + t
+                if not t:
+                    del acc[m]
+                    continue
+            acc[m] = t
+    return HomoPoly._make(nvars, degree, acc)
+
+
+def assert_same_expansion(D):
+    got = D.expand()
+    want = ref_weighted_power_sum(D.nvars, D.degree, D.summands)
+    assert (got.nvars, got.degree) == (want.nvars, want.degree)
+    assert dict(got.items()) == dict(want.items())
+    for m, c in want.items():
+        g = got.coeff(m)
+        assert type(g) is type(c)
+        if isinstance(c, EpsScalar):
+            assert g.num.pairs() == c.num.pairs()
+            assert g.den.pairs() == c.den.pairs()
+            assert all(type(a) is Fraction for _, a in g.num.pairs() + g.den.pairs())
+    return got
+
+
+PROPERTY = settings(max_examples=60)
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+nonzero_fractions = fractions.filter(bool)
+eps_polys = st.dictionaries(st.integers(0, 3), nonzero_fractions, max_size=3).map(EpsPoly)
+nonzero_eps_polys = eps_polys.filter(bool)
+poly_scalars = eps_polys.map(EpsScalar.from_poly)
+laurent_scalars = st.builds(
+    lambda p, k: EpsScalar.from_poly(p) * EpsScalar.eps(-k), eps_polys, st.integers(0, 3)
+)
+laurent_weights = st.builds(
+    lambda p, k: EpsScalar.from_poly(p) * EpsScalar.eps(-k), nonzero_eps_polys, st.integers(0, 3)
+)
+# denominators such as 1 + eps or 2 - eps^2 that are not powers of eps
+quotient_scalars = st.builds(
+    EpsScalar, eps_polys,
+    st.builds(lambda p, c: p + EpsPoly.const(c), nonzero_eps_polys, nonzero_fractions).filter(bool),
+)
+
+
+@st.composite
+def decompositions(draw, weights, coefs, cls, max_degree=5):
+    """A decomposition whose forms repeat: summands draw forms from a pool."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, max_degree))
+    vectors = st.lists(coefs, min_size=nvars, max_size=nvars).filter(any)
+    pool = draw(st.lists(vectors, min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(weights, st.sampled_from(pool)), min_size=1, max_size=5))
+    return cls(nvars, degree, tuple((w, LinearForm(v)) for w, v in picks))
+
+
+def cancelled(D):
+    """D followed by its own summands with negated weights: expands to zero."""
+    return type(D)(D.nvars, D.degree, D.summands + tuple((-w, f) for w, f in D.summands))
+
+
+@PROPERTY
+@given(decompositions(nonzero_fractions, fractions, WaringDecomposition))
+def test_rational_expansion_matches_the_scalar_loop(W):
+    assert_same_expansion(W)
+    assert assert_same_expansion(cancelled(W)).is_zero
+
+
+@PROPERTY
+@given(decompositions(laurent_weights, poly_scalars, BorderDecomposition))
+def test_eps_polynomial_forms_with_pole_weights_match_the_scalar_loop(B):
+    assert_same_expansion(B)
+
+
+@PROPERTY
+@given(decompositions(laurent_weights, laurent_scalars, BorderDecomposition))
+def test_laurent_expansion_matches_the_scalar_loop(B):
+    assert_same_expansion(B)
+    assert_same_expansion(normalize_border(B))
+
+
+# Q(eps) arithmetic with general denominators runs the Euclidean gcd on every
+# operation, in the kernel's fallback and the reference alike: keep these small
+SLOW_PROPERTY = settings(max_examples=25)
+mixed_weights = st.one_of(laurent_weights, quotient_scalars.filter(bool))
+mixed_coefs = st.one_of(quotient_scalars, laurent_scalars)
+
+
+@SLOW_PROPERTY
+@given(decompositions(mixed_weights, mixed_coefs, BorderDecomposition, max_degree=3))
+def test_non_monomial_denominators_match_the_scalar_loop(B):
+    assert_same_expansion(B)
+
+
+@SLOW_PROPERTY
+@given(st.one_of(decompositions(laurent_weights, laurent_scalars, BorderDecomposition),
+                 decompositions(mixed_weights, mixed_coefs, BorderDecomposition, max_degree=2)))
+def test_exact_cancellation_is_degenerate(B):
+    C = cancelled(B)
+    assert assert_same_expansion(C).is_zero
+    f = HomoPoly.monomial(B.nvars, (B.degree,) + (0,) * (B.nvars - 1))
+    with pytest.raises(DegenerateDecompositionError):
+        check_border(C, f)
+
+
+def test_only_non_monomial_denominators_take_the_scalar_loop(monkeypatch):
+    calls = []
+    loop = decomp._scalar_power_sum
+    monkeypatch.setattr(decomp, "_scalar_power_sum", lambda *a: calls.append(1) or loop(*a))
+    f, B = gen_tangent(5)
+    assert check_border(B, f).ok and check_border(normalize_border(B), f).ok
+    assert calls == []
+    f, B = unit_denominator_tangent()
+    assert check_border(B, f).ok
+    assert calls == [1]

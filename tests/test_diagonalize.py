@@ -8,6 +8,8 @@ from waring import (
     InvariantError,
     LinearForm,
     NoPivotError,
+    PoleAtZero,
+    SingularMatrixError,
     ZeroDerivativeError,
     check_border,
     derivative_decomposition,
@@ -16,6 +18,7 @@ from waring import (
     falling_factorial,
 )
 from waring.diagonal import Pivot
+from waring.linalg import EpsMatrix
 from waring.oracle import gen_multibase, gen_random, gen_tangent
 from conftest import F, assert_staircase_invariants, eps, esc, lf, mono
 
@@ -77,6 +80,18 @@ def test_diagonalize_cancelling_pair_still_finds_a_pivot():
     D = diagonalize(B, HomoPoly.zero(2, 2))
     assert D.p == 1
     assert D.limit.is_zero
+
+
+@pytest.mark.parametrize("fault,cause", [(-1, PoleAtZero), (1, SingularMatrixError)])
+def test_diagonalize_rejects_a_transform_that_is_not_a_unit_at_zero(monkeypatch, fault, cause):
+    # the inverted pivot frame gets an eps**-1 (a pole) or an eps (singular
+    # at eps = 0) on its diagonal; the one elimination of A(0) must refuse it
+    f, B = gen_tangent(3)
+    bad = EpsMatrix([[EpsScalar.one(), EpsScalar.zero()], [EpsScalar.zero(), eps(fault)]])
+    monkeypatch.setattr(EpsMatrix, "inverse", lambda self: bad)
+    with pytest.raises(InvariantError, match="change of variables is not a unit at eps = 0") as info:
+        diagonalize(B, f)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_diagonalize_random_corpus_invariants():

@@ -6,26 +6,38 @@ were recorded before the kernels gained their fast paths (monomial gcd,
 tabled form powers, O(n^2) Vandermonde solve).  The dense digests pin
 ``dense_decompose`` on cubics in 4 and 5 variables (square systems of 20 and
 35 unknowns); they were recorded on the Fraction Gauss-Jordan, before the
-fraction-free integer elimination replaced it.
+fraction-free integer elimination replaced it.  The expansion digests pin
+``B.expand()`` of border certificates and ``W.expand()`` of their Waring
+decompositions, coefficient by coefficient; they were recorded on the
+per-term scalar loop, before expansion moved onto integers.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from waring import (
+    BorderDecomposition,
     DeborderConfig,
+    EpsPoly,
+    EpsScalar,
     HomoPoly,
+    LinearForm,
+    SingularMatrixError,
     deborder,
     dense_decompose,
     gen_multibase,
     gen_osculating,
     gen_tangent,
 )
-from waring.poly import monomials_of_degree
-from waring.serialize import dumps_document
+from waring.linalg import rat_inverse
+from waring.poly import falling_factorial, monomials_of_degree
+from waring.serialize import dumps_document, eps_scalar_to_json, rational_to_str
+from conftest import unit_denominator_tangent
 
 CONFIGS = {
     "default": DeborderConfig(),
@@ -100,3 +112,96 @@ def test_dense_decompose_document_bytes_are_unchanged(name):
     W = dense_decompose(seeded_cubic(nvars, seed, rational), seed)
     digest = hashlib.sha256(dumps_document("waring", W).encode()).hexdigest()
     assert digest == DENSE_SHA256[name]
+
+
+# -- expansions ----------------------------------------------------------------
+
+
+def expansion_digest(f):
+    """sha256 of the coefficients of f, in graded-lex order of the monomials."""
+    terms = []
+    for m in f.monomials():
+        c = f.coeff(m)
+        terms.append([list(m), rational_to_str(c) if isinstance(c, Fraction)
+                      else eps_scalar_to_json(c)])
+    return hashlib.sha256(json.dumps(terms, sort_keys=True).encode()).hexdigest()
+
+
+def rand_rational(rng):
+    return Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
+
+
+def dense_certificate(seed, n, d, orders, plain):
+    """A GL_n(Q) image of osculating blocks (divided differences on the
+    variable pairs) plus plain rational powers, and its limit."""
+    rng = random.Random(seed)
+    E = EpsScalar
+    summands = []
+    f = HomoPoly.zero(n, d)
+    pairs = list(range(n))
+    rng.shuffle(pairs)
+    for b, j in enumerate(orders):
+        a, c = pairs[2 * b], pairs[2 * b + 1]
+        scale = rand_rational(rng)
+        denom = falling_factorial(d, j)
+        for i in range(j + 1):
+            w = E.from_rational(scale * Fraction((-1) ** (j - i) * comb(j, i), denom))
+            coefs = [E.zero()] * n
+            coefs[a] = E.one()
+            coefs[c] = E.from_poly(EpsPoly({1: Fraction(i)})) if i else E.zero()
+            summands.append((w * E.eps(-j), LinearForm(coefs)))
+        exps = [0] * n
+        exps[a], exps[c] = d - j, j
+        f = f + HomoPoly.monomial(n, tuple(exps), scale)
+    for _ in range(plain):
+        coefs = [0] * n
+        while not any(coefs):
+            coefs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        w = rand_rational(rng)
+        summands.append((E.from_rational(w), LinearForm([E.from_rational(x) for x in coefs])))
+        f = f + LinearForm(coefs).power(d).scale(w)
+    while True:
+        A = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        try:
+            rat_inverse(A)
+        except SingularMatrixError:
+            continue
+        break
+    return f.substitute_linear(A), BorderDecomposition(n, d, tuple(summands)).substitute(A)
+
+
+EXPANSION_INPUTS = {
+    "tangent5": lambda: gen_tangent(5),
+    "osculating10_4": lambda: gen_osculating(10, 4),
+    "multibase7": lambda: gen_multibase(7),
+    "dense_n4_r9": lambda: dense_certificate(21, 4, 3, (1, 2), 4),
+    "dense_n5_r6": lambda: dense_certificate(22, 5, 3, (2,), 3),
+    "unit_denominator": unit_denominator_tangent,
+}
+
+EXPANSION_SHA256 = {
+    ("dense_n4_r9", "border"): "fa07eb7b9ea8a7886bc1f295ddfabe4e739a920ffccde5352467ab4f66de9ced",
+    ("dense_n4_r9", "waring"): "63767a962504b0ca399cd80d42861587077e2e579bbc7e949e187f9d62b8ccf3",
+    ("dense_n5_r6", "border"): "b2928b324ebf31292314b2f9f8be268b07f8561a2f90b3e6dbf3b811d8d1cb4f",
+    ("dense_n5_r6", "waring"): "4c70707570784fb1802e75f5da3767cefd31c7ffcfa03136880968fbd3b35ea6",
+    ("multibase7", "border"): "d0415c9fafa78a42efe0589708202fac1ae9a5ace2b6c6c3e8e49e2d7d3e4275",
+    ("multibase7", "waring"): "9f7c8f91f0783319b7c073fe4db608491690979717fd58c2b90c1ff143873fef",
+    ("osculating10_4", "border"): "07c2e8db153a6db4019503b5e62eb4a166941e636735e814000d7749d279e31a",
+    ("osculating10_4", "waring"): "2939cc61a815ccbdcd41f7ccbe12813d9c293b62343302862533df907cbcc028",
+    ("tangent5", "border"): "012b47fd7f53f415a833ce88d5eeed96fac0b98105144cd2e26f9c40a4029cf3",
+    ("tangent5", "waring"): "27347d4fddc867bee1ce5fdfb332b453713b014fe3a75d0436685399aeea23b8",
+    ("unit_denominator", "border"): "bd6171d2e4ba7dfff1985397850724251c35b2cc1f126d2360c7a5564af44960",
+    ("unit_denominator", "waring"): "52a85fafba7bd5045558c5bd270625926aa04f648fe080895532b3be984df5c7",
+}
+
+
+@pytest.mark.parametrize("name,which", sorted(EXPANSION_SHA256))
+def test_expansion_coefficients_are_unchanged(name, which):
+    f, B = EXPANSION_INPUTS[name]()
+    if which == "border":
+        S = B.expand()
+    else:
+        W, _ = deborder(f, B)
+        S = W.expand()
+        assert S == f
+    assert expansion_digest(S) == EXPANSION_SHA256[name, which]
