@@ -96,9 +96,7 @@ def cmd_verify(args) -> int:
 def cmd_deborder(args) -> int:
     _, B = read_document(args.border, "border")
     _, f = read_document(args.poly, "polynomial")
-    cfg = DeborderConfig(
-        seed=args.seed, base_threshold=args.base_threshold, y_size=args.y_size
-    )
+    cfg = DeborderConfig(base_threshold=args.base_threshold, y_size=args.y_size)
     W, report = deborder(f, B, cfg)
     payload = report_to_json(report, asdict(cfg))
     if args.out:
@@ -181,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--poly", required=True, help="target polynomial document")
     d.add_argument("--out", help="write the Waring decomposition here")
     d.add_argument("--report", help="write the report document here")
-    d.add_argument("--seed", type=int, default=0)
     d.add_argument("--base-threshold", type=int, default=4, dest="base_threshold")
     d.add_argument("--y-size", type=int, default=None, dest="y_size")
     d.set_defaults(func=cmd_deborder)

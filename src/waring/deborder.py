@@ -32,7 +32,7 @@ each derivative branch certificate in ``_split``, which opens the branch;
 ``_split`` also verifies the decomposition the branch returns against the
 branch target, and ``deborder`` verifies the final decomposition against f
 and holds it to the ceiling ``paper_bound``.  ``multiply_by_power`` still
-checks its own output as well (ROADMAP item 3 says when that check goes).
+checks its own output as well (ROADMAP item 1 says when that check goes).
 The structural hypotheses the paper's lemmas rest on (group convergence,
 divisibility of a local limit by a power of its base variable, the
 staircase, the derivative summand cap) are checked wherever they are used.
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -74,9 +73,10 @@ from .poly import HomoPoly, LinearForm, monomials_of_degree
 class DeborderConfig:
     """Knobs for the debordering recursion.
 
-    seed drives the dense solver's random draws; base_threshold is the rank
-    at or below which a certificate is solved densely instead of split;
-    y_size overrides the Y-block width, which must be at least 1.
+    base_threshold is the rank at or below which a certificate is solved
+    densely instead of split; y_size overrides the Y-block width, which must
+    be at least 1.  The dense solve itself has no setting: its forms are
+    fixed by the target's shape (``dense_decompose``).
 
     The Y/Z split is the paper's route to its rank bound.  A certificate is
     split only when its pivot count exceeds the Y-block width, and the
@@ -86,7 +86,6 @@ class DeborderConfig:
     y_size (1 or 2, say) reaches the split; base_threshold alone cannot.
     """
 
-    seed: int = 0
     base_threshold: int = 4
     y_size: Optional[int] = None
 
@@ -286,22 +285,22 @@ def split_and_group(
     return f0, parts
 
 
-# inconsistent draws tolerated before dense_decompose gives up
-_DENSE_RETRIES = 32
+def dense_decompose(h: HomoPoly) -> WaringDecomposition:
+    """Decompose h by solving a square linear system against lattice forms.
 
-
-def dense_decompose(h: HomoPoly, seed: int = 0) -> WaringDecomposition:
-    """Decompose h by solving a square linear system against random forms.
-
-    Draws C(nvars + degree - 1, degree) integer forms with coefficients in
-    [-9, 9], expands their powers in the monomial basis and solves for the
-    weights.  Only a draw whose system is inconsistent (h is not in the span
-    of its powers) is re-seeded, deterministically; a singular but
-    consistent draw is accepted with the solution ``rat_solve`` returns, in
-    which every free weight is 0 (and its form is dropped).  Degree-1
-    targets are themselves linear forms and need no solve.  The result is
-    not re-expanded here; in ``deborder`` the check of the enclosing result
-    (a branch's or the final one) covers it.
+    The forms are x0 + a.x', one for each point a of the principal lattice
+    {a in N^(m-1) : |a| <= e}; the monomial basis of degree e indexes that
+    lattice through its last m - 1 exponents.  Their e-th powers span the
+    forms of degree e: by apolarity, a form of degree e apolar to every one
+    of them is, at x0 = 1, a polynomial of degree <= e vanishing on the
+    lattice, and the principal lattice is unisolvent for degree <= e (Chung
+    and Yao, "On lattices admitting unique Lagrange interpolations", SIAM J.
+    Numer. Anal. 14, 1977), so that form is zero.  The system is therefore
+    nonsingular for every target, and nothing is drawn or re-tried; zero
+    weights are dropped with their forms.  Degree-1 targets are themselves
+    linear forms and need no solve.  The result is not re-expanded here; in
+    ``deborder`` the check of the enclosing result (a branch's or the final
+    one) covers it.
     """
     if h.is_zero:
         raise ValueError("dense decomposition of the zero polynomial")
@@ -313,26 +312,14 @@ def dense_decompose(h: HomoPoly, seed: int = 0) -> WaringDecomposition:
         coefs = tuple(h.coeff(tuple(1 if j == i else 0 for j in range(m))) for i in range(m))
         return WaringDecomposition(m, 1, ((Fraction(1), LinearForm(coefs)),))
     basis = monomials_of_degree(m, e)
-    rhs = [h.coeff(mon) for mon in basis]
-    M = len(basis)
-    for attempt in range(_DENSE_RETRIES):
-        rng = random.Random(seed * 7919 + attempt)
-        forms: List[LinearForm] = []
-        while len(forms) < M:
-            coefs = tuple(Fraction(rng.randint(-9, 9)) for _ in range(m))
-            if any(coefs):
-                forms.append(LinearForm(coefs))
-        rows = [[None] * M for _ in range(M)]
-        for j, form in enumerate(forms):
-            p = form.power(e)
-            for i, mon in enumerate(basis):
-                rows[i][j] = p.coeff(mon)
-        sol = rat_solve(rows, rhs)
-        if sol is None:
-            continue
-        summands = tuple((w, form) for w, form in zip(sol, forms) if w != 0)
-        return WaringDecomposition(m, e, summands)
-    raise InvariantError(f"no solvable dense draw in {_DENSE_RETRIES} attempts")
+    forms = [LinearForm((1,) + mon[1:]) for mon in basis]
+    powers = [form.power(e) for form in forms]
+    rows = [[p.coeff(mon) for p in powers] for mon in basis]
+    sol = rat_solve(rows, [h.coeff(mon) for mon in basis])
+    if sol is None:
+        raise InvariantError("the lattice system is inconsistent")
+    summands = tuple((w, form) for w, form in zip(sol, forms) if w != 0)
+    return WaringDecomposition(m, e, summands)
 
 
 def _interpolation_nodes(count: int) -> List[Fraction]:
@@ -390,17 +377,11 @@ class _Session:
     def __init__(self, cfg: DeborderConfig):
         self.cfg = cfg
         self.trace: List[TraceRecord] = []
-        self._dense_calls = 0
 
     def y_size(self, rank: int) -> int:
         if self.cfg.y_size is not None:
             return self.cfg.y_size
         return math.isqrt(100 * rank)
-
-    def next_dense_seed(self) -> int:
-        s = self.cfg.seed + 104729 * self._dense_calls
-        self._dense_calls += 1
-        return s
 
     def record(self, case: str, rank: int, degree: int, bi: int, bk: int) -> None:
         self.trace.append(TraceRecord(case, rank, degree, bi, bk))
@@ -536,7 +517,7 @@ def _dense_base(
     """Dense solve of g on its first p variables, times x0**epow."""
     ses.record("BASE", rr, g.degree, bi, bk)
     n = g.nvars
-    W = dense_decompose(g.take_vars(p), ses.next_dense_seed()).extend_vars(n)
+    W = dense_decompose(g.take_vars(p)).extend_vars(n)
     return multiply_by_power(W, LinearForm.variable(n, 0), epow) if epow else W
 
 

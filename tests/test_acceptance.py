@@ -281,7 +281,7 @@ def test_criterion_7_dense_base_case():
     for e in range(1, 8):
         for k in range(1, 9 - e):
             h = rand_poly(rng, 2, e)
-            W = dense_decompose(h, seed=3)
+            W = dense_decompose(h)
             z = LinearForm((Fraction(1), Fraction(3)))
             P = multiply_by_power(W, z, k)
             products += 1
@@ -291,7 +291,7 @@ def test_criterion_7_dense_base_case():
             )
     # parallel-form shortcut: multiplying by a summand's own direction
     h = rand_poly(rng, 2, 2)
-    W = dense_decompose(h, seed=3)
+    W = dense_decompose(h)
     zpar = W.summands[0][1]
     P = multiply_by_power(W, zpar, 2)
     crit.check(
@@ -369,7 +369,7 @@ def test_criterion_9_serialization_roundtrip():
     f, B = gen_random(2, 4, 3, seed=17)
     reports.append(deborder(f, B)[1])
     for i in range(100):
-        flags = asdict(DeborderConfig(seed=i, y_size=(i % 3) or None))
+        flags = asdict(DeborderConfig(base_threshold=i, y_size=(i % 3) or None))
         roundtrip("report", report_to_json(reports[i % len(reports)], flags))
     crit.check(count == 1000, f"only {count} documents exercised")
     crit.conclude("400 polynomial, 300 border, 200 waring, 100 report")

@@ -70,25 +70,25 @@ def test_report_carries_the_full_flag_set(workdir):
             "deborder",
             "--border", "tangent_d4_border.json",
             "--poly", "tangent_d4_poly.json",
-            "--seed", "5",
             "--base-threshold", "2",
             "--y-size", "3",
         ]
     )
     assert code == 0
     _, payload = parse_document(out)
-    expected = asdict(DeborderConfig(seed=5, base_threshold=2, y_size=3))
-    assert payload["flags"] == expected == {"seed": 5, "base_threshold": 2, "y_size": 3}
+    expected = asdict(DeborderConfig(base_threshold=2, y_size=3))
+    assert payload["flags"] == expected == {"base_threshold": 2, "y_size": 3}
     assert "derivative_counts" not in payload
-    code, _, err = run_cli(
-        [
-            "deborder",
-            "--border", "tangent_d4_border.json",
-            "--poly", "tangent_d4_poly.json",
-            "--strengthened",
-        ]
-    )
-    assert code == 2 and "--strengthened" in err
+    for gone in (["--strengthened"], ["--seed", "5"]):
+        code, _, err = run_cli(
+            [
+                "deborder",
+                "--border", "tangent_d4_border.json",
+                "--poly", "tangent_d4_poly.json",
+                *gone,
+            ]
+        )
+        assert code == 2 and gone[0] in err
 
 
 def test_gen_explicit_output_paths(workdir):

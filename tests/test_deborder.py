@@ -8,7 +8,7 @@ from math import comb, isqrt, log10, sqrt
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from waring import (
     BorderDecomposition,
@@ -248,11 +248,45 @@ def test_dense_degree_one_is_the_form_itself():
     assert W.summands[0][1].coefs == (F(2), F(0), F(-5))
 
 
-def test_dense_deterministic_per_seed():
+def test_dense_is_deterministic():
     h = mono(3, (2, 1, 0)) + mono(3, (0, 1, 2), -3)
-    assert dense_decompose(h, seed=5) == dense_decompose(h, seed=5)
-    assert verify_waring(dense_decompose(h, seed=5), h)
-    assert verify_waring(dense_decompose(h, seed=6), h)
+    assert dense_decompose(h) == dense_decompose(h)
+    assert verify_waring(dense_decompose(h), h)
+
+
+@pytest.mark.parametrize("e", [20, 24, 30])
+def test_dense_solves_two_variable_targets_of_high_degree(e):
+    # random draws with coefficients in [-9, 9] repeat directions in two
+    # variables and found no solvable system for x^(e-1) y at these degrees
+    h = mono(2, (e - 1, 1))
+    assert verify_waring(dense_decompose(h), h)
+
+
+@st.composite
+def _dense_targets(draw):
+    # degree >= 2: a degree-1 target is returned as its own form
+    nvars = draw(st.integers(1, 4))
+    degree = draw(st.integers(2, 5))
+    pool = monomials_of_degree(nvars, degree)
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    coefs = draw(st.lists(st.fractions(-9, 9, max_denominator=7).filter(bool),
+                          min_size=len(chosen), max_size=len(chosen)))
+    return HomoPoly(nvars, degree, dict(zip(chosen, coefs)))
+
+
+@settings(max_examples=40)
+@given(_dense_targets())
+def test_dense_decompose_property(h):
+    m, e = h.nvars, h.degree
+    W = dense_decompose(h)
+    assert verify_waring(W, h)
+    assert W.rank() <= comb(m + e - 1, e)
+    assert dense_decompose(h) == W
+    for _, form in W.summands:
+        # x0 + a.x' with a on the principal lattice {a in N^(m-1) : |a| <= e}
+        a = form.coefs[1:]
+        assert form.coefs[0] == 1
+        assert all(c.denominator == 1 and c >= 0 for c in a) and sum(a) <= e
 
 
 def test_dense_rejects_zero():
@@ -341,7 +375,7 @@ def test_deborder_report_is_reproducible():
     W1, r1 = deborder(f, B)
     W2, r2 = deborder(f, B)
     assert W1 == W2 and r1 == r2
-    W3, r3 = deborder(f, B, DeborderConfig(seed=9))
+    W3, r3 = deborder(f, B, DeborderConfig(base_threshold=9))
     assert r3.verified and verify_waring(W3, f)
 
 
@@ -472,8 +506,8 @@ def test_fault_in_a_derivative_certificate_is_caught_by_the_branch_check(monkeyp
 def test_fault_in_a_branch_result_is_caught_where_the_branch_returns(monkeypatch):
     real = _DEBORDER.dense_decompose
 
-    def doubled(h, seed=0):
-        W = real(h, seed)
+    def doubled(h):
+        W = real(h)
         return WaringDecomposition(W.nvars, W.degree, tuple((2 * w, l) for w, l in W.summands))
 
     # osculating (6, 3) under the forced split: no dense solve at the top

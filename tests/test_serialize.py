@@ -101,14 +101,14 @@ def test_border_and_waring_document_roundtrip():
 
 def test_report_document_roundtrip():
     f, B = gen_tangent(3)
-    cfg = DeborderConfig(seed=3)
+    cfg = DeborderConfig(base_threshold=3)
     _, report = deborder(f, B, cfg)
     payload = report_to_json(report, asdict(cfg))
     text = dumps_document("report", payload)
     kind, back = parse_document(text, expect="report")
     assert kind == "report"
     assert back == payload
-    assert back["flags"]["seed"] == 3
+    assert back["flags"]["base_threshold"] == 3
     assert set(back["flags"]) == set(asdict(DeborderConfig()))
     assert dumps_document("report", back) == text
 
