@@ -288,19 +288,28 @@ def split_and_group(
 def dense_decompose(h: HomoPoly) -> WaringDecomposition:
     """Decompose h by solving a square linear system against lattice forms.
 
-    The forms are x0 + a.x', one for each point a of the principal lattice
-    {a in N^(m-1) : |a| <= e}; the monomial basis of degree e indexes that
-    lattice through its last m - 1 exponents.  Their e-th powers span the
-    forms of degree e: by apolarity, a form of degree e apolar to every one
-    of them is, at x0 = 1, a polynomial of degree <= e vanishing on the
-    lattice, and the principal lattice is unisolvent for degree <= e (Chung
-    and Yao, "On lattices admitting unique Lagrange interpolations", SIAM J.
-    Numer. Anal. 14, 1977), so that form is zero.  The system is therefore
-    nonsingular for every target, and nothing is drawn or re-tried; zero
-    weights are dropped with their forms.  Degree-1 targets are themselves
-    linear forms and need no solve.  The result is not re-expanded here; in
-    ``deborder`` the check of the enclosing result (a branch's or the final
-    one) covers it.
+    The forms are x0 + sum_i (a_i + |a|) x_i, one for each point a of the
+    principal lattice {a in N^(m-1) : |a| <= e}; the monomial basis of
+    degree e indexes that lattice through its last m - 1 exponents.  The
+    shear a -> a + |a| (1, ..., 1) is linear with determinant m, so their
+    e-th powers are those of the forms x0 + a.x' under an invertible change
+    of variables.  Those span the forms of degree e: by apolarity, a form of
+    degree e apolar to every one of them is, at x0 = 1, a polynomial of
+    degree <= e vanishing on the lattice, and the principal lattice is
+    unisolvent for degree <= e (Chung and Yao, "On lattices admitting unique
+    Lagrange interpolations", SIAM J. Numer. Anal. 14, 1977), so that form
+    is zero.  The system is therefore nonsingular for every target, and
+    nothing is drawn or re-tried; zero weights are dropped with their forms.
+    The shear keeps the rank from hanging on which monomials h lacks: the
+    lattice's Lagrange polynomials factor into the lines a_i = k and
+    |a| = k; unsheared, a line a_i = k involves x0 and x_i alone, and
+    against a sparse target (diagonalized limits often are) a number of
+    weights that depends on the target vanish; sheared, every factor
+    involves all of x_1 .. x_(m-1).  The point a = 0 is still x0 itself,
+    which ``multiply_by_power`` turns into one power of x0.
+    Degree-1 targets are themselves linear forms and need no solve.  The
+    result is not re-expanded here; in ``deborder`` the check of the
+    enclosing result (a branch's or the final one) covers it.
     """
     if h.is_zero:
         raise ValueError("dense decomposition of the zero polynomial")
@@ -312,7 +321,8 @@ def dense_decompose(h: HomoPoly) -> WaringDecomposition:
         coefs = tuple(h.coeff(tuple(1 if j == i else 0 for j in range(m))) for i in range(m))
         return WaringDecomposition(m, 1, ((Fraction(1), LinearForm(coefs)),))
     basis = monomials_of_degree(m, e)
-    forms = [LinearForm((1,) + mon[1:]) for mon in basis]
+    # a = mon[1:], so |a| = e - mon[0]
+    forms = [LinearForm((1,) + tuple(a + e - mon[0] for a in mon[1:])) for mon in basis]
     powers = [form.power(e) for form in forms]
     rows = [[p.coeff(mon) for p in powers] for mon in basis]
     sol = rat_solve(rows, [h.coeff(mon) for mon in basis])

@@ -254,6 +254,20 @@ def test_dense_is_deterministic():
     assert verify_waring(dense_decompose(h), h)
 
 
+@pytest.mark.parametrize("m, terms", [
+    (3, {(2, 1, 0): 1, (0, 0, 3): 1}),
+    (3, {(1, 1, 1): 1}),
+    (4, {(0, 3, 0, 0): 1, (1, 0, 1, 1): 1}),
+])
+def test_dense_keeps_every_weight_of_a_sparse_target(m, terms):
+    # with the unsheared forms x0 + a.x' only 7, 8 and 11 weights are
+    # nonzero here: the rank hangs on which monomials the target lacks
+    h = HomoPoly(m, 3, {mon: F(c) for mon, c in terms.items()})
+    W = dense_decompose(h)
+    assert verify_waring(W, h)
+    assert W.rank() == comb(m + 2, 3)
+
+
 @pytest.mark.parametrize("e", [20, 24, 30])
 def test_dense_solves_two_variable_targets_of_high_degree(e):
     # random draws with coefficients in [-9, 9] repeat directions in two
@@ -283,10 +297,13 @@ def test_dense_decompose_property(h):
     assert W.rank() <= comb(m + e - 1, e)
     assert dense_decompose(h) == W
     for _, form in W.summands:
-        # x0 + a.x' with a on the principal lattice {a in N^(m-1) : |a| <= e}
-        a = form.coefs[1:]
-        assert form.coefs[0] == 1
-        assert all(c.denominator == 1 and c >= 0 for c in a) and sum(a) <= e
+        # x0 + sum_i (a_i + |a|) x_i, a on the principal lattice
+        # {a in N^(m-1) : |a| <= e}; the coefficients of x_1.. sum to m * |a|
+        c = form.coefs
+        assert c[0] == 1 and all(x.denominator == 1 for x in c)
+        size = Fraction(sum(c[1:], Fraction(0)), m)
+        a = [x - size for x in c[1:]]
+        assert size.denominator == 1 and all(x >= 0 for x in a) and sum(a) == size <= e
 
 
 def test_dense_rejects_zero():

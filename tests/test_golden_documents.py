@@ -5,9 +5,10 @@ or expansion kernels must leave every document byte-for-byte as it was.  They
 were recorded before the kernels gained their fast paths (monomial gcd,
 tabled form powers, O(n^2) Vandermonde solve), except that of osculating6_2
 at the default config: it runs a dense solve of degree 2, and was recorded
-again when the dense solve moved from random draws to lattice forms.  The
-dense digests pin ``dense_decompose`` on cubics in 4 and 5 variables (square
-systems of 20 and 35 unknowns); they were recorded on the lattice forms.
+again when the dense solve moved from random draws to the sheared lattice
+forms x0 + sum_i (a_i + |a|) x_i.  The dense digests pin ``dense_decompose``
+on cubics in 4 and 5 variables (square systems of 20 and 35 unknowns); they
+were recorded on those forms.
 The expansion digests pin ``B.expand()`` of border certificates and
 ``W.expand()`` of their Waring decompositions, coefficient by coefficient;
 they were recorded on the per-term scalar loop, before expansion moved onto
@@ -63,7 +64,7 @@ SHA256 = {
     ("tangent7", "split"): "09dcd8fc9f9014a6ad9af0c51e791ef038006ccc0e7ffe7ea9c546d434a336a8",
     ("tangent8", "default"): "8134c8746ca75e25eaf932bcdf2e2a68f42215654dee6271984b0197153b0922",
     ("tangent8", "split"): "ec69a7edf48baf1dc4877f20d6be9777c7c0a411a74e0897b8ee5bf7f6ecc7cc",
-    ("osculating6_2", "default"): "b15108a4b3666527c25846a0ad3632da7e61adbc53d9821988584674652592e4",
+    ("osculating6_2", "default"): "4be182a6deef8a04d54db499c92c90324538c0c9c2f6a44358b9ea699151fe05",
     ("osculating6_2", "split"): "58aaede229ed0cf8546ab91d2d2f9428d85442a09d1dcda79e573b939867fe07",
     ("multibase5", "default"): "032689c0d5705422b832d53fce379377db116d4432f77ec028dfb1311b6b9a63",
     ("multibase5", "split"): "155daa0149ee7aa0d015cdbd1742ba7f5ed66b2f04a0cb38eab6d1d5dac16cdf",
@@ -101,10 +102,10 @@ DENSE_CUBICS = {
 }
 
 DENSE_SHA256 = {
-    "n4_int": "3620906a8e3fd9a20caf292d7bb535509689a775daac29be52b0471431a7021b",
-    "n4_rational": "a0ef2a8e5713c5ae631d33840a38cd3a019401b23501b2af78af6b1dff484c3c",
-    "n5_int": "836a95487c8bfe98d2341bdaccabd658b46a0f81646e44bd96ef410eb39fa339",
-    "n5_rational": "d00a09610204b6d7f407acc325a14ac3043d29b5359d95796200d82a3dcc3569",
+    "n4_int": "3daef6b46a9e4e9dbc112bef72a28d05f9a28f2419003459be537f1fe0f31c94",
+    "n4_rational": "e46d42bf0a6610f643f68f6948e34d4cfd92b8c4fe118001071d0717e71d8b07",
+    "n5_int": "35d6824addf269a0cdfb80ac52c30a6f8d466c55c0fad6f8ee3b4cf4153c5492",
+    "n5_rational": "5bac3c9c6fd2378ba4d0a866513bbb9858e22b83eba9ff6459d77c83b22e4677",
 }
 
 
