@@ -9,20 +9,20 @@ each recursion step took.
 
 The recursion, per level:
 
-1. rotate away inessential variables, then diagonalize the certificate into
-   staircase coordinates (diagonal.py);
+1. rotate away inessential variables;
 2. if degree >= rank - 1, partition the summands by the direction their
-   forms degenerate to; each group converges on its own (checked, not
-   assumed) to a local part divisible by a power of its base variable
-   (checked as well); the cofactor has degree < rank, so small ranks fall
-   to a dense solve and large ones to the Y/Z split below;
-3. otherwise split the variables into a Y block and a Z block: monomials
-   supported on Y go to a dense solve, and the cofactor of z_i**k (for the
-   first Z variable present) is handled recursively, with a certificate
-   obtained by differentiating the staircase summands k times in z_i and
-   restricting z_1..z_i to zero.  Differentiation keeps at most
-   rank - (pivot index) summands, so the branch rank drops strictly and
-   the recursion terminates;
+   forms degenerate to, and diagonalize each group (diagonal.py); a group
+   converges on its own and its limit is divisible by a power of its base
+   variable (both checked, not assumed); the cofactor has degree < rank, so
+   small ranks fall to a dense solve and large ones to the Y/Z split below;
+3. otherwise diagonalize the whole certificate once, then split the
+   variables into a Y block and a Z block: monomials supported on Y go to a
+   dense solve, and the cofactor of z_i**k (for the first Z variable
+   present) is handled recursively, with a certificate obtained by
+   differentiating the staircase summands k times in z_i and restricting
+   z_1..z_i to zero.  Differentiation keeps at most rank - (pivot index)
+   summands, so the branch rank drops strictly and the recursion
+   terminates;
 4. pieces are reassembled with ``multiply_by_power``, which rewrites
    l**e * z**k as a sum of e + k + 1 powers through exact interpolation.
 
@@ -36,9 +36,10 @@ checks its own output as well (ROADMAP item 1 says when that check goes).
 The structural hypotheses the paper's lemmas rest on (group convergence,
 divisibility of a local limit by a power of its base variable, the
 staircase, the derivative summand cap) are checked wherever they are used.
-Steps between these points (diagonalization, differentiation, restriction,
-the dense solve, the Y/Z split) are not re-expanded: a fault in one
-surfaces at the next check, at the latest in the final verification.
+Steps between these points (the diagonalization of a group or of a
+nonlocal level, differentiation, restriction, the dense solve, the Y/Z
+split) are not re-expanded: a fault in one surfaces at the next check, at
+the latest in the final verification.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def partition_into_local(
     Each group must converge at eps = 0 on its own; that is a structural
     hypothesis about the certificate (the full sum converging does not imply
     it), so a violating group raises CertificateCheckError with check tag
-    "group-convergence".  Returns [(B_k, f_k)] in order of first appearance;
+    "group-convergence".  Returns [(B_k, f_k)] by first appearance in B;
     group limits f_k may be zero, and they sum to f (asserted).
     """
     if B.rank() == 0:
@@ -457,26 +458,25 @@ def _rec(
 def _solve(
     f: HomoPoly, B: BorderDecomposition, ses: _Session, bi: int, bk: int, fuel: int
 ) -> WaringDecomposition:
-    """Diagonalize and dispatch; f uses all of its variables essentially."""
+    """Partition B as given (``_local`` diagonalizes each group) or, on the
+    nonlocal route, diagonalize B once; f uses all of its variables essentially."""
+    if f.degree >= B.rank() - 1:
+        W = None
+        for Bk, fk in partition_into_local(B, f):
+            if fk.is_zero:
+                continue
+            Wk = _local(fk, Bk, ses, bi, bk, fuel)
+            W = Wk if W is None else W + Wk
+        if W is None:
+            raise InvariantError("every group had zero limit against a nonzero target")
+        return W
     D = diagonalize(B, f)
     if D.p != f.nvars:
         raise InvariantError(
             f"{D.p} pivots for an essential target in {f.nvars} variables"
         )
-    r = D.decomposition.rank()
-    d = f.degree
-    if d >= r - 1:
-        WA = None
-        for Bk, fk in partition_into_local(D.decomposition, D.limit):
-            if fk.is_zero:
-                continue
-            Wk = _local(fk, Bk, ses, bi, bk, fuel)
-            WA = Wk if WA is None else WA + Wk
-        if WA is None:
-            raise InvariantError("every group had zero limit against a nonzero target")
-    else:
-        WA = _dense_or_split(D.limit, 0, D, r, ses, bi, bk, fuel, "NONLOCAL")
-    return WA.substitute(D.base_change_inv)
+    W = _dense_or_split(D.limit, 0, D, B.rank(), ses, bi, bk, fuel, "NONLOCAL")
+    return W.substitute(D.base_change_inv)
 
 
 def _local(

@@ -475,17 +475,25 @@ def test_deborder_achieved_ranks_bounded_by_input_data():
 _DEBORDER = importlib.import_module("waring.deborder")
 
 
-def test_fault_in_diagonalized_weights_is_caught_by_the_partition(monkeypatch):
+def test_fault_in_diagonalized_weights_is_caught_by_the_branch_check(monkeypatch):
     real = _DEBORDER.diagonalize
 
     def doubled(B, f):
         D = real(B, f)
         return dataclasses.replace(D, decomposition=D.decomposition.scale_weights(2))
 
+    # the partition reads the certificate as given, so the doubled staircase
+    # weights first reach a derivative certificate under the forced split
     monkeypatch.setattr(_DEBORDER, "diagonalize", doubled)
     f, B = gen_multibase(5)
+    with pytest.raises(InvariantError, match="branch certificate"):
+        deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))
+
+
+def test_partition_rejects_a_target_its_groups_do_not_sum_to():
+    f, B = gen_multibase(5)
     with pytest.raises(InvariantError, match="group limits do not sum"):
-        deborder(f, B)
+        partition_into_local(B, f.scale(2))
 
 
 def test_fault_in_diagonalized_limit_is_caught_by_the_result_check(monkeypatch):
@@ -562,6 +570,21 @@ def test_local_run_verifies_the_input_and_the_result_once(monkeypatch):
     assert report.verified
     assert len(borders) == 1 and borders[0] == (B, f)
     assert len(results) == 1 and results[0] == (W, f)
+
+
+@pytest.mark.parametrize("make,cfg,expected", [
+    pytest.param(lambda: gen_tangent(5), DeborderConfig(), 1, id="tangent5-default"),
+    pytest.param(lambda: gen_multibase(5), DeborderConfig(), 2, id="multibase5-default"),
+    pytest.param(lambda: gen_random(5, 3, 5, seed=8),
+                 DeborderConfig(y_size=1, base_threshold=1), 5, id="random8-split"),
+])
+def test_diagonalize_runs_once_per_local_group_and_nonlocal_level(monkeypatch, make, cfg, expected):
+    f, B = make()
+    staircases = _count_calls(monkeypatch, "diagonalize")
+    _, report = deborder(f, B, cfg)
+    cases = [t.case for t in report.trace]
+    # every nonlocal level of these runs splits, so each records NONLOCAL
+    assert len(staircases) == expected == cases.count("LOCAL") + cases.count("NONLOCAL")
 
 
 def test_split_run_verifies_each_branch_once_each_way(monkeypatch):
