@@ -7,14 +7,7 @@ always by exact expansion: a border decomposition certifies its limit
 polynomial iff every coefficient of the expanded sum has eps-valuation >= 0
 and the entrywise limit equals the target.
 
-Expansion runs on Python ints.  Over Q, each summand is scaled to an integer
-form over one denominator; over Q(eps), when every denominator is a power
-of eps, each summand is also shifted to an integer form over Z[eps].  The
-multinomial expansion is ``poly._int_power_terms``, and the contributions
-are summed per monomial (per monomial and eps-exponent) over the lcm of the
-summands' denominators.  Only then is one Fraction or one canonical
-EpsScalar built per monomial.  Any other denominator, such as 1/(1+eps),
-makes the whole sum fall back to adding the scalars term by term.
+Both ``expand`` methods call ``poly.power_sum``, the one expansion kernel.
 
 ``normalize_border`` brings a border certificate to the working shape the
 diagonalization step expects: per summand, the eps-content of the form is
@@ -28,115 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .epsilon import EpsPoly, EpsScalar
 from .errors import DegenerateDecompositionError, InvariantError
 from .linalg import rat_nullspace, rat_rank
-from .poly import HomoPoly, LinearForm, Monomial, _int_eps_list, _int_power_terms
-
-
-def _weighted_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
-    """sum of w * form**degree over the summands, exactly.
-
-    Rational summands, and summands whose weights and form coefficients
-    have powers of eps as denominators (every normalized certificate), are
-    expanded on integers over one common denominator; any other denominator
-    goes through the scalar loop.  Coefficients come out as Fractions for
-    rational summands and as canonical EpsScalars otherwise.
-    """
-    if not summands:
-        return HomoPoly._make(nvars, degree, {})
-    if isinstance(summands[0][0], Fraction):
-        return _rational_power_sum(nvars, degree, summands)
-    if all(w.is_laurent and all(c.is_laurent for c in form) for w, form in summands):
-        return _laurent_power_sum(nvars, degree, summands)
-    return _scalar_power_sum(nvars, degree, summands)
-
-
-def _rational_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
-    """Integer expansion of rational summands.
-
-    A form with coefficients c_i = n_i / den contributes
-    w.numerator * multinomial * prod n_i**a_i over w.denominator * den**d;
-    contributions are scaled to the lcm L of those denominators and summed
-    as ints, and each surviving monomial gets one Fraction(v, L).
-    """
-    parts = []
-    L = 1
-    for w, form in summands:
-        support = [i for i, c in enumerate(form) if c]
-        den = lcm(*(form[i].denominator for i in support))
-        ints = [form[i].numerator * (den // form[i].denominator) for i in support]
-        D = w.denominator * den**degree
-        L = lcm(L, D)
-        parts.append((w.numerator, D, support, ints))
-    acc: dict = {}
-    for wn, D, support, ints in parts:
-        for m, t in _int_power_terms(ints, degree, nvars, support, wn * (L // D)):
-            acc[m] = acc.get(m, 0) + t
-    return HomoPoly._make(
-        nvars, degree, {m: Fraction(v, L) for m, v in acc.items() if v}
-    )
-
-
-def _laurent_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
-    """Integer expansion of summands whose denominators are powers of eps.
-
-    Each form is eps**v times a form over Z[eps]/den (v its least
-    coefficient valuation), and each weight eps**u times a polynomial over
-    Z[eps]/wden, so a summand is eps**(u + v*d) times an integer
-    expansion over wden * den**d.  Contributions are scaled to the lcm L of
-    those denominators and summed per monomial as {eps-exponent: int};
-    each surviving monomial gets one canonical EpsScalar.
-    """
-    parts = []
-    L = 1
-    for w, form in summands:
-        support = [i for i, c in enumerate(form) if c]
-        cs = [form[i] for i in support]
-        v = min(c.valuation() for c in cs)
-        den = lcm(*(a.denominator for c in cs for _, a in c.num.pairs()))
-        lists = [_int_eps_list(c.num, den, -c.den.degree() - v) for c in cs]
-        u = w.valuation()
-        wden = lcm(*(a.denominator for _, a in w.num.pairs()))
-        wl = _int_eps_list(w.num, wden, -w.num.valuation())
-        D = wden * den**degree
-        L = lcm(L, D)
-        parts.append((u + v * degree, D, support, lists, wl))
-    acc: dict = {}
-    for shift, D, support, lists, wl in parts:
-        s = L // D
-        for m, t in _int_power_terms(lists, degree, nvars, support, [s * x for x in wl]):
-            row = acc.get(m)
-            if row is None:
-                row = acc[m] = {}
-            for i, x in enumerate(t, shift):
-                if x:
-                    row[i] = row.get(i, 0) + x
-    out = {}
-    for m, row in acc.items():
-        terms = {e: Fraction(x, L) for e, x in row.items() if x}
-        if terms:
-            out[m] = EpsScalar._from_laurent(terms)
-    return HomoPoly._make(nvars, degree, out)
-
-
-def _scalar_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
-    """sum of w * form**degree, accumulated scalar by scalar into one dict."""
-    acc: dict = {}
-    for w, form in summands:
-        for m, c in form.power(degree).items():
-            t = c * w
-            prev = acc.get(m)
-            if prev is not None:
-                t = prev + t
-                if not t:
-                    del acc[m]
-                    continue
-            acc[m] = t
-    return HomoPoly._make(nvars, degree, acc)
+from .poly import HomoPoly, LinearForm, Monomial, power_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +57,7 @@ class WaringDecomposition:
         return len(self.summands)
 
     def expand(self) -> HomoPoly:
-        return _weighted_power_sum(self.nvars, self.degree, self.summands)
+        return power_sum(self.nvars, self.degree, self.summands)
 
     def __add__(self, other: "WaringDecomposition") -> "WaringDecomposition":
         if self.nvars != other.nvars or self.degree != other.degree:
@@ -176,17 +66,10 @@ class WaringDecomposition:
 
     def merged(self) -> "WaringDecomposition":
         """Combine summands with identical forms; drop cancelled ones."""
-        acc: dict[Tuple[Fraction, ...], Fraction] = {}
-        order: List[Tuple[Fraction, ...]] = []
+        acc: dict[LinearForm, Fraction] = {}
         for w, form in self.summands:
-            key = form.coefs
-            if key not in acc:
-                acc[key] = Fraction(0)
-                order.append(key)
-            acc[key] += w
-        kept = tuple(
-            (acc[key], LinearForm(key)) for key in order if acc[key] != 0
-        )
+            acc[form] = acc.get(form, 0) + w
+        kept = tuple((w, form) for form, w in acc.items() if w != 0)
         return WaringDecomposition(self.nvars, self.degree, kept)
 
     def substitute(self, rows) -> "WaringDecomposition":
@@ -231,7 +114,7 @@ class BorderDecomposition:
         return len(self.summands)
 
     def expand(self) -> HomoPoly:
-        return _weighted_power_sum(self.nvars, self.degree, self.summands)
+        return power_sum(self.nvars, self.degree, self.summands)
 
     def scale_weights(self, s) -> "BorderDecomposition":
         s = EpsScalar.from_rational(s) if isinstance(s, (int, Fraction)) else s

@@ -10,6 +10,18 @@ homogeneous that is plain descending tuple order on the exponents.
 ``LinearForm`` is a coefficient vector, as a tuple, with the operations the
 decomposition machinery needs: exact powers via multinomial expansion,
 composition with a linear change of variables, restriction.
+
+``power_sum`` is the one expansion kernel: every weighted sum of powers of
+linear forms, and every single power (a one-summand sum with weight 1), is
+expanded there.  It runs on Python ints.  Over Q, each summand is scaled to
+an integer form over one denominator; over Q(eps), when every denominator
+is a power of eps, each summand is also shifted to an integer form over
+Z[eps].  The multinomial expansion is ``_int_power_terms``, and the
+contributions are summed per monomial (per monomial and eps-exponent) over
+the lcm of the summands' denominators.  Only then is one Fraction or one
+canonical EpsScalar built per monomial.  Any other denominator, such as
+1/(1+eps), makes the whole sum fall back to multiplying and adding the
+scalars term by term.
 """
 
 from __future__ import annotations
@@ -411,46 +423,134 @@ def _int_eps_list(p: EpsPoly, den: int, shift: int = 0) -> List[int]:
     return out
 
 
-def _form_power(coefs: Sequence[object], d: int, nvars: int) -> HomoPoly:
-    """Expand (c . x)**d by the multinomial theorem.
+def power_sum(nvars: int, degree: int, summands) -> HomoPoly:
+    """sum of w * form**degree over the (w, form) summands, exactly.
 
-    Rational coefficients, and coefficients that are all polynomials in
-    Q[eps], are scaled to integers over one common denominator and expanded
-    by ``_int_power_terms``, the integer kernel the weighted power sums of
-    ``decomp`` share; each output coefficient then costs a single reduced
-    Fraction per eps-power.  Any other mix multiplies the scalars
-    themselves, from one table of powers per support variable.
+    Rational summands, and summands whose weights and form coefficients
+    have powers of eps as denominators (every normalized certificate), are
+    expanded on integers over one common denominator; any other denominator
+    goes through the scalar loop.  Coefficients come out as Fractions for
+    rational summands and as canonical EpsScalars otherwise.
     """
-    support = [i for i, c in enumerate(coefs) if c]
-    if not support:
-        return HomoPoly.zero(nvars, d)
-    if d == 0:
-        return HomoPoly(nvars, 0, {(0,) * nvars: Fraction(1)})
-    cs = [coefs[i] for i in support]
-    acc: Dict[Monomial, object] = {}
-    if all(isinstance(c, Fraction) for c in cs):
-        den = lcm(*(c.denominator for c in cs))
-        ints = [c.numerator * (den // c.denominator) for c in cs]
-        den_d = den**d
-        for m, t in _int_power_terms(ints, d, nvars, support):
-            acc[m] = Fraction(t, den_d)
-    elif all(isinstance(c, EpsScalar) and c.is_polynomial for c in cs):
+    if not summands:
+        return HomoPoly._make(nvars, degree, {})
+    if isinstance(summands[0][0], Fraction):
+        return _rational_power_sum(nvars, degree, summands)
+    if all(w.is_laurent and all(c.is_laurent for c in form) for w, form in summands):
+        return _laurent_power_sum(nvars, degree, summands)
+    return _scalar_power_sum(nvars, degree, summands)
+
+
+def _rational_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
+    """Integer expansion of rational summands.
+
+    A form with coefficients c_i = n_i / den contributes
+    w.numerator * multinomial * prod n_i**a_i over w.denominator * den**d;
+    contributions are scaled to the lcm L of those denominators and summed
+    as ints, and each surviving monomial gets one Fraction(v, L).
+    """
+    parts = []
+    L = 1
+    for w, form in summands:
+        support = [i for i, c in enumerate(form) if c]
+        den = lcm(*(form[i].denominator for i in support))
+        ints = [form[i].numerator * (den // form[i].denominator) for i in support]
+        D = w.denominator * den**degree
+        L = lcm(L, D)
+        parts.append((w.numerator, D, support, ints))
+    acc: dict = {}
+    for wn, D, support, ints in parts:
+        for m, t in _int_power_terms(ints, degree, nvars, support, wn * (L // D)):
+            acc[m] = acc.get(m, 0) + t
+    return HomoPoly._make(
+        nvars, degree, {m: Fraction(v, L) for m, v in acc.items() if v}
+    )
+
+
+def _laurent_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
+    """Integer expansion of summands whose denominators are powers of eps.
+
+    Each form is eps**v times a form over Z[eps]/den (v its least
+    coefficient valuation), and each weight eps**u times a polynomial over
+    Z[eps]/wden, so a summand is eps**(u + v*d) times an integer
+    expansion over wden * den**d.  Contributions are scaled to the lcm L of
+    those denominators and summed per monomial as {eps-exponent: int};
+    each surviving monomial gets one canonical EpsScalar.
+    """
+    parts = []
+    L = 1
+    for w, form in summands:
+        support = [i for i, c in enumerate(form) if c]
+        cs = [form[i] for i in support]
+        v = min(c.valuation() for c in cs)
         den = lcm(*(a.denominator for c in cs for _, a in c.num.pairs()))
-        lists = [_int_eps_list(c.num, den) for c in cs]
-        den_d = den**d
-        for m, t in _int_power_terms(lists, d, nvars, support, [1]):
-            acc[m] = EpsScalar._from_laurent(
-                {e: Fraction(v, den_d) for e, v in enumerate(t) if v}
-            )
-    else:
-        tables = [_power_table(c, d, None) for c in cs]
-        for m, alpha, mult in _support_terms(d, nvars, tuple(support)):
+        lists = [_int_eps_list(c.num, den, -c.den.degree() - v) for c in cs]
+        u = w.valuation()
+        wden = lcm(*(a.denominator for _, a in w.num.pairs()))
+        wl = _int_eps_list(w.num, wden, -w.num.valuation())
+        D = wden * den**degree
+        L = lcm(L, D)
+        parts.append((u + v * degree, D, support, lists, wl))
+    acc: dict = {}
+    for shift, D, support, lists, wl in parts:
+        s = L // D
+        for m, t in _int_power_terms(lists, degree, nvars, support, [s * x for x in wl]):
+            row = acc.get(m)
+            if row is None:
+                row = acc[m] = {}
+            for i, x in enumerate(t, shift):
+                if x:
+                    row[i] = row.get(i, 0) + x
+    out = {}
+    for m, row in acc.items():
+        terms = {e: Fraction(x, L) for e, x in row.items() if x}
+        if terms:
+            out[m] = EpsScalar._from_laurent(terms)
+    return HomoPoly._make(nvars, degree, out)
+
+
+def _scalar_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
+    """sum of w * form**degree, accumulated scalar by scalar into one dict.
+
+    Each term is the multinomial times one entry of a table of powers per
+    support variable, times the weight.
+    """
+    acc: dict = {}
+    for w, form in summands:
+        support = [i for i, c in enumerate(form) if c]
+        tables = [_power_table(form[i], degree, None) for i in support]
+        for m, alpha, mult in _support_terms(degree, nvars, tuple(support)):
             t = Fraction(mult)
             for a, table in zip(alpha, tables):
                 if a:
                     t = t * table[a]
+            t = t * w
+            prev = acc.get(m)
+            if prev is not None:
+                t = prev + t
+                if not t:
+                    del acc[m]
+                    continue
             acc[m] = t
-    return HomoPoly._make(nvars, d, acc)
+    return HomoPoly._make(nvars, degree, acc)
+
+
+def _form_power(coefs: Sequence[object], d: int, nvars: int) -> HomoPoly:
+    """(c . x)**d as a one-summand power sum with weight 1.
+
+    The weight is of the coefficients' kind; a row that mixes Fractions and
+    EpsScalars takes the scalar loop with weight Fraction(1), so each output
+    coefficient keeps the kind of the scalars it multiplies.
+    """
+    if not any(coefs):
+        return HomoPoly.zero(nvars, d)
+    if d == 0:
+        return HomoPoly(nvars, 0, {(0,) * nvars: Fraction(1)})
+    if all(isinstance(c, Fraction) for c in coefs):
+        return power_sum(nvars, d, ((Fraction(1), coefs),))
+    if all(isinstance(c, EpsScalar) for c in coefs):
+        return power_sum(nvars, d, ((EpsScalar.one(), coefs),))
+    return _scalar_power_sum(nvars, d, ((Fraction(1), coefs),))
 
 
 class LinearForm(tuple):

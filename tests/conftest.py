@@ -68,6 +68,18 @@ def rand_poly(rng, nvars, degree, height=9):
             return HomoPoly(nvars, degree, terms)
 
 
+def repeated_product(coefs, d):
+    """l * l * ... * l through HomoPoly multiplication alone."""
+    n = len(coefs)
+    out = HomoPoly(n, 0, {(0,) * n: Fraction(1)})
+    linear = HomoPoly(n, 1, {
+        tuple(1 if j == i else 0 for j in range(n)): c for i, c in enumerate(coefs) if c
+    })
+    for _ in range(d):
+        out = out * linear
+    return out
+
+
 def is_unit_at_zero(M):
     """All entries of the EpsMatrix M regular at 0 and M(0) invertible over Q."""
     try:

@@ -352,6 +352,33 @@ def test_multiply_by_power_general_products():
             assert verify_waring(out, W.expand() * z.power(k))
 
 
+@st.composite
+def power_products(draw):
+    """(W, z, k): a rational W of 1-3 summands in 2-3 variables and degree
+    1-4, a multiplier z that is random or a multiple of one of W's forms,
+    and k in 1..3."""
+    n = draw(st.integers(2, 3))
+    e = draw(st.integers(1, 4))
+    coefs = st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n).filter(any)
+    weights = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    summands = draw(st.lists(st.tuples(weights, coefs.map(LinearForm)), min_size=1, max_size=3))
+    W = WaringDecomposition(n, e, tuple(summands))
+    if draw(st.booleans()):
+        z = draw(st.sampled_from(summands))[1].scale(draw(weights))
+    else:
+        z = draw(coefs.map(LinearForm))
+    return W, z, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60)
+@given(power_products())
+def test_multiply_by_power_property(case):
+    W, z, k = case
+    out = multiply_by_power(W, z, k)
+    assert verify_waring(out, W.expand() * z.power(k))
+    assert out.rank() <= sum(W.degree + k + 1 for _ in W.summands)
+
+
 def test_multiply_by_power_validation():
     W = WaringDecomposition(2, 2, ((F(1), lf(F(1), F(1))),))
     with pytest.raises(ValueError):
@@ -488,6 +515,28 @@ def test_fault_in_diagonalized_weights_is_caught_by_the_branch_check(monkeypatch
     f, B = gen_multibase(5)
     with pytest.raises(InvariantError, match="branch certificate"):
         deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))
+
+
+@pytest.mark.parametrize("make,cfg", [
+    # the local cofactor times a power of x0, in ``_dense_base``
+    pytest.param(lambda: gen_tangent(5), DeborderConfig(), id="tangent5-default"),
+    # the branch (z_1, order 3) times z_1**3, in ``_split``'s reassembly; the
+    # branch's own product is x0 times x0, which takes the parallel shortcut
+    pytest.param(lambda: gen_osculating(6, 3), DeborderConfig(y_size=1, base_threshold=1),
+                 id="osculating63-split"),
+])
+def test_fault_in_an_interpolation_weight_is_caught(monkeypatch, make, cfg):
+    real = _DEBORDER.solve_vandermonde
+
+    def perturbed(nodes, rhs):
+        out = real(nodes, rhs)
+        out[-1] += 1
+        return out
+
+    f, B = make()
+    monkeypatch.setattr(_DEBORDER, "solve_vandermonde", perturbed)
+    with pytest.raises(InvariantError, match="power multiplication changed the polynomial"):
+        deborder(f, B, cfg)
 
 
 def test_partition_rejects_a_target_its_groups_do_not_sum_to():

@@ -24,10 +24,10 @@ from waring import (
     restrict_vars_zero,
     verify_waring,
 )
-from waring import decomp
+from waring import poly
 from waring.linalg import rat_inverse
 from waring.oracle import gen_random, gen_tangent, gen_multibase
-from conftest import F, eps, esc, lf, mono, unit_denominator_tangent
+from conftest import F, eps, esc, lf, mono, repeated_product, unit_denominator_tangent
 
 
 def x_var(n, i):
@@ -288,24 +288,17 @@ def test_restrict_vars_zero_commutes_with_expansion():
         assert R.expand() == B.expand().restrict_zero(kill)
 
 
-# -- expansion kernel against the scalar loop --------------------------------
+# -- expansion kernel against repeated multiplication ------------------------
 
 
-# The per-term scalar loop that the integer kernel replaced, kept as the
-# reference the properties below compare against.
+# Expansion by repeated HomoPoly multiplication, summand by summand: the
+# reference the properties below compare the kernel against, sharing no
+# code with it.
 def ref_weighted_power_sum(nvars, degree, summands):
-    acc = {}
+    out = HomoPoly.zero(nvars, degree)
     for w, form in summands:
-        for m, c in form.power(degree).items():
-            t = c * w
-            prev = acc.get(m)
-            if prev is not None:
-                t = prev + t
-                if not t:
-                    del acc[m]
-                    continue
-            acc[m] = t
-    return HomoPoly._make(nvars, degree, acc)
+        out = out + repeated_product(form, degree).scale(w)
+    return out
 
 
 def assert_same_expansion(D):
@@ -405,8 +398,8 @@ def test_exact_cancellation_is_degenerate(B):
 
 def test_only_non_monomial_denominators_take_the_scalar_loop(monkeypatch):
     calls = []
-    loop = decomp._scalar_power_sum
-    monkeypatch.setattr(decomp, "_scalar_power_sum", lambda *a: calls.append(1) or loop(*a))
+    loop = poly._scalar_power_sum
+    monkeypatch.setattr(poly, "_scalar_power_sum", lambda *a: calls.append(1) or loop(*a))
     f, B = gen_tangent(5)
     assert check_border(B, f).ok and check_border(normalize_border(B), f).ok
     assert calls == []

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export;
+every imported name is used, so a move cannot leave a stale import."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,37 @@ def test_every_name_in_all_resolves(name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as "HomoPoly | None"
+            try:
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+            except SyntaxError:
+                pass
+    return used
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used_or_exported(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    keep = _used_names(tree) | set(getattr(module, "__all__", []))
+    unused = sorted(set(_imported_names(tree)) - keep)
+    assert not unused, f"{name} imports names it never uses: {unused}"

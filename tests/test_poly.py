@@ -16,7 +16,7 @@ from waring import (
     monomials_of_degree,
 )
 from waring.poly import _form_power
-from conftest import F, esc, lf, mono, rand_poly
+from conftest import F, esc, lf, mono, rand_poly, repeated_product
 
 
 def test_falling_factorial_values():
@@ -204,18 +204,6 @@ quotient_scalars = st.builds(EpsScalar, eps_polys, eps_polys.filter(bool))
 def nonzero(coefs):
     # a linear form is never the zero vector
     return any(coefs)
-
-
-def repeated_product(coefs, d):
-    """l * l * ... * l through HomoPoly multiplication alone."""
-    n = len(coefs)
-    out = HomoPoly(n, 0, {(0,) * n: Fraction(1)})
-    linear = HomoPoly(n, 1, {
-        tuple(1 if j == i else 0 for j in range(n)): c for i, c in enumerate(coefs) if c
-    })
-    for _ in range(d):
-        out = out * linear
-    return out
 
 
 def assert_power_matches(coefs, d):
