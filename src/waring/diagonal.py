@@ -25,6 +25,12 @@ candidate's reduced valuation exceeds every pivot valuation, membership in
 the Q(eps)-span of the pivots certifies membership in the ring-span (in the
 pivot basis all its coordinates then have positive valuation), so it is
 declared zero.  That check is exact linear algebra over Q(eps).
+
+The pivot search stops once it has nvars pivots.  One more pivot could not
+be framed into an nvars x nvars basis, so a further reduction step could
+only certify the remaining candidates zero; skipping it saves one
+Q(eps)-span check per candidate, and ``staircase_check`` still asserts
+every non-pivot row in the new coordinates.
 """
 
 from __future__ import annotations
@@ -51,8 +57,6 @@ from .errors import (
 from .linalg import EpsMatrix, eps_rref, rat_inverse, rat_rank, rat_solve
 from .poly import HomoPoly, LinearForm, falling_factorial
 
-Vector = Tuple[EpsScalar, ...]
-
 _REDUCE_CAP = 10_000
 
 
@@ -62,7 +66,7 @@ class Pivot:
 
     original_index: int
     valuation: int
-    vector: Vector
+    vector: Tuple[EpsScalar, ...]
     lead: Tuple[Fraction, ...]
 
 
@@ -111,12 +115,14 @@ def _vec_lead(v: Sequence[EpsScalar], val: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _in_eps_span(pivots: Sequence[Pivot], v: Vector) -> bool:
+def _in_eps_span(pivots: Sequence[Pivot], v: Tuple[EpsScalar, ...]) -> bool:
     vecs = [p.vector for p in pivots]
     return len(eps_rref(vecs + [v])[1]) == len(vecs)
 
 
-def _reduce_vector(vec: Vector, pivots: Sequence[Pivot]) -> Optional[Tuple[int, Vector]]:
+def _reduce_vector(
+    vec: Tuple[EpsScalar, ...], pivots: Sequence[Pivot]
+) -> Optional[Tuple[int, Tuple[EpsScalar, ...]]]:
     """Reduce against the pivots; None means certified zero in the ring-span.
 
     Only full leading-coefficient cancellations are performed (partial in-span
@@ -160,7 +166,7 @@ def dvr_reduce_step(
     minimal reduced valuation and breaking ties by smallest index.  Raises
     NoPivotError when every candidate reduces to zero.
     """
-    best: Optional[Tuple[int, int, Vector]] = None
+    best: Optional[Tuple[int, int, Tuple[EpsScalar, ...]]] = None
     for idx, form in enumerate(candidates):
         res = _reduce_vector(tuple(form.coefs), pivots)
         if res is None:
@@ -191,7 +197,7 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
 
     pivots: List[Pivot] = []
     remaining = list(range(len(Bn.summands)))
-    while remaining:
+    while remaining and len(pivots) < n:
         try:
             j, val, red = dvr_reduce_step([Bn.summands[i][1] for i in remaining], pivots)
         except NoPivotError:

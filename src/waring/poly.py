@@ -22,6 +22,14 @@ the lcm of the summands' denominators.  Only then is one Fraction or one
 canonical EpsScalar built per monomial.  Any other denominator, such as
 1/(1+eps), makes the whole sum fall back to multiplying and adding the
 scalars term by term.
+
+``HomoPoly.substitute_linear`` uses the same integers when every
+coefficient and every row entry is a Fraction: each row is cleared to an
+integer vector over its lcm denominator, its powers come from
+``_int_power_terms`` once per (row, exponent), the integer products are
+summed per monomial over the lcm of the terms' denominators, and one
+Fraction is built per output monomial.  Rows holding EpsScalars multiply
+and add scalars.
 """
 
 from __future__ import annotations
@@ -225,17 +233,19 @@ class HomoPoly:
         """p(Mx) where variable i is replaced by the linear form rows[i].
 
         rows must be an nvars x nvars matrix of scalars compatible with the
-        coefficient kind.  Exact expansion; no truncation anywhere.
+        coefficient kind.  Exact expansion; no truncation anywhere.  Rational
+        input runs on integers (``_rational_substitute``).
         """
         n = self.nvars
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("substitution matrix has wrong shape")
         if self.is_zero:
             return self
-        forms = []
-        for r in rows:
-            coefs = tuple(_as_coeff(c) for c in r)
-            forms.append(coefs)
+        forms = [tuple(_as_coeff(c) for c in r) for r in rows]
+        if all(isinstance(c, Fraction) for c in self._terms.values()) and all(
+            isinstance(c, Fraction) for r in forms for c in r
+        ):
+            return _rational_substitute(self, forms)
         power_cache: Dict[Tuple[int, int], HomoPoly] = {}
 
         def var_power(i: int, e: int) -> HomoPoly:
@@ -465,6 +475,62 @@ def _rational_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
     return HomoPoly._make(
         nvars, degree, {m: Fraction(v, L) for m, v in acc.items() if v}
     )
+
+
+def _int_terms_mul(a, b) -> dict:
+    """Product of two sparse integer polynomials given as (monomial, int)
+    pairs; the result is a dict."""
+    out: dict = {}
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = tuple(map(operator.add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
+    """p(Mx) for rational p and rational rows, on integers.
+
+    Row i is cleared to an integer vector over its lcm denominator den_i,
+    and its powers come from ``_int_power_terms``, once per (row, exponent).
+    A term c * x**m then contributes c.numerator times the integer product
+    of its row powers over c.denominator * prod den_i**m_i; contributions
+    are scaled to the lcm L of those denominators and summed as ints, and
+    each surviving monomial gets one Fraction(v, L).
+    """
+    n = p.nvars
+    rows = []
+    for form in forms:
+        support = [i for i, c in enumerate(form) if c]
+        den = lcm(*(form[i].denominator for i in support))
+        ints = [form[i].numerator * (den // form[i].denominator) for i in support]
+        rows.append((den, support, ints))
+    parts = []
+    L = 1
+    for m, c in p._terms.items():
+        D = c.denominator
+        for (den, support, _), e in zip(rows, m):
+            if e:
+                if not support:  # a zero row kills the term
+                    break
+                D *= den**e
+        else:
+            L = lcm(L, D)
+            parts.append((m, c.numerator, D))
+    cache: Dict[Tuple[int, int], list] = {}
+    acc: dict = {}
+    for m, num, D in parts:
+        piece = [((0,) * n, num * (L // D))]
+        for i, e in enumerate(m):
+            if e:
+                got = cache.get((i, e))
+                if got is None:
+                    _, support, ints = rows[i]
+                    got = cache[i, e] = _int_power_terms(ints, e, n, support)
+                piece = _int_terms_mul(piece, got).items()
+        for k, v in piece:
+            acc[k] = acc.get(k, 0) + v
+    return HomoPoly._make(n, p.degree, {m: Fraction(v, L) for m, v in acc.items() if v})
 
 
 def _laurent_power_sum(nvars: int, degree: int, summands) -> HomoPoly:

@@ -16,7 +16,9 @@ from waring import (
     diagonalize,
     dvr_reduce_step,
     falling_factorial,
+    normalize_border,
 )
+from waring import diagonal
 from waring.diagonal import Pivot
 from waring.linalg import EpsMatrix
 from waring.oracle import gen_multibase, gen_random, gen_tangent
@@ -176,3 +178,41 @@ def test_derivative_counts_and_targets_on_random_corpus():
                     assert check_border(out, target).ok
                     checked += 1
     assert checked > 20
+
+
+def test_pivot_search_stops_at_nvars_pivots_and_drops_nothing(monkeypatch):
+    # One reduce step per pivot; a step past that is taken only when the
+    # search runs out of candidates before nvars pivots, and it must raise
+    # NoPivotError.  With nvars pivots the leftovers are not reduced, and
+    # reducing them against the final pivots certifies every one zero.
+    from test_golden_documents import dense_certificate
+
+    calls = []
+    real = diagonal.dvr_reduce_step
+
+    def counted(candidates, pivots):
+        calls.append(pivots)
+        return real(candidates, pivots)
+
+    monkeypatch.setattr(diagonal, "dvr_reduce_step", counted)
+    cases = [dense_certificate(21, 4, 3, (1, 2), 4), dense_certificate(22, 5, 3, (2,), 3)]
+    cases += [gen_random(n, d, r, seed=s)
+              for n, d, r in [(2, 3, 3), (3, 3, 5), (4, 3, 6), (4, 3, 4), (3, 3, 2)]
+              for s in range(3)]
+    stopped = 0
+    for f, B in cases:
+        calls.clear()
+        D = diagonalize(B, f)
+        n, leftovers = B.nvars, D.perm[D.p:]
+        if D.p == n or not leftovers:
+            assert len(calls) == D.p
+        else:
+            assert len(calls) == D.p + 1
+        if D.p == n and leftovers:
+            stopped += 1
+            forms = [normalize_border(B).summands[i][1] for i in leftovers]
+            # every step is handed the one list that diagonalize appends to,
+            # so the last call's argument now holds all the pivots
+            with pytest.raises(NoPivotError):
+                real(forms, calls[-1])
+    assert stopped >= 5  # the corpus exercises the stop (9 of its 17 inputs)

@@ -1,9 +1,13 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
-every imported name is used, so a move cannot leave a stale import."""
+every imported name is used, so a move cannot leave a stale import; a
+re-import leaves no earlier generation of the package alive."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,32 @@ def test_every_imported_name_is_used_or_exported(name):
     keep = _used_names(tree) | set(getattr(module, "__all__", []))
     unused = sorted(set(_imported_names(tree)) - keep)
     assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+def test_reimporting_the_package_keeps_no_old_generation_alive():
+    # A module-level typing subscript such as Tuple[EpsScalar, ...] lands in
+    # typing's global cache, which then pins that import's classes and,
+    # through their methods' globals, the whole old module namespace.  The
+    # count runs in a fresh interpreter, so this suite's imports stay as
+    # they are.
+    code = textwrap.dedent(
+        """
+        import gc, importlib, sys
+        sys.path.insert(0, sys.argv[1])
+        importlib.import_module("waring")
+        for _ in range(5):
+            for name in list(sys.modules):
+                if name.split(".")[0] == "waring":
+                    del sys.modules[name]
+            importlib.import_module("waring")
+        gc.collect()
+        print(sum(1 for o in gc.get_objects()
+                  if isinstance(o, dict) and o.get("__name__") == "waring.epsilon"))
+        """
+    )
+    src = str(Path(waring.__file__).resolve().parent.parent)
+    res = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "1"

@@ -12,9 +12,12 @@ from waring import (
     EpsScalar,
     HomoPoly,
     LinearForm,
+    SingularMatrixError,
     falling_factorial,
     monomials_of_degree,
+    poly,
 )
+from waring.linalg import rat_inverse
 from waring.poly import _form_power
 from conftest import F, esc, lf, mono, rand_poly, repeated_product
 
@@ -242,3 +245,88 @@ def test_form_power_with_quotient_coefficients(coefs, d):
 def test_form_power_mixed_scalar_kinds(coefs, d):
     # substitute_linear may hand over rows mixing Fractions and EpsScalars
     assert_power_matches(coefs, d)
+
+
+# -- substitute_linear over Q against a product of row powers ------------------
+
+
+def ref_substitute(f, rows):
+    """f(Mx) as a sum over monomials of products of row powers, each power a
+    repeated product."""
+    n = f.nvars
+    total = HomoPoly.zero(n, f.degree)
+    for m, c in f.items():
+        piece = HomoPoly(n, 0, {(0,) * n: F(1)})
+        for row, e in zip(rows, m):
+            piece = piece * repeated_product(row, e)
+        total = total + piece.scale(c)
+    return total
+
+
+def assert_substitution_matches(f, rows):
+    got = f.substitute_linear(rows)
+    want = ref_substitute(f, rows)
+    assert (got.nvars, got.degree) == (want.nvars, want.degree)
+    assert dict(got.items()) == dict(want.items())
+    assert all(type(c) is Fraction for _, c in got.items())
+
+
+# zero entries often, small and large denominators, both signs
+entries = st.one_of(
+    st.just(F(0)),
+    small_fractions,
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+)
+
+
+@st.composite
+def rational_substitutions(draw, max_degree=4):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, max_degree))
+    rows = draw(st.lists(
+        st.one_of(st.just([F(0)] * n), st.lists(entries, min_size=n, max_size=n)),
+        min_size=n, max_size=n))
+    monos = monomials_of_degree(n, d)
+    terms = draw(st.dictionaries(st.sampled_from(monos), entries, max_size=len(monos)))
+    return HomoPoly(n, d, terms), rows
+
+
+@PROPERTY
+@given(rational_substitutions())
+def test_rational_substitute_linear_matches_row_products(case):
+    # zero polynomials, degree 0 and zero rows included
+    f, rows = case
+    assert_substitution_matches(f, rows)
+
+
+@PROPERTY
+@given(rational_substitutions(max_degree=3), st.data())
+def test_rational_substitute_linear_round_trips_through_the_inverse(case, data):
+    f, rows = case
+    try:
+        inv = rat_inverse(rows)
+    except SingularMatrixError:
+        # an invertible unit-triangular matrix with the drawn upper part
+        n = len(rows)
+        rows = [[F(1) if i == j else (r[j] if j > i else F(0)) for j in range(n)]
+                for i, r in enumerate(rows)]
+        inv = rat_inverse(rows)
+    g = f.substitute_linear(rows)
+    assert_substitution_matches(f, rows)
+    assert g.substitute_linear(inv) == f
+
+
+def test_only_rational_rows_and_coefficients_take_the_integer_substitution(monkeypatch):
+    calls = []
+    real = poly._rational_substitute
+    monkeypatch.setattr(poly, "_rational_substitute",
+                        lambda p, forms: calls.append(1) or real(p, forms))
+    f = HomoPoly(2, 2, {(2, 0): F(1, 3), (1, 1): F(-2)})
+    rows = [[1, F(1, 2)], [F(0), F(-5, 7)]]  # ints count as rational
+    f.substitute_linear(rows)
+    assert len(calls) == 1
+    eps_rows = [[EpsScalar.one(), esc((1, 1))], [EpsScalar.zero(), EpsScalar.one()]]
+    g = f.substitute_linear(eps_rows)
+    f.lift_to_eps().substitute_linear([[F(1), F(2)], [F(0), F(1)]])
+    assert len(calls) == 1
+    assert all(isinstance(c, EpsScalar) for _, c in g.items())
