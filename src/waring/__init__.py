@@ -5,7 +5,15 @@ of weighted powers of linear forms over Q(eps) whose limit at eps = 0 is f
 -- this package produces an explicit weighted Waring decomposition of f
 over Q, exactly verified against f, together with diagnostics and
 independent rank oracles.
+
+The two route modules, ``waring.diagonal`` and ``waring.deborder``, load on
+first use of one of their names here (or on their own import), so the
+command-line steps that never deborder do not pay for them.
 """
+
+import importlib
+import sys
+import types
 
 from .epsilon import EpsPoly, EpsScalar
 from .poly import HomoPoly, LinearForm, falling_factorial, monomials_of_degree
@@ -21,25 +29,6 @@ from .decomp import (
     normalize_border,
     restrict_vars_zero,
     verify_waring,
-)
-from .diagonal import (
-    DiagonalizedDecomposition,
-    derivative_decomposition,
-    diagonalize,
-    dvr_reduce_step,
-    staircase_check,
-)
-from .deborder import (
-    DeborderConfig,
-    DeborderReport,
-    TraceRecord,
-    deborder,
-    dense_decompose,
-    extract_local_cofactor,
-    multiply_by_power,
-    paper_bound,
-    partition_into_local,
-    split_and_group,
 )
 from .oracle import (
     catalecticant_bound,
@@ -63,6 +52,72 @@ from .errors import (
 from .serialize import FormatError
 
 __version__ = "0.1.0"
+
+# name -> route module that defines it, imported on first access
+_DEFERRED = {
+    **dict.fromkeys(
+        (
+            "DiagonalizedDecomposition",
+            "derivative_decomposition",
+            "diagonalize",
+            "dvr_reduce_step",
+            "staircase_check",
+        ),
+        "diagonal",
+    ),
+    **dict.fromkeys(
+        (
+            "DeborderConfig",
+            "DeborderReport",
+            "TraceRecord",
+            "deborder",
+            "dense_decompose",
+            "extract_local_cofactor",
+            "multiply_by_power",
+            "paper_bound",
+            "partition_into_local",
+            "split_and_group",
+        ),
+        "deborder",
+    ),
+}
+
+
+def _bind(namespace, home, module):
+    for key, where in _DEFERRED.items():
+        if where == home:
+            namespace[key] = getattr(module, key)
+
+
+class _Package(types.ModuleType):
+    """Binds a route module's names on the package as the module loads.
+
+    Importing ``waring.deborder`` by any route binds the submodule on the
+    package under ``deborder``; binding its names right after puts the
+    function back there.  Each name gets its original object, which is what
+    a patch of the submodule's bindings looks for.
+    """
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if isinstance(value, types.ModuleType):
+            _bind(vars(self), name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+def __getattr__(name):
+    home = _DEFERRED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(globals(), home, importlib.import_module(f"{__name__}.{home}"))
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_DEFERRED))
+
 
 __all__ = [
     "BorderCheck",

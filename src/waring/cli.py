@@ -4,6 +4,10 @@ Exit codes: 0 success / verified; 1 exact verification failed (a witness is
 printed); 2 malformed input or invalid parameters; 3 a runtime-checked
 structural hypothesis failed, reported as a JSON line
 {"lemma": tag, "message": ..., "witness": ...} on standard error.
+
+Only ``deborder`` and ``bound`` import the route modules (``waring.deborder``
+and, through it, ``waring.diagonal``), inside their commands, so ``gen``,
+``verify`` and ``oracle`` neither load nor compile them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import json
 import sys
 from dataclasses import asdict
 
-from .deborder import DeborderConfig, bound_digits, deborder, paper_bound
 from .decomp import check_border
 from .errors import (
     CertificateCheckError,
@@ -94,6 +97,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_deborder(args) -> int:
+    from .deborder import DeborderConfig, deborder
+
     _, B = read_document(args.border, "border")
     _, f = read_document(args.poly, "polynomial")
     cfg = DeborderConfig(base_threshold=args.base_threshold, y_size=args.y_size)
@@ -129,6 +134,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .deborder import bound_digits, paper_bound
+
     # Python refuses to print an int longer than its string conversion
     # limit (0: none; Python before 3.10.7 has none), so a ceiling past it
     # is refused before it is computed

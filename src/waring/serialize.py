@@ -10,13 +10,16 @@ so serialization is deterministic and diffable, and parse(serialize(x))
 reproduces x exactly.
 
 Malformed input raises FormatError, which the command-line layer maps to
-exit code 2.
+exit code 2.  So does a declared shape past the ceilings below, checked
+before anything is built from it: expanding a power enumerates every
+monomial of the degree and every factorial up to it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Tuple
 
 from .decomp import BorderDecomposition, WaringDecomposition
@@ -25,6 +28,9 @@ from .poly import HomoPoly, LinearForm
 
 DOCUMENT_VERSION = 1
 KINDS = ("polynomial", "border", "waring", "report")
+MAX_NVARS = 100
+MAX_DEGREE = 1000
+MAX_MONOMIALS = 100_000  # C(nvars + degree - 1, degree)
 
 
 class FormatError(ValueError):
@@ -104,6 +110,16 @@ def _shape_of(obj) -> Tuple[int, int]:
     degree = obj.get("degree")
     if not _is_int(nvars) or not _is_int(degree):
         raise FormatError("nvars and degree must be integers")
+    if nvars > MAX_NVARS or degree > MAX_DEGREE:
+        raise FormatError(
+            f"shape ({nvars} variables, degree {degree}) is past the ceilings "
+            f"of {MAX_NVARS} variables and degree {MAX_DEGREE}"
+        )
+    if nvars >= 1 and degree >= 0 and comb(nvars + degree - 1, degree) > MAX_MONOMIALS:
+        raise FormatError(
+            f"{nvars} variables of degree {degree} have more than "
+            f"{MAX_MONOMIALS} monomials"
+        )
     return nvars, degree
 
 
@@ -285,6 +301,9 @@ __all__ = [
     "FormatError",
     "DOCUMENT_VERSION",
     "KINDS",
+    "MAX_DEGREE",
+    "MAX_MONOMIALS",
+    "MAX_NVARS",
     "border_from_json",
     "border_to_json",
     "dumps_document",

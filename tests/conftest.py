@@ -1,9 +1,12 @@
 """Shared builders and invariant checkers for the test suite."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import settings
 
+import waring
 from waring import (
     BorderDecomposition,
     EpsPoly,
@@ -24,6 +27,13 @@ from waring.linalg import rat_inverse, rat_rank
 # database, and have no per-example deadline on a loaded host
 settings.register_profile("waring", deadline=None, derandomize=True, database=None)
 settings.load_profile("waring")
+
+
+# environment for a fresh `python -m waring.cli` process that imports the
+# package under test
+FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(waring.__file__).resolve().parent.parent)]
+    + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def F(a, b=1):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and diagnostics."""
 
+import importlib
 import io
 import json
 import shutil
@@ -14,8 +15,8 @@ import pytest
 from waring import CertificateCheckError, DeborderConfig, EpsScalar, LinearForm, paper_bound
 from waring.cli import main
 from waring.decomp import BorderDecomposition
-from waring.serialize import parse_document, read_document, write_document
-from conftest import F, mono
+from waring.serialize import MAX_DEGREE, parse_document, read_document, write_document
+from conftest import FRESH_ENV, F, mono
 
 
 def run_cli(argv):
@@ -171,6 +172,19 @@ def test_malformed_input_is_exit_two(workdir):
     assert code == 2 and "error:" in err
 
 
+def test_oversized_documents_exit_two_before_any_work(workdir):
+    # one step past the degree ceiling: a single power x^1001 to verify
+    shape = {"nvars": 2, "degree": MAX_DEGREE + 1}
+    summand = {"weight": "1", "form": {"coefs": ["1", "0"]}}
+    for name, kind, payload in (("p.json", "polynomial", {**shape, "terms": []}),
+                                ("w.json", "waring", {**shape, "summands": [summand]})):
+        doc = {"kind": kind, "version": 1, "payload": payload}
+        (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["verify", "--type", "waring", "w.json", "p.json"], ["oracle", "p.json"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and "ceiling" in err
+
+
 def test_deborder_rejects_y_size_below_one(workdir):
     run_cli(["gen", "--family", "tangent", "--d", "4"])
     for bad in ("0", "-2"):
@@ -258,7 +272,9 @@ def test_lemma_failure_maps_to_exit_three(workdir, monkeypatch):
             "group-convergence", "a group diverges", witness={"base": ["1/1", "0/1"]}
         )
 
-    monkeypatch.setattr("waring.cli.deborder", boom)
+    # cmd_deborder imports the route when it runs, so the patch goes on the
+    # binding that import reads
+    monkeypatch.setattr(importlib.import_module("waring.deborder"), "deborder", boom)
     code, _, err = run_cli(
         ["deborder", "--border", "tangent_d3_border.json", "--poly", "tangent_d3_poly.json"]
     )
@@ -268,7 +284,19 @@ def test_lemma_failure_maps_to_exit_three(workdir, monkeypatch):
     assert diag["witness"] == {"base": ["1/1", "0/1"]}
 
 
-def test_installed_entry_point_roundtrip(tmp_path):
+def test_module_entry_point_roundtrip(tmp_path):
+    res = subprocess.run(
+        [sys.executable, "-m", "waring.cli", "bound", "--d", "2", "--r", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=FRESH_ENV,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "2"
+
+
+def test_installed_entry_point_roundtrip():
     exe = shutil.which("waring")
     if exe is None:
         pytest.skip("console script not on PATH")
@@ -277,9 +305,3 @@ def test_installed_entry_point_roundtrip(tmp_path):
     )
     assert res.returncode == 0
     assert res.stdout.strip() == "54242"
-    res2 = subprocess.run(
-        [sys.executable, "-m", "waring.cli", "bound", "--d", "2", "--r", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert res2.returncode == 0 and res2.stdout.strip() == "2"

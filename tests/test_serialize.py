@@ -4,6 +4,7 @@ import json
 import random
 from dataclasses import asdict
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,6 +12,9 @@ from waring import DeborderConfig, EpsPoly, EpsScalar, FormatError, deborder
 from waring.deborder import dense_decompose
 from waring.oracle import gen_random, gen_tangent
 from waring.serialize import (
+    MAX_DEGREE,
+    MAX_MONOMIALS,
+    MAX_NVARS,
     border_from_json,
     border_to_json,
     dumps_document,
@@ -214,6 +218,27 @@ def test_json_booleans_are_not_integers():
     with pytest.raises(FormatError):
         parse_document(json.dumps({**json.loads(dumps_document("polynomial", f)),
                                    "version": True}))
+
+
+def test_shapes_past_the_ceilings_are_refused():
+    # the first trivariate degree past the monomial ceiling, and the last inside it
+    d = next(d for d in range(MAX_DEGREE) if comb(d + 2, 2) > MAX_MONOMIALS)
+    past = [(MAX_NVARS + 1, 1), (1, MAX_DEGREE + 1), (3, d)]
+    inside = [(MAX_NVARS, 1), (2, MAX_DEGREE), (3, d - 1)]
+    one = {"num": [[0, "1/1"]], "den": [[0, "1/1"]]}
+    for nvars, degree in past:
+        payloads = {
+            "polynomial": {"terms": []},
+            "waring": {"summands": [{"weight": "1", "form": {"coefs": ["1"] * nvars}}]},
+            "border": {"summands": [{"weight": one, "form": {"coefs": [one] * nvars}}]},
+        }
+        for kind, payload in payloads.items():
+            doc = {"kind": kind, "version": 1,
+                   "payload": {"nvars": nvars, "degree": degree, **payload}}
+            with pytest.raises(FormatError, match="ceiling|monomials"):
+                parse_document(json.dumps(doc))
+    for nvars, degree in inside:
+        assert poly_from_json({"nvars": nvars, "degree": degree, "terms": []}).is_zero
 
 
 def test_decomposition_payload_validation():
