@@ -83,12 +83,6 @@ _DEFERRED = {
 }
 
 
-def _bind(namespace, home, module):
-    for key, where in _DEFERRED.items():
-        if where == home:
-            namespace[key] = getattr(module, key)
-
-
 class _Package(types.ModuleType):
     """Binds a route module's names on the package as the module loads.
 
@@ -101,7 +95,9 @@ class _Package(types.ModuleType):
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if isinstance(value, types.ModuleType):
-            _bind(vars(self), name, value)
+            for key, home in _DEFERRED.items():
+                if home == name:
+                    super().__setattr__(key, getattr(value, key))
 
 
 sys.modules[__name__].__class__ = _Package
@@ -111,7 +107,8 @@ def __getattr__(name):
     home = _DEFERRED.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(globals(), home, importlib.import_module(f"{__name__}.{home}"))
+    # binding the loaded module on the package binds its names (_Package)
+    importlib.import_module(f"{__name__}.{home}")
     return globals()[name]
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from math import comb
 
 from .decomp import check_border
 from .errors import (
@@ -27,11 +28,18 @@ from .errors import (
 from .oracle import catalecticant_bound, gen_family, sylvester_rank
 from .serialize import (
     FormatError,
+    check_shape,
     dumps_document,
     read_document,
     report_to_json,
     write_document,
 )
+
+# `oracle` builds the s-th catalecticant for every s, comb(degree +
+# 2 nvars - 1, degree) entries in all.  At this ceiling a form with small
+# nonzero coefficients throughout takes about 11 s on a 2-vCPU host; the
+# largest shipped input, multibase d = 12, needs 50,388.
+MAX_CATALECTICANT_ENTRIES = 60_000
 
 
 def _out(obj) -> None:
@@ -52,6 +60,7 @@ def cmd_gen(args) -> int:
     stem = "_".join(bits)
     poly_path = args.out_poly or f"{stem}_poly.json"
     border_path = args.out_border or f"{stem}_border.json"
+    check_shape(f.nvars, f.degree)  # before writing what the read-back refuses
     write_document(poly_path, "polynomial", f)
     write_document(border_path, "border", B)
     # read back and verify what actually landed on disk
@@ -117,6 +126,14 @@ def cmd_oracle(args) -> int:
     if args.binary and f.nvars != 2:
         print(
             f"error: --binary needs a 2-variable form, got {f.nvars} variables",
+            file=sys.stderr,
+        )
+        return 2
+    entries = comb(f.degree + 2 * f.nvars - 1, f.degree)
+    if entries > MAX_CATALECTICANT_ENTRIES:
+        print(
+            f"error: the catalecticants have {entries} entries in all, past the "
+            f"ceiling of {MAX_CATALECTICANT_ENTRIES}",
             file=sys.stderr,
         )
         return 2

@@ -28,9 +28,14 @@ from .poly import HomoPoly, LinearForm
 
 DOCUMENT_VERSION = 1
 KINDS = ("polynomial", "border", "waring", "report")
-MAX_NVARS = 100
-MAX_DEGREE = 1000
-MAX_MONOMIALS = 100_000  # C(nvars + degree - 1, degree)
+# Shipped inputs reach 5 variables, degree 20 and 455 monomials.  At the
+# costliest shape inside these ceilings (3 variables, degree 61: 1953
+# monomials) expanding one border summand, the unit of work in `verify`,
+# takes about a second on a 2-vCPU host; from about 1000 variables the
+# monomial enumeration in poly passes Python's recursion limit.
+MAX_NVARS = 64
+MAX_DEGREE = 64
+MAX_MONOMIALS = 2000  # C(nvars + degree - 1, degree)
 
 
 class FormatError(ValueError):
@@ -103,13 +108,8 @@ def poly_to_json(f: HomoPoly) -> Dict:
     return {"nvars": f.nvars, "degree": f.degree, "terms": terms}
 
 
-def _shape_of(obj) -> Tuple[int, int]:
-    if not isinstance(obj, dict):
-        raise FormatError("payload must be an object")
-    nvars = obj.get("nvars")
-    degree = obj.get("degree")
-    if not _is_int(nvars) or not _is_int(degree):
-        raise FormatError("nvars and degree must be integers")
+def check_shape(nvars: int, degree: int) -> None:
+    """Raise FormatError for a shape past the ceilings."""
     if nvars > MAX_NVARS or degree > MAX_DEGREE:
         raise FormatError(
             f"shape ({nvars} variables, degree {degree}) is past the ceilings "
@@ -120,6 +120,16 @@ def _shape_of(obj) -> Tuple[int, int]:
             f"{nvars} variables of degree {degree} have more than "
             f"{MAX_MONOMIALS} monomials"
         )
+
+
+def _shape_of(obj) -> Tuple[int, int]:
+    if not isinstance(obj, dict):
+        raise FormatError("payload must be an object")
+    nvars = obj.get("nvars")
+    degree = obj.get("degree")
+    if not _is_int(nvars) or not _is_int(degree):
+        raise FormatError("nvars and degree must be integers")
+    check_shape(nvars, degree)
     return nvars, degree
 
 
@@ -306,6 +316,7 @@ __all__ = [
     "MAX_NVARS",
     "border_from_json",
     "border_to_json",
+    "check_shape",
     "dumps_document",
     "eps_poly_from_json",
     "eps_poly_to_json",

@@ -9,11 +9,12 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
+from math import comb
 
 import pytest
 
 from waring import CertificateCheckError, DeborderConfig, EpsScalar, LinearForm, paper_bound
-from waring.cli import main
+from waring.cli import MAX_CATALECTICANT_ENTRIES, main
 from waring.decomp import BorderDecomposition
 from waring.serialize import MAX_DEGREE, parse_document, read_document, write_document
 from conftest import FRESH_ENV, F, mono
@@ -183,6 +184,35 @@ def test_oversized_documents_exit_two_before_any_work(workdir):
     for argv in (["verify", "--type", "waring", "w.json", "p.json"], ["oracle", "p.json"]):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "" and "ceiling" in err
+
+
+def test_oracle_refuses_catalecticants_past_the_ceiling(workdir):
+    # x^d in 3 variables: degree 440 (97,461 monomials, catalecticants of
+    # about 6e8 entries), then the first degree past the catalecticant
+    # ceiling and the last one inside it
+    past = next(d for d in range(MAX_DEGREE) if comb(d + 5, d) > MAX_CATALECTICANT_ENTRIES)
+    for degree in (440, past, past - 1):
+        payload = {"nvars": 3, "degree": degree,
+                   "terms": [{"exps": [degree, 0, 0], "coef": "1"}]}
+        doc = {"kind": "polynomial", "version": 1, "payload": payload}
+        (workdir / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["oracle", "p.json"])
+        if degree < past:
+            assert code == 0 and json.loads(out)["catalecticant"] == [1] * (degree + 1)
+        else:
+            assert code == 2 and out == "" and "ceiling" in err
+
+
+def test_largest_shipped_family_passes_every_ceiling(workdir):
+    assert run_cli(["gen", "--family", "multibase", "--d", "12"])[0] == 0
+    code, out, _ = run_cli(["oracle", "multibase_d12_poly.json"])
+    assert code == 0 and json.loads(out)["catalecticant"] == [1] + [4] * 11 + [1]
+
+
+def test_gen_past_the_degree_ceiling_writes_nothing(workdir):
+    code, out, err = run_cli(["gen", "--family", "tangent", "--d", str(MAX_DEGREE + 1)])
+    assert code == 2 and out == "" and "ceiling" in err
+    assert list(workdir.iterdir()) == []
 
 
 def test_deborder_rejects_y_size_below_one(workdir):

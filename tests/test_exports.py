@@ -67,17 +67,18 @@ def test_reimporting_the_package_keeps_no_old_generation_alive():
     # typing's global cache, which then pins that import's classes and,
     # through their methods' globals, the whole old module namespace.  The
     # count runs in a fresh interpreter, so this suite's imports stay as
-    # they are.
+    # they are.  Each import reads a deferred name, so the route modules
+    # load too.
     code = textwrap.dedent(
         """
         import gc, importlib, sys
         sys.path.insert(0, sys.argv[1])
-        importlib.import_module("waring")
+        importlib.import_module("waring").DeborderConfig
         for _ in range(5):
             for name in list(sys.modules):
                 if name.split(".")[0] == "waring":
                     del sys.modules[name]
-            importlib.import_module("waring")
+            importlib.import_module("waring").DeborderConfig
         gc.collect()
         print(sum(1 for o in gc.get_objects()
                   if isinstance(o, dict) and o.get("__name__") == "waring.epsilon"))
