@@ -46,7 +46,14 @@ def _out(obj) -> None:
     print(json.dumps(obj, sort_keys=True, default=str))
 
 
+# variables of each generated family; ``random`` takes ``--nvars``
+_FAMILY_NVARS = {"tangent": 2, "osculating": 2, "multibase": 4}
+
+
 def cmd_gen(args) -> int:
+    nvars = _FAMILY_NVARS.get(args.family, args.nvars)
+    if args.d is not None and nvars is not None:
+        check_shape(nvars, args.d)  # before the generator runs or anything is written
     f, B = gen_family(
         args.family, d=args.d, j=args.j, nvars=args.nvars, rank=args.rank, seed=args.seed
     )
@@ -60,7 +67,6 @@ def cmd_gen(args) -> int:
     stem = "_".join(bits)
     poly_path = args.out_poly or f"{stem}_poly.json"
     border_path = args.out_border or f"{stem}_border.json"
-    check_shape(f.nvars, f.degree)  # before writing what the read-back refuses
     write_document(poly_path, "polynomial", f)
     write_document(border_path, "border", B)
     # read back and verify what actually landed on disk

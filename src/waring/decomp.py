@@ -7,7 +7,9 @@ always by exact expansion: a border decomposition certifies its limit
 polynomial iff every coefficient of the expanded sum has eps-valuation >= 0
 and the entrywise limit equals the target.
 
-Both ``expand`` methods call ``poly.power_sum``, the one expansion kernel.
+Both ``expand`` methods call ``poly.power_sum``, the one expansion kernel,
+and both ``substitute`` methods call ``poly.substitute_forms``, the one
+substitution kernel, once for all their forms.
 
 ``normalize_border`` brings a border certificate to the working shape the
 diagonalization step expects: per summand, the eps-content of the form is
@@ -26,7 +28,7 @@ from typing import List, Optional, Tuple
 from .epsilon import EpsPoly, EpsScalar
 from .errors import DegenerateDecompositionError, InvariantError
 from .linalg import rat_nullspace, rat_rank
-from .poly import HomoPoly, LinearForm, Monomial, power_sum
+from .poly import HomoPoly, LinearForm, Monomial, power_sum, substitute_forms
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +76,9 @@ class WaringDecomposition:
 
     def substitute(self, rows) -> "WaringDecomposition":
         """Apply the change of variables x -> Mx to every form."""
+        forms = substitute_forms([f for _, f in self.summands], rows)
         return WaringDecomposition(
-            self.nvars,
-            self.degree,
-            tuple((w, f.substitute(rows)) for w, f in self.summands),
+            self.nvars, self.degree, tuple(zip([w for w, _ in self.summands], forms))
         )
 
     def extend_vars(self, nvars: int) -> "WaringDecomposition":
@@ -125,10 +126,9 @@ class BorderDecomposition:
         )
 
     def substitute(self, rows) -> "BorderDecomposition":
+        forms = substitute_forms([f for _, f in self.summands], rows)
         return BorderDecomposition(
-            self.nvars,
-            self.degree,
-            tuple((w, f.substitute(rows)) for w, f in self.summands),
+            self.nvars, self.degree, tuple(zip([w for w, _ in self.summands], forms))
         )
 
     def extend_vars(self, nvars: int) -> "BorderDecomposition":

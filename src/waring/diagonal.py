@@ -24,13 +24,16 @@ x against (1-eps)x and the valuation climbs one step at a time).  Once a
 candidate's reduced valuation exceeds every pivot valuation, membership in
 the Q(eps)-span of the pivots certifies membership in the ring-span (in the
 pivot basis all its coordinates then have positive valuation), so it is
-declared zero.  That check is exact linear algebra over Q(eps).
+declared zero.  That check is exact linear algebra over Q(eps) against an
+echelon form of the pivot vectors, kept as pivots are found: a check
+reduces only the candidate, and each new pivot is folded in once.
 
 The pivot search stops once it has nvars pivots.  One more pivot could not
 be framed into an nvars x nvars basis, so a further reduction step could
-only certify the remaining candidates zero; skipping it saves one
-Q(eps)-span check per candidate, and ``staircase_check`` still asserts
-every non-pivot row in the new coordinates.
+only certify the remaining candidates zero; skipping it saves a reduction
+per candidate, and ``staircase_check`` still asserts every non-pivot row in
+the new coordinates.  The summands move to the new coordinates in one call
+of ``poly.substitute_forms``.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from .errors import (
     SingularMatrixError,
     ZeroDerivativeError,
 )
-from .linalg import EpsMatrix, eps_rref, rat_inverse, rat_rank, rat_solve
-from .poly import HomoPoly, LinearForm, falling_factorial
+from .linalg import EpsMatrix, rat_inverse, rat_rank, rat_solve
+from .poly import HomoPoly, LinearForm, falling_factorial, substitute_forms
 
 _REDUCE_CAP = 10_000
 
@@ -115,13 +118,44 @@ def _vec_lead(v: Sequence[EpsScalar], val: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _in_eps_span(pivots: Sequence[Pivot], v: Tuple[EpsScalar, ...]) -> bool:
-    vecs = [p.vector for p in pivots]
-    return len(eps_rref(vecs + [v])[1]) == len(vecs)
+class _Pivots(list):
+    """Pivots in selection order, with a row echelon form over Q(eps) of
+    their vectors.
+
+    Each echelon row is 1 at its pivot column and 0 at the pivot columns of
+    the rows before it, so one pass over the rows in order reduces a
+    vector.  ``spans`` first folds in the pivots appended since it last ran.
+    """
+
+    __slots__ = ("_rows", "_folded")
+
+    def __init__(self, pivots: Sequence[Pivot] = ()):
+        super().__init__(pivots)
+        self._rows: List[Tuple[int, List[EpsScalar]]] = []
+        self._folded = 0
+
+    def _residual(self, v: Sequence[EpsScalar]) -> List[EpsScalar]:
+        v = list(v)
+        for col, row in self._rows:
+            c = v[col]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        return v
+
+    def spans(self, v: Sequence[EpsScalar]) -> bool:
+        """rank(pivot vectors + [v]) == number of pivots, over Q(eps)."""
+        for pv in self[self._folded:]:
+            r = self._residual(pv.vector)
+            col = next((j for j, c in enumerate(r) if c), None)
+            if col is not None:
+                inv = 1 / r[col]
+                self._rows.append((col, [c * inv if c else c for c in r]))
+        self._folded = len(self)
+        return len(self._rows) + any(self._residual(v)) == len(self)
 
 
 def _reduce_vector(
-    vec: Tuple[EpsScalar, ...], pivots: Sequence[Pivot]
+    vec: Tuple[EpsScalar, ...], pivots: _Pivots
 ) -> Optional[Tuple[int, Tuple[EpsScalar, ...]]]:
     """Reduce against the pivots; None means certified zero in the ring-span.
 
@@ -139,7 +173,7 @@ def _reduce_vector(
         val = _vec_valuation(v)
         if qmax is not None and val > qmax:
             if in_span is None:
-                in_span = _in_eps_span(pivots, tuple(v))
+                in_span = pivots.spans(v)
             if in_span:
                 return None
         lead = _vec_lead(v, val)
@@ -164,8 +198,12 @@ def dvr_reduce_step(
 
     Returns (index into candidates, valuation, reduced form), choosing the
     minimal reduced valuation and breaking ties by smallest index.  Raises
-    NoPivotError when every candidate reduces to zero.
+    NoPivotError when every candidate reduces to zero.  ``diagonalize``
+    passes the one ``_Pivots`` it appends to, so the echelon form of the
+    pivot vectors is kept from call to call; any other sequence gets its own.
     """
+    if not isinstance(pivots, _Pivots):
+        pivots = _Pivots(pivots)
     best: Optional[Tuple[int, int, Tuple[EpsScalar, ...]]] = None
     for idx, form in enumerate(candidates):
         res = _reduce_vector(tuple(form.coefs), pivots)
@@ -195,7 +233,7 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     n = Bn.nvars
     local_base = is_local(Bn)
 
-    pivots: List[Pivot] = []
+    pivots = _Pivots()
     remaining = list(range(len(Bn.summands)))
     while remaining and len(pivots) < n:
         try:
@@ -233,9 +271,8 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         raise InvariantError("change of variables is not a unit at eps = 0") from exc
 
     order = [pv.original_index for pv in pivots] + remaining
-    summands = tuple(
-        (Bn.summands[i][0], Bn.summands[i][1].substitute(A.rows)) for i in order
-    )
+    forms = substitute_forms([Bn.summands[i][1] for i in order], A.rows)
+    summands = tuple((Bn.summands[i][0], g) for i, g in zip(order, forms))
     D = DiagonalizedDecomposition(
         decomposition=BorderDecomposition(n, Bn.degree, summands),
         transform=A,

@@ -30,6 +30,14 @@ integer vector over its lcm denominator, its powers come from
 summed per monomial over the lcm of the terms' denominators, and one
 Fraction is built per output monomial.  Rows holding EpsScalars multiply
 and add scalars.
+
+``substitute_forms`` is the one substitution kernel for linear forms
+(``LinearForm.substitute`` is its one-form case).  It clears the matrix
+once per call.  A rational form against rational rows is an integer
+product over one denominator, one Fraction per output coefficient; when
+every entry on both sides is a Fraction or a polynomial in eps, the
+product runs on dense integer eps-lists, one canonical EpsScalar (with
+denominator 1) per output coefficient; any other scalar goes term by term.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ def _as_coeff(c):
 # small integers, so a stored decomposition holds references to these rather
 # than a Fraction object per coefficient.
 _SMALL_INTS = {i: Fraction(i) for i in range(-256, 257)}
+_EPS_ZERO = EpsScalar.zero()
 
 
 def _form_coeff(c):
@@ -349,13 +358,20 @@ class HomoPoly:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of length parts of nonnegative ints summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of length parts of nonnegative ints summing to total, in
+    ascending lexicographic order; iterative, so any number of parts works."""
+    c = [0] * parts
+    c[-1] = total
+    k = parts - 1 if total else -1  # the last nonzero entry
+    while True:
+        yield tuple(c)
+        if k <= 0:
+            return
+        s = c[k]
+        c[k] = 0
+        c[k - 1] += 1
+        c[-1] = s - 1
+        k = parts - 1 if s > 1 else k - 1
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Tuple[Monomial, ...]:
@@ -619,6 +635,72 @@ def _form_power(coefs: Sequence[object], d: int, nvars: int) -> HomoPoly:
     return _scalar_power_sum(nvars, d, ((Fraction(1), coefs),))
 
 
+def _den_of(c) -> int:
+    """Least integer clearing a Fraction or a polynomial EpsScalar."""
+    if isinstance(c, Fraction):
+        return c.denominator
+    return lcm(*(a.denominator for _, a in c.num.pairs()))
+
+
+def _eps_ints(c, den: int) -> List[int]:
+    """den * c as dense integer eps-coefficients, for c as in ``_den_of``."""
+    if isinstance(c, Fraction):
+        return [c.numerator * (den // c.denominator)]
+    return _int_eps_list(c.num, den)
+
+
+def substitute_forms(forms: Sequence["LinearForm"], rows) -> Tuple["LinearForm", ...]:
+    """Each form composed with x -> Mx (its coefficient vector c becomes
+    c . M); the paths are in the module docstring.  A form that becomes
+    zero raises ValueError."""
+    n = len(rows)
+    if any(len(r) != n for r in rows) or any(len(f) != n for f in forms):
+        raise ValueError("substitution matrix has wrong shape")
+    rows = [[_as_coeff(x) for x in r] for r in rows]
+    flat = [x for r in rows for x in r]
+    rational = all(isinstance(x, Fraction) for x in flat)
+    M = None  # L * rows as integer eps-lists (one int for a Fraction), None for 0
+    if all(x.is_polynomial for x in flat if isinstance(x, EpsScalar)):
+        L = lcm(*(_den_of(x) for x in flat))
+        M = [[_eps_ints(x, L) if x else None for x in r] for r in rows]
+    out = []
+    for form in forms:
+        if rational and form.is_rational:
+            den = lcm(*(c.denominator for c in form))
+            cs = [c.numerator * (den // c.denominator) for c in form]
+            coefs = [Fraction(sum(c * r[j][0] for c, r in zip(cs, M) if c and r[j]), den * L)
+                     for j in range(n)]
+        elif M and all(isinstance(c, Fraction) or c.is_polynomial for c in form):
+            den = lcm(*(_den_of(c) for c in form))
+            cs = [_eps_ints(c, den) if c else None for c in form]
+            coefs = []
+            for j in range(n):
+                acc: List[int] = []
+                for c, r in zip(cs, M):
+                    if c and r[j]:
+                        t = _int_poly_mul(c, r[j])
+                        acc.extend([0] * (len(t) - len(acc)))
+                        for e, x in enumerate(t):
+                            acc[e] += x
+                terms = {e: Fraction(x, den * L) for e, x in enumerate(acc) if x}
+                coefs.append(EpsScalar._from_laurent(terms) if terms else _EPS_ZERO)
+        else:
+            coefs = _scalar_substitute(form, rows)
+        out.append(LinearForm(coefs))
+    return tuple(out)
+
+
+def _scalar_substitute(form, rows) -> list:
+    """c . M, multiplying and adding the scalars one at a time."""
+    out = [Fraction(0)] * len(rows)
+    for c, r in zip(form, rows):
+        if c != 0:
+            for j, x in enumerate(r):
+                if x != 0:
+                    out[j] = out[j] + c * x
+    return out
+
+
 class LinearForm(tuple):
     """Nonzero linear form given by its coefficient vector.
 
@@ -671,18 +753,7 @@ class LinearForm(tuple):
 
     def substitute(self, rows: Sequence[Sequence[object]]) -> "LinearForm":
         """The form x -> self(Mx); coefficient vector becomes c . M."""
-        n = self.nvars
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("substitution matrix has wrong shape")
-        out = [Fraction(0)] * n
-        for i, ci in enumerate(self.coefs):
-            if ci == 0:
-                continue
-            for j in range(n):
-                mij = _as_coeff(rows[i][j])
-                if mij != 0:
-                    out[j] = out[j] + ci * mij
-        return LinearForm(out)
+        return substitute_forms((self,), rows)[0]
 
     def restrict_zero(self, vars_to_zero: Iterable[int]) -> "LinearForm | None":
         """Zero out the listed coordinates; None if the form vanishes."""

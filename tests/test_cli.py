@@ -215,6 +215,22 @@ def test_gen_past_the_degree_ceiling_writes_nothing(workdir):
     assert list(workdir.iterdir()) == []
 
 
+def test_gen_checks_the_shape_before_the_generator_runs(workdir, monkeypatch):
+    import waring.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(waring.cli, "gen_family", refuse)
+    for argv, says in ((["--family", "tangent", "--d", "1000000"], "ceiling"),
+                       (["--family", "multibase", "--d", "21"], "2000 monomials"),
+                       (["--family", "random", "--nvars", "65", "--d", "3", "--rank", "2"],
+                        "ceiling")):
+        code, out, err = run_cli(["gen"] + argv)
+        assert code == 2 and out == "" and says in err
+    assert list(workdir.iterdir()) == []
+
+
 def test_deborder_rejects_y_size_below_one(workdir):
     run_cli(["gen", "--family", "tangent", "--d", "4"])
     for bad in ("0", "-2"):

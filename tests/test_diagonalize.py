@@ -1,9 +1,11 @@
 """Staircase diagonalization over the valuation ring and derivative certificates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waring import (
     BorderDecomposition,
+    EpsPoly,
     EpsScalar,
     InvariantError,
     LinearForm,
@@ -20,7 +22,7 @@ from waring import (
 )
 from waring import diagonal
 from waring.diagonal import Pivot
-from waring.linalg import EpsMatrix
+from waring.linalg import EpsMatrix, eps_rref
 from waring.oracle import gen_multibase, gen_random, gen_tangent
 from conftest import F, assert_staircase_invariants, eps, esc, lf, mono
 
@@ -216,3 +218,49 @@ def test_pivot_search_stops_at_nvars_pivots_and_drops_nothing(monkeypatch):
             with pytest.raises(NoPivotError):
                 real(forms, calls[-1])
     assert stopped >= 5  # the corpus exercises the stop (9 of its 17 inputs)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+scalars = st.one_of(
+    st.just(EpsScalar.zero()),
+    st.dictionaries(st.integers(0, 2), small, max_size=2).map(EpsPoly).map(EpsScalar.from_poly),
+    st.builds(lambda a, b: EpsScalar.from_rational(a) / (1 + EpsScalar.from_rational(b) * eps(1)),
+              small, small),
+)
+
+
+@st.composite
+def span_cases(draw):
+    """Vectors, some of them combinations of earlier ones, and candidates
+    in or out of their span."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(scalars, min_size=n, max_size=n)
+    vecs = []
+    for _ in range(draw(st.integers(0, 5))):
+        if vecs and draw(st.booleans()):
+            coefs = draw(st.lists(scalars, min_size=len(vecs), max_size=len(vecs)))
+            v = [sum((c * u[j] for c, u in zip(coefs, vecs)), EpsScalar.zero())
+                 for j in range(n)]
+        else:
+            v = draw(vec)
+        vecs.append(tuple(v))
+    cands = draw(st.lists(vec, min_size=1, max_size=3))
+    if vecs:
+        coefs = draw(st.lists(scalars, min_size=len(vecs), max_size=len(vecs)))
+        cands.append([sum((c * u[j] for c, u in zip(coefs, vecs)), EpsScalar.zero())
+                      for j in range(n)])
+    return vecs, cands
+
+
+@settings(max_examples=60)
+@given(span_cases())
+def test_kept_echelon_answers_the_span_check_like_eps_rref(case):
+    # dependent pivot sets included: the answer is rank(vecs + [v]) == len(vecs)
+    vecs, cands = case
+    # the kept form grows between checks, as in the pivot search
+    pivots = diagonal._Pivots()
+    for k in range(len(vecs) + 1):
+        for v in cands:
+            assert pivots.spans(v) == (len(eps_rref(list(vecs[:k]) + [v])[1]) == k)
+        if k < len(vecs):
+            pivots.append(Pivot(k, 0, vecs[k], ()))

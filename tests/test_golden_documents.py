@@ -208,3 +208,20 @@ def test_expansion_coefficients_are_unchanged(name, which):
         S = W.expand()
         assert S == f
     assert expansion_digest(S) == EXPANSION_SHA256[name, which]
+
+
+# The nonlocal route on the dense certificates: staircase, dense solve and the
+# way back.  The expansion digests above cannot pin it, since W.expand()
+# equals the target whatever W is.
+DENSE_ROUTE_SHA256 = {
+    "dense_n4_r9": "5b935d96b51667c6074180df5f35b862288fbefec614b4d084c894d7c464e806",
+    "dense_n5_r6": "63bbb1f30da89550fa9d04d546244568c7787781922c79d3be129145e7df8979",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_ROUTE_SHA256))
+def test_dense_route_document_bytes_are_unchanged(name):
+    f, B = EXPANSION_INPUTS[name]()
+    W, _ = deborder(f, B)
+    digest = hashlib.sha256(dumps_document("waring", W).encode()).hexdigest()
+    assert digest == DENSE_ROUTE_SHA256[name]

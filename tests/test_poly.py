@@ -13,12 +13,15 @@ from waring import (
     HomoPoly,
     LinearForm,
     SingularMatrixError,
+    WaringDecomposition,
+    diagonalize,
     falling_factorial,
     monomials_of_degree,
     poly,
 )
 from waring.linalg import rat_inverse
-from waring.poly import _form_power
+from waring.poly import _form_power, substitute_forms
+from test_golden_documents import dense_certificate
 from conftest import F, esc, lf, mono, rand_poly, repeated_product
 
 
@@ -36,6 +39,34 @@ def test_monomials_of_degree_enumeration():
             assert len(ms) == comb(n + d - 1, d)
             assert len(set(ms)) == len(ms)
             assert all(len(m) == n and sum(m) == d for m in ms)
+
+
+def ref_compositions(total, parts):
+    """The recursive enumeration: first entry ascending, then the rest."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in ref_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_keep_the_recursive_order():
+    for n in range(1, 6):
+        for d in range(0, 6):
+            assert list(poly._compositions(d, n)) == list(ref_compositions(d, n))
+            assert monomials_of_degree(n, d) == tuple(
+                sorted(ref_compositions(d, n), key=poly.monomial_key))
+
+
+def test_a_power_in_1500_variables_expands():
+    # one recursion level per variable passed Python's limit near 1000
+    n = 1500
+    W = WaringDecomposition(n, 1, ((F(2), LinearForm([F(i % 7 - 3) for i in range(n)])),))
+    S = W.expand()
+    assert len(S) == sum(1 for i in range(n) if i % 7 != 3)
+    assert S.coeff((1,) + (0,) * (n - 1)) == -6
+    assert len(monomials_of_degree(n, 1)) == n
 
 
 def test_homopoly_construction_and_access():
@@ -330,3 +361,113 @@ def test_only_rational_rows_and_coefficients_take_the_integer_substitution(monke
     f.lift_to_eps().substitute_linear([[F(1), F(2)], [F(0), F(1)]])
     assert len(calls) == 1
     assert all(isinstance(c, EpsScalar) for _, c in g.items())
+
+
+# -- substitute_forms against the scalar product c . M ---------------------------
+
+
+def ref_substitute_form(coefs, rows):
+    """c . M, multiplying and adding one scalar at a time."""
+    out = [F(0)] * len(rows)
+    for c, row in zip(coefs, rows):
+        for j, x in enumerate(row):
+            out[j] = out[j] + c * x
+    return out
+
+
+big_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+rational_entries = st.one_of(st.just(F(0)), small_fractions, big_fractions)
+big_eps_polys = st.dictionaries(
+    st.integers(0, 3), st.one_of(small_fractions, big_fractions), max_size=3).map(EpsPoly)
+# Fractions are the constant polynomials
+q_eps_entries = st.one_of(st.just(EpsScalar.zero()), big_eps_polys.map(EpsScalar.from_poly),
+                          rational_entries)
+any_entries = st.one_of(q_eps_entries, quotient_scalars)
+
+
+@st.composite
+def form_substitutions(draw, entries):
+    """(forms, rows): zero rows often, and forms over the same entries."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(entries, min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(st.just([F(0)] * n), row), min_size=n, max_size=n))
+    forms = draw(st.lists(row.filter(nonzero), min_size=1, max_size=4))
+    return [LinearForm(c) for c in forms], rows
+
+
+def assert_forms_match(forms, rows):
+    want = [ref_substitute_form(f, rows) for f in forms]
+    if not all(any(w) for w in want):
+        with pytest.raises(ValueError):
+            substitute_forms(forms, rows)
+        return
+    got = substitute_forms(forms, rows)
+    assert len(got) == len(forms)
+    rational_rows = all(isinstance(x, Fraction) for r in rows for x in r)
+    for form, g, w in zip(forms, got, want):
+        assert isinstance(g, LinearForm) and list(g) == w
+        kind = Fraction if rational_rows and form.is_rational else EpsScalar
+        assert all(type(c) is kind for c in g)
+        assert form.substitute(rows) == g
+
+
+@PROPERTY
+@given(form_substitutions(rational_entries))
+def test_substitute_forms_rational(case):
+    assert_forms_match(*case)
+
+
+@PROPERTY
+@given(form_substitutions(q_eps_entries))
+def test_substitute_forms_over_q_eps_polynomials(case):
+    # EpsScalars come out canonical: equality with the reference is
+    # structural, and their denominators are 1
+    forms, rows = case
+    assert_forms_match(forms, rows)
+    if all(any(ref_substitute_form(f, rows)) for f in forms):
+        for g in substitute_forms(forms, rows):
+            assert all(c.is_polynomial for c in g if isinstance(c, EpsScalar))
+
+
+@PROPERTY
+@given(form_substitutions(any_entries))
+def test_substitute_forms_with_quotient_entries(case):
+    assert_forms_match(*case)
+
+
+def test_substitute_forms_falls_back_on_a_non_polynomial_entry(monkeypatch):
+    calls = []
+    real = poly._scalar_substitute
+    monkeypatch.setattr(poly, "_scalar_substitute",
+                        lambda form, rows: calls.append(1) or real(form, rows))
+    unit = EpsScalar(EpsPoly({0: F(1)}), EpsPoly({0: F(1), 1: F(1)}))  # 1/(1+eps)
+    rows = [[unit, esc((1, 2))], [EpsScalar.zero(), EpsScalar.one()]]
+    forms = [lf(EpsScalar.one(), esc((0, 3), (2, F(1, 5)))), lf(F(1), F(-2))]
+    assert_forms_match(forms, rows)
+    calls.clear()
+    substitute_forms(forms, rows)
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        substitute_forms(forms, rows[:1])  # wrong shape
+
+
+def test_diagonalize_and_waring_substitute_take_the_integer_paths(monkeypatch):
+    # the staircase transform's entries are polynomials in eps, and the way
+    # back is rational: neither may reach the scalar loop
+    calls = []
+    real = poly._scalar_substitute
+    monkeypatch.setattr(poly, "_scalar_substitute",
+                        lambda form, rows: calls.append(1) or real(form, rows))
+    for args in [(21, 4, 3, (1, 2), 4), (22, 5, 3, (2,), 3)]:
+        f, B = dense_certificate(*args)
+        D = diagonalize(B, f)
+        assert all(x.is_polynomial for r in D.transform.rows for x in r)
+        assert all(isinstance(c, EpsScalar) for _, g in D.decomposition.summands for c in g)
+        W = WaringDecomposition(f.nvars, f.degree, tuple(
+            (F(k + 1), LinearForm([F(k - i, 3) for i in range(f.nvars)]))
+            for k in range(3)))
+        W2 = W.substitute(D.base_change_inv)
+        assert all(type(c) is Fraction for _, g in W2.summands for c in g)
+    assert calls == []
+    B.substitute([[F(1) if i == j else F(0) for j in range(5)] for i in range(5)])
+    assert calls == []
