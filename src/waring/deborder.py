@@ -308,6 +308,11 @@ def dense_decompose(h: HomoPoly) -> WaringDecomposition:
     weights that depends on the target vanish; sheared, every factor
     involves all of x_1 .. x_(m-1).  The point a = 0 is still x0 itself,
     which ``multiply_by_power`` turns into one power of x0.
+    The rows come from ``LinearForm.power``.  The entry of form b in row
+    mon is multinomial(mon) * b**mon; each row is divided by its multinomial
+    and the target is cleared over one common denominator L, so the
+    fraction-free solve runs on the integers b**mon, and the weights are
+    its solution over L.
     Degree-1 targets are themselves linear forms and need no solve.  The
     result is not re-expanded here; in ``deborder`` the check of the
     enclosing result (a branch's or the final one) covers it.
@@ -325,11 +330,14 @@ def dense_decompose(h: HomoPoly) -> WaringDecomposition:
     # a = mon[1:], so |a| = e - mon[0]
     forms = [LinearForm((1,) + tuple(a + e - mon[0] for a in mon[1:])) for mon in basis]
     powers = [form.power(e) for form in forms]
-    rows = [[p.coeff(mon) for p in powers] for mon in basis]
-    sol = rat_solve(rows, [h.coeff(mon) for mon in basis])
+    mults = [factorial(e) // math.prod(map(factorial, mon)) for mon in basis]
+    rows = [[p.coeff(mon).numerator // k for p in powers] for mon, k in zip(basis, mults)]
+    rhs = [(h.coeff(mon), k) for mon, k in zip(basis, mults)]
+    L = math.lcm(*(c.denominator * k for c, k in rhs))
+    sol = rat_solve(rows, [c.numerator * (L // (c.denominator * k)) for c, k in rhs])
     if sol is None:
         raise InvariantError("the lattice system is inconsistent")
-    summands = tuple((w, form) for w, form in zip(sol, forms) if w != 0)
+    summands = tuple((w / L, form) for w, form in zip(sol, forms) if w)
     return WaringDecomposition(m, e, summands)
 
 

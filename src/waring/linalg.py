@@ -6,9 +6,11 @@ integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
 scaled to integers, every Gauss-Jordan update is divided exactly by the
 previous pivot, and the pivot is divided out only when a caller needs the
 Fractions (``rat_rank`` builds none, ``rat_solve`` one per pivot unknown).
-Matrices over Q(eps) keep plain Gauss-Jordan over the field (``eps_rref``):
-on the Q(eps) matrices of the shipped families, fraction-free elimination
-over Q[eps] took about twice as long.  Vandermonde systems are solved
+``EpsMatrix.inverse`` runs the same elimination over Z[eps], on dense
+integer lists of eps-coefficients: each row is cleared to Z[eps] over its
+own denominator, and exact division by the previous pivot keeps every
+entry a polynomial (a minor).  Over the field Q(eps) instead, every update
+would reduce an EpsScalar by a gcd.  Vandermonde systems are solved
 through the Lagrange basis in O(n^2).
 """
 
@@ -18,8 +20,9 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from .epsilon import EpsScalar
+from .epsilon import EpsPoly, EpsScalar
 from .errors import PoleAtZero, SingularMatrixError
+from .poly import _int_eps_list
 
 
 def _int_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int], int]:
@@ -135,37 +138,33 @@ def rat_inverse(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     return [[Fraction(x, d) for x in r[n:]] for r in m]
 
 
-def eps_rref(rows: Sequence[Sequence[EpsScalar]]) -> Tuple[List[List[EpsScalar]], List[int]]:
-    """Reduced row echelon form over Q(eps) by Gauss-Jordan over the field.
-
-    Returns (rref, pivot column indices), like ``rat_rref``.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
+def _ff_update(a: List[int], x: List[int], c: List[int], y: List[int],
+               prev: List[int]) -> List[int]:
+    """(a*x - c*y) / prev on dense integer eps-lists, where the division is
+    known to be exact; the result has no trailing zeros ([] for 0)."""
+    if len(prev) == len(a) == 1 and len(c) < 2 and len(x) < 2 and len(y) < 2:
+        t = a[0] * (x[0] if x else 0) - (c[0] * y[0] if c and y else 0)
+        return [t // prev[0]] if t else []
+    out = [0] * (max(len(a) + len(x), len(c) + len(y)) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(x):
+            out[i + j] += u * v
+    for i, u in enumerate(c):
+        for j, v in enumerate(y):
+            out[i + j] -= u * v
+    while out and not out[-1]:
+        out.pop()
+    if len(prev) == 1:
+        return [t // prev[0] for t in out]
+    # long division from the top; every quotient coefficient is an integer
+    dl, lc = len(prev) - 1, prev[-1]
+    q = [0] * max(len(out) - dl, 0)
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = out[k + dl] // lc
+        if t:
+            for j, v in enumerate(prev):
+                out[k + j] -= t * v
+    return q
 
 
 def solve_vandermonde(nodes: Sequence[Fraction], rhs: Sequence[Fraction]) -> List[Fraction]:
@@ -237,15 +236,50 @@ class EpsMatrix:
         return len(self.rows)
 
     def inverse(self) -> "EpsMatrix":
-        """Gauss-Jordan over the field Q(eps) on [M | I]."""
+        """Fraction-free Gauss-Jordan on [G | I] over Z[eps].
+
+        Row i is multiplied by a polynomial s_i that clears its entries to
+        Z[eps] (the lcm of their denominators times an integer), so the
+        identity block becomes diag(s_i), and the reduced form of [S G | S]
+        is still [I | G^-1].  Each step divides exactly by the previous
+        pivot, as in ``_int_rref``, so the matrix ends as d times that
+        reduced form, d the last pivot.  When d is a constant every entry of
+        G^-1 is a polynomial and is built canonical as it stands; otherwise
+        the EpsScalar constructor reduces it.
+        """
         n = self.dim
-        zero, one = EpsScalar.zero(), EpsScalar.one()
-        aug = [list(row) + [one if i == j else zero for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        rref, pivots = eps_rref(aug)
-        if pivots[:n] != list(range(n)):
-            raise SingularMatrixError("matrix is singular over Q(eps)")
-        return EpsMatrix([row[n:] for row in rref])
+        m = []
+        for i, row in enumerate(self.rows):
+            s = EpsPoly.const(1)
+            for den in {x.den for x in row}:
+                s = s * den.exact_div(EpsPoly.gcd(s, den))
+            polys = [x.num if x.den == s else x.num * s.exact_div(x.den) for x in row]
+            scale = lcm(*(c.denominator for p in polys + [s] for _, c in p.pairs()))
+            m.append([_int_eps_list(p, scale) for p in polys]
+                     + [_int_eps_list(s, scale) if j == i else [] for j in range(n)])
+        prev = [1]
+        for col in range(n):
+            for k in range(col, n):
+                if m[k][col]:
+                    break
+            else:
+                raise SingularMatrixError("matrix is singular over Q(eps)")
+            m[col], m[k] = m[k], m[col]
+            prow = m[col]
+            a = prow[col]
+            for i, mi in enumerate(m):
+                if i != col:
+                    c = mi[col]
+                    m[i] = [_ff_update(a, x, c, y, prev) for x, y in zip(mi, prow)]
+            prev = a
+        if len(prev) == 1:
+            d, zero = prev[0], EpsScalar.zero()
+            return EpsMatrix([[EpsScalar._from_laurent(
+                {e: Fraction(v, d) for e, v in enumerate(x) if v}) if x else zero
+                for x in r[n:]] for r in m])
+        den = EpsPoly(dict(enumerate(prev)))
+        return EpsMatrix([[EpsScalar(EpsPoly(dict(enumerate(x))), den) for x in r[n:]]
+                          for r in m])
 
     def at_zero(self) -> List[List[Fraction]]:
         """Entrywise limit at eps = 0; raises PoleAtZero on a pole."""

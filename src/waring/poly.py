@@ -28,7 +28,8 @@ coefficient and every row entry is a Fraction: each row is cleared to an
 integer vector over its lcm denominator, its powers come from
 ``_int_power_terms`` once per (row, exponent), the integer products are
 summed per monomial over the lcm of the terms' denominators, and one
-Fraction is built per output monomial.  Rows holding EpsScalars multiply
+Fraction is built per output monomial.  Inside the products a monomial is
+one integer key (Kronecker substitution).  Rows holding EpsScalars multiply
 and add scalars.
 
 ``substitute_forms`` is the one substitution kernel for linear forms
@@ -493,17 +494,6 @@ def _rational_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
     )
 
 
-def _int_terms_mul(a, b) -> dict:
-    """Product of two sparse integer polynomials given as (monomial, int)
-    pairs; the result is a dict."""
-    out: dict = {}
-    for m1, c1 in a:
-        for m2, c2 in b:
-            m = tuple(map(operator.add, m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
-
-
 def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
     """p(Mx) for rational p and rational rows, on integers.
 
@@ -512,9 +502,13 @@ def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
     A term c * x**m then contributes c.numerator times the integer product
     of its row powers over c.denominator * prod den_i**m_i; contributions
     are scaled to the lcm L of those denominators and summed as ints, and
-    each surviving monomial gets one Fraction(v, L).
+    each surviving monomial gets one Fraction(v, L).  Inside the product a
+    monomial is the integer sum of e_i * (d + 1)**i (Kronecker), so that
+    multiplying two is adding two ints: no exponent exceeds the degree d,
+    so no digit carries.  The keys are decoded once, at the end.
     """
     n = p.nvars
+    base = p.degree + 1
     rows = []
     for form in forms:
         support = [i for i, c in enumerate(form) if c]
@@ -533,20 +527,36 @@ def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
         else:
             L = lcm(L, D)
             parts.append((m, c.numerator, D))
+    weights = [base**i for i in range(n)]
     cache: Dict[Tuple[int, int], list] = {}
     acc: dict = {}
     for m, num, D in parts:
-        piece = [((0,) * n, num * (L // D))]
+        piece = {0: num * (L // D)}
         for i, e in enumerate(m):
             if e:
                 got = cache.get((i, e))
                 if got is None:
                     _, support, ints = rows[i]
-                    got = cache[i, e] = _int_power_terms(ints, e, n, support)
-                piece = _int_terms_mul(piece, got).items()
-        for k, v in piece:
+                    got = cache[i, e] = [
+                        (sum(map(operator.mul, k, weights)), v)
+                        for k, v in _int_power_terms(ints, e, n, support)]
+                prod: dict = {}
+                for k1, c1 in piece.items():
+                    for k2, c2 in got:
+                        k = k1 + k2
+                        prod[k] = prod.get(k, 0) + c1 * c2
+                piece = prod
+        for k, v in piece.items():
             acc[k] = acc.get(k, 0) + v
-    return HomoPoly._make(n, p.degree, {m: Fraction(v, L) for m, v in acc.items() if v})
+    out = {}
+    for k, v in acc.items():
+        if v:
+            exps = []
+            for _ in range(n):
+                k, e = divmod(k, base)
+                exps.append(e)
+            out[tuple(exps)] = Fraction(v, L)
+    return HomoPoly._make(n, p.degree, out)
 
 
 def _laurent_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
@@ -716,7 +726,7 @@ class LinearForm(tuple):
         coefs = tuple(_form_coeff(c) for c in coefs)
         if not coefs:
             raise ValueError("empty coefficient vector")
-        if all(c == 0 for c in coefs):
+        if not any(coefs):
             raise ValueError("the zero vector is not a linear form")
         # never mix scalar kinds inside one vector
         if any(isinstance(c, EpsScalar) for c in coefs):

@@ -90,6 +90,35 @@ def repeated_product(coefs, d):
     return out
 
 
+def field_rref(rows):
+    """Reduced row echelon form by plain Gauss-Jordan over a field (Q or
+    Q(eps): the entries are Fractions or EpsScalars); returns (rref, pivot
+    columns).  The reference the fraction-free kernels are checked against.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m, pivots
+
+
 def is_unit_at_zero(M):
     """All entries of the EpsMatrix M regular at 0 and M(0) invertible over Q."""
     try:

@@ -37,6 +37,7 @@ from waring.oracle import (
     gen_tangent,
     sylvester_rank,
 )
+from waring.linalg import rat_solve
 from waring.poly import monomials_of_degree
 from conftest import F, eps, lf, mono
 
@@ -304,6 +305,26 @@ def test_dense_decompose_property(h):
         size = Fraction(sum(c[1:], Fraction(0)), m)
         a = [x - size for x in c[1:]]
         assert size.denominator == 1 and all(x >= 0 for x in a) and sum(a) == size <= e
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_dense_weights_match_the_unscaled_lattice_solve(m, e):
+    # the solve divides each row by its multinomial and clears the target
+    # over one denominator; the weights must be those of the plain system
+    rng = random.Random(100 * m + e)
+    basis = monomials_of_degree(m, e)
+    h = HomoPoly(m, e, {mon: Fraction(rng.randint(-99, 99), rng.choice([1, 3, 8, 49, 10**9 + 7]))
+                        for mon in rng.sample(basis, min(len(basis), 8))})
+    W = dense_decompose(h)
+    assert verify_waring(W, h)
+    if e == 1:  # the target is its own form; there is no solve
+        return
+    forms = [lf(*((1,) + tuple(a + e - mon[0] for a in mon[1:]))) for mon in basis]
+    powers = [form.power(e) for form in forms]
+    sol = rat_solve([[p.coeff(mon) for p in powers] for mon in basis],
+                    [h.coeff(mon) for mon in basis])
+    assert W.summands == tuple((w, form) for w, form in zip(sol, forms) if w)
 
 
 def test_dense_rejects_zero():

@@ -22,9 +22,9 @@ from waring import (
 )
 from waring import diagonal
 from waring.diagonal import Pivot
-from waring.linalg import EpsMatrix, eps_rref
+from waring.linalg import EpsMatrix
 from waring.oracle import gen_multibase, gen_random, gen_tangent
-from conftest import F, assert_staircase_invariants, eps, esc, lf, mono
+from conftest import F, assert_staircase_invariants, eps, esc, field_rref, lf, mono
 
 
 def test_reduce_step_picks_minimal_valuation_first():
@@ -255,12 +255,13 @@ def span_cases(draw):
 @settings(max_examples=60)
 @given(span_cases())
 def test_kept_echelon_answers_the_span_check_like_eps_rref(case):
-    # dependent pivot sets included: the answer is rank(vecs + [v]) == len(vecs)
+    # dependent pivot sets included: the answer is rank(vecs + [v]) == len(vecs),
+    # read off the field Gauss-Jordan reference
     vecs, cands = case
     # the kept form grows between checks, as in the pivot search
     pivots = diagonal._Pivots()
     for k in range(len(vecs) + 1):
         for v in cands:
-            assert pivots.spans(v) == (len(eps_rref(list(vecs[:k]) + [v])[1]) == k)
+            assert pivots.spans(v) == (len(field_rref(list(vecs[:k]) + [v])[1]) == k)
         if k < len(vecs):
             pivots.append(Pivot(k, 0, vecs[k], ()))

@@ -17,38 +17,13 @@ from waring.linalg import (
     rat_solve,
     solve_vandermonde,
 )
-from conftest import F, esc, is_unit_at_zero
+from conftest import F, esc, field_rref, is_unit_at_zero
 
 
-# The Fraction Gauss-Jordan that the fraction-free kernel replaced, kept as
-# the reference the property tests below compare against.
+# The Fraction Gauss-Jordan that the fraction-free kernel replaced is the
+# reference the property tests below compare against.
 def ref_rref(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
+    return field_rref([[Fraction(x) for x in r] for r in rows])
 
 
 def ref_nullspace(rows):
@@ -294,6 +269,78 @@ def test_eps_matrix_inverse_over_the_field():
     assert N.inverse().rows[0][0] == EpsScalar.eps(-1)
     with pytest.raises(PoleAtZero):
         N.inverse().at_zero()
+
+
+def ref_eps_inverse(rows):
+    """Gauss-Jordan over the field Q(eps) on [M | I]; None when singular."""
+    n = len(rows)
+    one, zero = EpsScalar.one(), EpsScalar.zero()
+    rref, pivots = field_rref([list(r) + [one if i == j else zero for j in range(n)]
+                               for i, r in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in rref]
+
+
+def eps_entries(terms):
+    """c0 * eps**k + ... + c_(terms-1) * eps**(k + terms - 1), k in -1..1."""
+    return st.builds(
+        lambda cs, k: esc(*enumerate(cs)) * EpsScalar.eps(k),
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                 min_size=1, max_size=terms),
+        st.integers(-1, 1))
+
+
+divisors = st.sampled_from([esc((0, 1), (1, 1)), esc((0, 2), (2, -1)), esc((1, 1), (2, 1))])
+
+
+@st.composite
+def eps_matrices(draw):
+    # polynomials in eps and poles, and up to two quotients by units
+    # (1 + eps, 2 - eps^2) or by a non-unit (1 + eps) * eps at zero; above
+    # n = 3 the entries are monomials, as the field reference slows down
+    # sharply on dense rational functions
+    n = draw(st.integers(1, 5))
+    entries = eps_entries(2 if n <= 3 else 1)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = (rows[i][j] + 1) / draw(divisors)
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        # make the last row a combination of the others: singular
+        cs = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * r[j] for c, r in zip(cs, rows)), EpsScalar.zero())
+                    for j in range(n)]
+    return rows
+
+
+def eps_structure(x):
+    return x.num.pairs(), x.den.pairs()
+
+
+@settings(max_examples=40)
+@given(eps_matrices())
+def test_eps_matrix_inverse_matches_gauss_jordan_over_the_field(rows):
+    want = ref_eps_inverse(rows)
+    if want is None:
+        with pytest.raises(SingularMatrixError):
+            EpsMatrix(rows).inverse()
+        return
+    got = EpsMatrix(rows).inverse().rows
+    assert [[eps_structure(x) for x in r] for r in got] == \
+        [[eps_structure(x) for x in r] for r in want]
+
+
+def test_eps_matrix_inverse_with_a_non_constant_determinant():
+    one, e = EpsScalar.one(), EpsScalar.eps()
+    quotient = one / esc((0, 1), (1, 1))  # 1 / (1 + eps)
+    for rows in ([[e]], [[one, one], [one, one + e]], [[quotient, one], [e, quotient]]):
+        got = EpsMatrix(rows).inverse().rows
+        want = ref_eps_inverse(rows)
+        assert [[eps_structure(x) for x in r] for r in got] == \
+            [[eps_structure(x) for x in r] for r in want]
+    assert EpsMatrix([[e]]).inverse().rows[0][0] == EpsScalar.eps(-1)
 
 
 def test_eps_matrix_singular():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,6 +345,76 @@ def test_rational_substitute_linear_round_trips_through_the_inverse(case, data):
     g = f.substitute_linear(rows)
     assert_substitution_matches(f, rows)
     assert g.substitute_linear(inv) == f
+
+
+def ref_tuple_keyed_substitute(p, forms):
+    """The integer substitution with monomials kept as exponent tuples: a
+    product of two terms adds the tuples entrywise.  Same clearing, same
+    term order as ``poly._rational_substitute``."""
+    n = p.nvars
+    rows = []
+    for form in forms:
+        support = [i for i, c in enumerate(form) if c]
+        den = lcm(*(form[i].denominator for i in support))
+        rows.append((den, support, [form[i].numerator * (den // form[i].denominator)
+                                    for i in support]))
+    parts, L = [], 1
+    for m, c in p.items():
+        D = c.denominator
+        if any(e and not rows[i][1] for i, e in enumerate(m)):
+            continue
+        for (den, _, _), e in zip(rows, m):
+            D *= den**e
+        L = lcm(L, D)
+        parts.append((m, c.numerator, D))
+    acc = {}
+    for m, num, D in parts:
+        piece = [((0,) * n, num * (L // D))]
+        for i, e in enumerate(m):
+            if e:
+                _, support, ints = rows[i]
+                got = poly._int_power_terms(ints, e, n, support)
+                out = {}
+                for m1, c1 in piece:
+                    for m2, c2 in got:
+                        k = tuple(a + b for a, b in zip(m1, m2))
+                        out[k] = out.get(k, 0) + c1 * c2
+                piece = list(out.items())
+        for k, v in piece:
+            acc[k] = acc.get(k, 0) + v
+    return [(m, Fraction(v, L)) for m, v in acc.items() if v]
+
+
+def _sparse_poly(rng, n, d, count, entry):
+    """count random terms; each exponent vector is a uniform cut of d into n
+    parts, so pure powers such as x0**d turn up too."""
+    terms = {}
+    for _ in range(count):
+        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+        terms[tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))] = entry()
+    return HomoPoly(n, d, terms)
+
+
+@pytest.mark.parametrize("n, d, count", [(2, 64, 12), (64, 2, 30), (3, 5, 20), (4, 3, 20)])
+def test_kronecker_keyed_substitution_matches_tuple_keys(n, d, count):
+    # the document ceilings (degree 64, 64 variables), zero rows and
+    # denominators up to 10**12; the terms come out in the same order
+    rng = random.Random(n * 1000 + d)
+
+    def entry(big_share):
+        # rows get few denominators up to 10**12: each row is cleared over
+        # its lcm, and many would make the 64-variable case a benchmark of
+        # big-integer arithmetic
+        big = 10**12 if rng.random() < big_share else 9
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, big)) or F(1)
+
+    p = _sparse_poly(rng, n, d, count, lambda: entry(0.5))
+    sparse = 0.3 if n > 2 else 0
+    for zero_row in (None, 0, n - 1):
+        forms = [tuple(F(0) if i == zero_row or rng.random() < sparse else entry(0.03)
+                       for _ in range(n)) for i in range(n)]
+        got = poly._rational_substitute(p, forms)
+        assert list(got.items()) == ref_tuple_keyed_substitute(p, forms)
 
 
 def test_only_rational_rows_and_coefficients_take_the_integer_substitution(monkeypatch):
