@@ -24,9 +24,18 @@ x against (1-eps)x and the valuation climbs one step at a time).  Once a
 candidate's reduced valuation exceeds every pivot valuation, membership in
 the Q(eps)-span of the pivots certifies membership in the ring-span (in the
 pivot basis all its coordinates then have positive valuation), so it is
-declared zero.  That check is exact linear algebra over Q(eps) against an
-echelon form of the pivot vectors, kept as pivots are found: a check
-reduces only the candidate, and each new pivot is folded in once.
+declared zero.  That check is exact linear algebra over Q(eps) against a
+fraction-free echelon form of the pivot vectors over Z[eps], kept as pivots
+are found: a check reduces only the candidate, by Bareiss steps
+(``linalg._ff_update``), and each new pivot is folded in once.
+
+The search runs on integers.  A vector over Q[eps] is held as dense integer
+eps-lists over one integer denominator (``poly._int_eps_row``); valuations
+and leads are read off the lists, and the lead solve is one fraction-free
+elimination of the integer leads with integer back substitution.
+EpsScalars are built only for the pivot each step selects.  Candidates and
+pivot vectors must lie in Q[eps], as every normalized certificate's forms
+do; a reduction that meets another vector raises InvariantError.
 
 The pivot search stops once it has nvars pivots.  One more pivot could not
 be framed into an nvars x nvars basis, so a further reduction step could
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .decomp import (
@@ -49,7 +59,7 @@ from .decomp import (
     normalize_border,
     restrict_vars_zero,
 )
-from .epsilon import EpsPoly, EpsScalar
+from .epsilon import EpsScalar
 from .errors import (
     InvariantError,
     NoPivotError,
@@ -57,8 +67,15 @@ from .errors import (
     SingularMatrixError,
     ZeroDerivativeError,
 )
-from .linalg import EpsMatrix, rat_inverse, rat_rank, rat_solve
-from .poly import HomoPoly, LinearForm, falling_factorial, substitute_forms
+from .linalg import EpsMatrix, _back_substitute, _ff_update, _int_echelon, rat_inverse, rat_rank
+from .poly import (
+    HomoPoly,
+    LinearForm,
+    _eps_of,
+    _int_eps_row,
+    falling_factorial,
+    substitute_forms,
+)
 
 _REDUCE_CAP = 10_000
 
@@ -98,96 +115,116 @@ class DiagonalizedDecomposition:
         return len(self.pivots)
 
 
-def _vec_is_zero(v: Sequence[EpsScalar]) -> bool:
-    return all(c.is_zero for c in v)
-
-
-def _vec_valuation(v: Sequence[EpsScalar]) -> int:
-    return min(c.valuation() for c in v if not c.is_zero)
-
-
-def _vec_lead(v: Sequence[EpsScalar], val: int) -> Tuple[Fraction, ...]:
-    out = []
-    for c in v:
-        if c.is_zero:
-            out.append(Fraction(0))
-        else:
-            if not c.is_polynomial:
-                raise InvariantError("reduction vector left Q[eps]")
-            out.append(c.num.coeff(val))
-    return tuple(out)
-
-
 class _Pivots(list):
-    """Pivots in selection order, with a row echelon form over Q(eps) of
-    their vectors.
+    """Pivots in selection order, kept also on integers.
 
-    Each echelon row is 1 at its pivot column and 0 at the pivot columns of
-    the rows before it, so one pass over the rows in order reduces a
-    vector.  ``spans`` first folds in the pivots appended since it last ran.
+    ``forms`` holds per pivot (valuation, lead, lists): lists is its vector
+    over Q[eps] as dense integer eps-lists over one integer denominator,
+    lead their eps**valuation coefficients (both None for a vector outside
+    Q[eps]).  ``_rows`` is a fraction-free row echelon form of the vectors
+    over Z[eps]: each row is a vector cleared of its denominators and
+    reduced through the rows before it by Bareiss steps, with the column of
+    its first nonzero entry.  Both grow by the pivots appended since
+    ``fold`` last ran.
     """
 
-    __slots__ = ("_rows", "_folded")
+    __slots__ = ("forms", "_rows", "_folded")
 
     def __init__(self, pivots: Sequence[Pivot] = ()):
         super().__init__(pivots)
-        self._rows: List[Tuple[int, List[EpsScalar]]] = []
+        self.forms: List[Tuple[int, Optional[List[int]], Optional[List[List[int]]]]] = []
+        self._rows: List[Tuple[int, List[List[int]]]] = []
         self._folded = 0
 
-    def _residual(self, v: Sequence[EpsScalar]) -> List[EpsScalar]:
-        v = list(v)
+    def fold(self) -> "_Pivots":
+        for pv in self[self._folded:]:
+            lists, s = _int_eps_row(pv.vector)
+            q = pv.valuation
+            if len(s) == 1:
+                self.forms.append((q, [x[q] if len(x) > q else 0 for x in lists], lists))
+            else:
+                self.forms.append((q, None, None))
+            r = self._residual(lists)
+            col = next((j for j, x in enumerate(r) if x), None)
+            if col is not None:
+                self._rows.append((col, r))
+        self._folded = len(self)
+        return self
+
+    def _residual(self, v: List[List[int]]) -> List[List[int]]:
+        # one Bareiss step per row: exact, as v is one more row of the matrix
+        prev = [1]
         for col, row in self._rows:
-            c = v[col]
-            if c:
-                v = [a - c * b if b else a for a, b in zip(v, row)]
+            a = row[col]
+            v = [_ff_update(a, x, v[col], y, prev) for x, y in zip(v, row)]
+            prev = a
         return v
 
     def spans(self, v: Sequence[EpsScalar]) -> bool:
         """rank(pivot vectors + [v]) == number of pivots, over Q(eps)."""
-        for pv in self[self._folded:]:
-            r = self._residual(pv.vector)
-            col = next((j for j, c in enumerate(r) if c), None)
-            if col is not None:
-                inv = 1 / r[col]
-                self._rows.append((col, [c * inv if c else c for c in r]))
-        self._folded = len(self)
-        return len(self._rows) + any(self._residual(v)) == len(self)
+        self.fold()
+        return len(self._rows) + any(self._residual(_int_eps_row(v)[0])) == len(self)
 
 
 def _reduce_vector(
-    vec: Tuple[EpsScalar, ...], pivots: _Pivots
-) -> Optional[Tuple[int, Tuple[EpsScalar, ...]]]:
+    vec: Sequence[EpsScalar], pivots: _Pivots
+) -> Optional[Tuple[int, List[List[int]], int]]:
     """Reduce against the pivots; None means certified zero in the ring-span.
 
-    Only full leading-coefficient cancellations are performed (partial in-span
+    Returns (valuation, lists, den): the reduced vector is lists / den, as
+    dense integer eps-lists over one positive integer, or vec itself when
+    lists is None (no reduction step was taken).  Only full
+    leading-coefficient cancellations are performed (partial in-span
     components of a lead are left in place); this is exactly what makes the
-    final change of variables produce a clean staircase with nothing above the
-    pivot order.
+    final change of variables produce a clean staircase with nothing above
+    the pivot order.  The lead solve runs on the integer leads: with X / d
+    its solution, v / den becomes (d*v - sum_p X_p eps**(val - q_p) v_p) /
+    (d*den), over the pivot vectors' own lists v_p.
     """
-    v = list(vec)
-    qmax = max((p.valuation for p in pivots), default=None)
+    v, s = _int_eps_row(vec)
+    if len(s) != 1:
+        raise InvariantError("reduction vector left Q[eps]")
+    den = s[0]
+    forms = pivots.fold().forms
+    qmax = max((q for q, _, _ in forms), default=None)
     in_span: Optional[bool] = None
+    reduced = False
     for _ in range(_REDUCE_CAP):
-        if _vec_is_zero(v):
+        if not any(v):
             return None
-        val = _vec_valuation(v)
+        val = min(next(i for i, c in enumerate(x) if c) for x in v if x)
         if qmax is not None and val > qmax:
             if in_span is None:
-                in_span = pivots.spans(v)
+                # v - vec lies in the span of the pivots
+                in_span = pivots.spans(vec)
             if in_span:
                 return None
-        lead = _vec_lead(v, val)
-        eligible = [p for p in pivots if p.valuation <= val]
+        eligible = [f for f in forms if f[0] <= val]
         if not eligible:
-            return val, tuple(v)
-        cols = [[p.lead[i] for p in eligible] for i in range(len(v))]
-        sol = rat_solve(cols, list(lead))
-        if sol is None:
-            return val, tuple(v)
-        for c, p in zip(sol, eligible):
-            if c != 0:
-                mult = EpsScalar.from_poly(EpsPoly({val - p.valuation: c}))
-                v = [a - mult * b for a, b in zip(v, p.vector)]
+            return val, v if reduced else None, den
+        if any(lead is None for _, lead, _ in eligible):
+            raise InvariantError("pivot vector left Q[eps]")
+        k = len(eligible)
+        m, cols, d = _int_echelon([[lead[i] for _, lead, _ in eligible]
+                                   + [x[val] if len(x) > val else 0] for i, x in enumerate(v)])
+        if k in cols:
+            return val, v if reduced else None, den
+        X = _back_substitute(m, cols, d, k)
+        if d < 0:
+            d, X = -d, {j: -x for j, x in X.items()}
+        a = [d]
+        for j, x in X.items():
+            if x:
+                q, _, lists = eligible[j]
+                c = [0] * (val - q) + [x]
+                v = [_ff_update(a, vi, c, y, [1]) for vi, y in zip(v, lists)]
+                a = [1]
+        den *= d
+        reduced = True
+        g = gcd(den, *(c for x in v for c in x))
+        if g > 1:
+            den //= g
+            v = [[c // g for c in x] for x in v]
     raise InvariantError("echelon reduction did not terminate")
 
 
@@ -204,17 +241,17 @@ def dvr_reduce_step(
     """
     if not isinstance(pivots, _Pivots):
         pivots = _Pivots(pivots)
-    best: Optional[Tuple[int, int, Tuple[EpsScalar, ...]]] = None
+    best: Optional[Tuple[int, int, Optional[List[List[int]]], int]] = None
     for idx, form in enumerate(candidates):
-        res = _reduce_vector(tuple(form.coefs), pivots)
-        if res is None:
-            continue
-        val, red = res
-        if best is None or val < best[1]:
-            best = (idx, val, red)
+        res = _reduce_vector(form.coefs, pivots)
+        if res is not None and (best is None or res[0] < best[1]):
+            best = (idx,) + res
     if best is None:
         raise NoPivotError("all candidates reduce to zero")
-    return best[0], best[1], LinearForm(best[2])
+    idx, val, lists, den = best
+    if lists is None:
+        return idx, val, candidates[idx]
+    return idx, val, LinearForm(tuple(_eps_of(x, den) for x in lists))
 
 
 def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecomposition:
@@ -240,7 +277,8 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
             j, val, red = dvr_reduce_step([Bn.summands[i][1] for i in remaining], pivots)
         except NoPivotError:
             break
-        pivots.append(Pivot(remaining.pop(j), val, red.coefs, _vec_lead(red, val)))
+        lead = tuple(c.num.coeff(val) for c in red.coefs)
+        pivots.append(Pivot(remaining.pop(j), val, red.coefs, lead))
     if not pivots:
         raise NoPivotError("no pivot found; decomposition expands to zero")
 

@@ -1,43 +1,46 @@
 """Exact linear algebra: rational matrices, matrices over Q(eps), Vandermonde.
 
 Every matrix over Q is eliminated fraction-free on Python ints, in one
-routine (``_int_rref``, after Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
-scaled to integers, every Gauss-Jordan update is divided exactly by the
-previous pivot, and the pivot is divided out only when a caller needs the
-Fractions (``rat_rank`` builds none, ``rat_solve`` one per pivot unknown).
-``EpsMatrix.inverse`` runs the same elimination over Z[eps], on dense
-integer lists of eps-coefficients: each row is cleared to Z[eps] over its
-own denominator, and exact division by the previous pivot keeps every
-entry a polynomial (a minor).  Over the field Q(eps) instead, every update
-would reduce an EpsScalar by a gcd.  Vandermonde systems are solved
-through the Lagrange basis in O(n^2).
+forward pass (``_int_echelon``, after Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968): each
+row is scaled to integers, and each step updates only the rows below the
+pivot and the columns right of it, dividing exactly by the previous pivot.
+``rat_rank`` reads the pivot count; ``rat_solve``, ``rat_nullspace`` and
+``rat_inverse`` back-substitute on integers (``_back_substitute``), d times
+the solution, d the last pivot, so only the Fractions returned are built.
+``EpsMatrix.inverse`` runs the Gauss-Jordan form of Bareiss over Z[eps],
+on dense integer lists of eps-coefficients: each row is cleared to Z[eps]
+over its own denominator (``poly._int_eps_row``), and exact division by the
+previous pivot keeps every entry a polynomial (a minor).  Over the field Q(eps)
+instead, every update would reduce an EpsScalar by a gcd.  Vandermonde
+systems are solved through the Lagrange basis in O(n^2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .epsilon import EpsPoly, EpsScalar
 from .errors import PoleAtZero, SingularMatrixError
-from .poly import _int_eps_list
+from .poly import _eps_of, _int_eps_row
 
 
-def _int_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free Gauss-Jordan on a matrix of ints and Fractions.
+def _int_echelon(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int], int]:
+    """Forward fraction-free elimination of a matrix of ints and Fractions.
 
-    Returns (m, pivots, d): the integer matrix m is d times the reduced row
-    echelon form, d is the last pivot (1 at rank 0), and pivots are the
-    pivot columns.  Each row is first scaled by the lcm of its denominators,
-    which changes neither the row space nor the echelon form.  A step with
-    pivot a replaces every other row r by (a*r - c*pivot_row) // prev, with
-    c the entry of r in the pivot column and prev the previous pivot; every
-    entry is then a minor of the scaled matrix (Sylvester's identity), so
-    the division is exact, and every pivot entry equals the current pivot.
-    Raises ValueError on rows of unequal length and TypeError on an entry
-    that is not an int or a Fraction.
+    Returns (m, pivots, d): pivots are the pivot columns, d is the last
+    pivot (1 at rank 0), and row k of the integer matrix m is the k-th
+    echelon row from column pivots[k] on; entries left of that are stale.
+    Each row is first scaled by the lcm of its denominators, which changes
+    neither the row space nor the pivots.  A step with pivot a replaces each
+    row r below it by (a*r - c*pivot_row) // prev, right of the pivot
+    column, with c the entry of r in that column and prev the previous
+    pivot; every entry is then a minor of the scaled matrix (Sylvester's
+    identity), so the division is exact.  Pivot columns and row swaps are
+    those of Gauss-Jordan.  Raises ValueError on rows of unequal length and
+    TypeError on an entry that is not an int or a Fraction.
     """
     ncols = len(rows[0]) if rows else 0
     m: List[List[int]] = []
@@ -62,44 +65,51 @@ def _int_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List
         else:
             continue
         m[row], m[k] = m[k], m[row]
-        prow = m[row]
-        a = prow[col]
-        for i, mi in enumerate(m):
-            if i != row:
-                c = mi[col]
-                m[i] = [(a * x - c * y) // prev for x, y in zip(mi, prow)]
+        a, live = m[row][col], m[row][col + 1:]
+        for mi in m[row + 1:]:
+            c = mi[col]
+            mi[col + 1:] = [(a * x - c * y) // prev for x, y in zip(mi[col + 1:], live)]
         pivots.append(col)
         prev = a
     return m, pivots, prev
 
 
-def rat_rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot column indices).
+def _back_substitute(m: List[List[int]], pivots: List[int], d: int, col: int) -> Dict[int, int]:
+    """d times the solution of the echelon system whose right-hand side is
+    column col of m, with every free unknown 0, keyed by pivot column.
 
-    Entries are ints or Fractions; every returned entry is a Fraction.
+    X_pc = (d*b_r - sum_j a_rj*X_j) / a_r,pc over the later pivot columns
+    j; by Cramer's rule every X is an integer, so each division is exact.
     """
-    m, pivots, d = _int_rref(rows)
-    return [[Fraction(x, d) for x in r] for r in m], pivots
+    X: Dict[int, int] = {}
+    for r in range(len(pivots) - 1, -1, -1):
+        row = m[r]
+        t = d * row[col]
+        for j in pivots[r + 1:]:
+            t -= row[j] * X[j]
+        X[pivots[r]] = t // row[pivots[r]]
+    return X
 
 
 def rat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_int_rref(rows)[1])
+    return len(_int_echelon(rows)[1])
 
 
 def rat_nullspace(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column: the free
+    unknown 1, the other free unknowns 0."""
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots, d = _int_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots, d = _int_echelon(rows)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-m[r][fc], d)
-        basis.append(v)
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for pc, x in _back_substitute(m, pivots, d, fc).items():
+                v[pc] = Fraction(-x, d)
+            basis.append(v)
     return basis
 
 
@@ -108,34 +118,32 @@ def rat_solve(
 ) -> List[Fraction] | None:
     """One exact solution of A x = b, or None if the system is inconsistent.
 
-    The solution returned is the one read off the reduced echelon form of
-    [A | b]: every free unknown (a column of A without a pivot) is 0.  It is
-    the unique solution when A has full column rank.
+    The solution returned has every free unknown (a column of A without a
+    pivot) 0; it is the unique solution when A has full column rank.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots, d = _int_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    m, pivots, d = _int_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(m[r][ncols], d)
-    return x
+    X = _back_substitute(m, pivots, d, ncols)
+    return [Fraction(X.get(j, 0), d) for j in range(ncols)]
 
 
 def rat_inverse(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("inverse of a non-square matrix")
-    m, pivots, d = _int_rref(
+    m, pivots, d = _int_echelon(
         [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
     )
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular over Q")
-    return [[Fraction(x, d) for x in r[n:]] for r in m]
+    cols = [_back_substitute(m, pivots, d, n + j) for j in range(n)]
+    return [[Fraction(X[i], d) for X in cols] for i in range(n)]
 
 
 def _ff_update(a: List[int], x: List[int], c: List[int], y: List[int],
@@ -242,7 +250,7 @@ class EpsMatrix:
         Z[eps] (the lcm of their denominators times an integer), so the
         identity block becomes diag(s_i), and the reduced form of [S G | S]
         is still [I | G^-1].  Each step divides exactly by the previous
-        pivot, as in ``_int_rref``, so the matrix ends as d times that
+        pivot, as in ``_int_echelon``, so the matrix ends as d times that
         reduced form, d the last pivot.  When d is a constant every entry of
         G^-1 is a polynomial and is built canonical as it stands; otherwise
         the EpsScalar constructor reduces it.
@@ -250,13 +258,8 @@ class EpsMatrix:
         n = self.dim
         m = []
         for i, row in enumerate(self.rows):
-            s = EpsPoly.const(1)
-            for den in {x.den for x in row}:
-                s = s * den.exact_div(EpsPoly.gcd(s, den))
-            polys = [x.num if x.den == s else x.num * s.exact_div(x.den) for x in row]
-            scale = lcm(*(c.denominator for p in polys + [s] for _, c in p.pairs()))
-            m.append([_int_eps_list(p, scale) for p in polys]
-                     + [_int_eps_list(s, scale) if j == i else [] for j in range(n)])
+            ints, s = _int_eps_row(row)
+            m.append(ints + [s if j == i else [] for j in range(n)])
         prev = [1]
         for col in range(n):
             for k in range(col, n):
@@ -273,10 +276,7 @@ class EpsMatrix:
                     m[i] = [_ff_update(a, x, c, y, prev) for x, y in zip(mi, prow)]
             prev = a
         if len(prev) == 1:
-            d, zero = prev[0], EpsScalar.zero()
-            return EpsMatrix([[EpsScalar._from_laurent(
-                {e: Fraction(v, d) for e, v in enumerate(x) if v}) if x else zero
-                for x in r[n:]] for r in m])
+            return EpsMatrix([[_eps_of(x, prev[0]) for x in r[n:]] for r in m])
         den = EpsPoly(dict(enumerate(prev)))
         return EpsMatrix([[EpsScalar(EpsPoly(dict(enumerate(x))), den) for x in r[n:]]
                           for r in m])

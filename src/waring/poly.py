@@ -49,7 +49,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .epsilon import EpsPoly, EpsScalar
+from .epsilon import _EP_ONE, EpsPoly, EpsScalar
 from .errors import PoleAtZero
 
 Monomial = Tuple[int, ...]
@@ -448,6 +448,30 @@ def _int_eps_list(p: EpsPoly, den: int, shift: int = 0) -> List[int]:
     for e, a in p.pairs():
         out[shift + e] = a.numerator * (den // a.denominator)
     return out
+
+
+def _int_eps_row(row: Sequence[EpsScalar]) -> Tuple[List[List[int]], List[int]]:
+    """A row over Q(eps) cleared to Z[eps]: (s*x for x in row, s), as dense
+    integer eps-lists, where s is the lcm of the entries' denominators
+    times the lcm of the rational denominators left; s is a constant list
+    exactly when every entry is a polynomial."""
+    s = _EP_ONE
+    for x in row:
+        if x.den != s:
+            s = s * x.den.exact_div(EpsPoly.gcd(s, x.den))
+    if s is _EP_ONE:
+        polys = [x.num for x in row]
+    else:
+        polys = [x.num if x.den == s else x.num * s.exact_div(x.den) for x in row]
+    scale = lcm(*(c.denominator for p in polys + [s] for _, c in p.pairs()))
+    return [_int_eps_list(p, scale) for p in polys], _int_eps_list(s, scale)
+
+
+def _eps_of(x: List[int], d: int) -> EpsScalar:
+    """The polynomial EpsScalar with coefficients x / d, canonical as built."""
+    if not x:
+        return EpsScalar.zero()
+    return EpsScalar._from_laurent({e: Fraction(v, d) for e, v in enumerate(x) if v})
 
 
 def power_sum(nvars: int, degree: int, summands) -> HomoPoly:

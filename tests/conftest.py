@@ -119,6 +119,73 @@ def field_rref(rows):
     return m, pivots
 
 
+class RefPivots(list):
+    """The pivot search's echelon over the field Q(eps), on EpsScalars: the
+    reference the integer ``diagonal._Pivots`` is checked against.  Each
+    row is 1 at its pivot column and 0 at the pivot columns of the rows
+    before it; ``spans`` folds in the pivots appended since it last ran.
+    """
+
+    def __init__(self, pivots=()):
+        super().__init__(pivots)
+        self.rows = []
+        self.folded = 0
+
+    def residual(self, v):
+        v = list(v)
+        for col, row in self.rows:
+            c = v[col]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        return v
+
+    def spans(self, v):
+        """rank(pivot vectors + [v]) == number of pivots, over Q(eps)."""
+        for pv in self[self.folded:]:
+            r = self.residual(pv.vector)
+            col = next((j for j, c in enumerate(r) if c), None)
+            if col is not None:
+                inv = 1 / r[col]
+                self.rows.append((col, [c * inv if c else c for c in r]))
+        self.folded = len(self)
+        return len(self.rows) + any(self.residual(v)) == len(self)
+
+
+def ref_reduce_vector(vec, pivots):
+    """The pivot reduction on EpsScalars, against a RefPivots: None when
+    the vector is certified zero in the ring-span of the pivots, else
+    (valuation, reduced vector)."""
+    v = list(vec)
+    qmax = max((p.valuation for p in pivots), default=None)
+    in_span = None
+    while True:
+        if all(c.is_zero for c in v):
+            return None
+        val = min(c.valuation() for c in v if not c.is_zero)
+        if qmax is not None and val > qmax:
+            if in_span is None:
+                in_span = pivots.spans(v)
+            if in_span:
+                return None
+        lead = [c.num.coeff(val) for c in v]
+        eligible = [p for p in pivots if p.valuation <= val]
+        if not eligible:
+            return val, tuple(v)
+        # the lead solve by field_rref, free unknowns 0
+        k = len(eligible)
+        rref, cols = field_rref([[Fraction(p.lead[i]) for p in eligible] + [lead[i]]
+                                 for i in range(len(v))])
+        if k in cols:
+            return val, tuple(v)
+        sol = [Fraction(0)] * k
+        for r, col in enumerate(cols):
+            sol[col] = rref[r][k]
+        for c, p in zip(sol, eligible):
+            if c != 0:
+                mult = EpsScalar.from_poly(EpsPoly({val - p.valuation: c}))
+                v = [a - mult * b for a, b in zip(v, p.vector)]
+
+
 def is_unit_at_zero(M):
     """All entries of the EpsMatrix M regular at 0 and M(0) invertible over Q."""
     try:

@@ -24,7 +24,18 @@ from waring import diagonal
 from waring.diagonal import Pivot
 from waring.linalg import EpsMatrix
 from waring.oracle import gen_multibase, gen_random, gen_tangent
-from conftest import F, assert_staircase_invariants, eps, esc, field_rref, lf, mono
+from waring.poly import _eps_of
+from conftest import (
+    F,
+    RefPivots,
+    assert_staircase_invariants,
+    eps,
+    esc,
+    field_rref,
+    lf,
+    mono,
+    ref_reduce_vector,
+)
 
 
 def test_reduce_step_picks_minimal_valuation_first():
@@ -265,3 +276,138 @@ def test_kept_echelon_answers_the_span_check_like_eps_rref(case):
             assert pivots.spans(v) == (len(field_rref(list(vecs[:k]) + [v])[1]) == k)
         if k < len(vecs):
             pivots.append(Pivot(k, 0, vecs[k], ()))
+
+
+# -- the integer pivot search against the EpsScalar reference -----------------
+
+
+def reduce_both(vec, pivots, ref, reduce=diagonal._reduce_vector):
+    """Run the integer reduction and the reference; assert they agree on the
+    None result, the valuation and the reduced vector, and return the
+    reference's answer."""
+    got = reduce(vec, pivots)
+    want = ref_reduce_vector(vec, ref)
+    if want is None:
+        assert got is None
+    else:
+        val, lists, den = got
+        red = tuple(vec) if lists is None else tuple(_eps_of(x, den) for x in lists)
+        assert (val, red) == want
+    return want
+
+
+poly_scalars = st.one_of(
+    st.just(EpsScalar.zero()),
+    st.dictionaries(st.integers(0, 3), small, min_size=1, max_size=3)
+    .map(EpsPoly).map(EpsScalar.from_poly),
+)
+
+
+@st.composite
+def polynomial_vectors(draw):
+    """Vectors over Q[eps], some of them Q[eps]-combinations of earlier ones,
+    so that candidates reduce to zero, chase tails and fail span checks."""
+    n = draw(st.integers(1, 4))
+    vecs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if vecs and draw(st.booleans()):
+            coefs = draw(st.lists(poly_scalars, min_size=len(vecs), max_size=len(vecs)))
+            v = [sum((c * u[j] for c, u in zip(coefs, vecs)), EpsScalar.zero())
+                 for j in range(n)]
+        else:
+            v = draw(st.lists(poly_scalars, min_size=n, max_size=n))
+        vecs.append(tuple(v))
+    return vecs
+
+
+@settings(max_examples=80)
+@given(polynomial_vectors())
+def test_integer_pivot_search_matches_the_eps_scalar_reference(vecs):
+    # the search diagonalize runs: reduce every remaining vector, keep the
+    # first of minimal valuation as the next pivot, up to nvars pivots
+    n = len(vecs[0])
+    vecs = [v for v in vecs if any(v)]  # a linear form is not zero
+    pivots, ref = diagonal._Pivots(), RefPivots()
+    remaining = list(range(len(vecs)))
+    while remaining and len(pivots) < n:
+        results = [reduce_both(vecs[i], pivots, ref) for i in remaining]
+        kept = [(r[0], k) for k, r in enumerate(results) if r is not None]
+        if not kept:
+            with pytest.raises(NoPivotError):
+                dvr_reduce_step([lf(*vecs[i]) for i in remaining], pivots)
+            break
+        val, k = min(kept)
+        assert dvr_reduce_step([lf(*vecs[i]) for i in remaining], pivots) == \
+            (k, val, lf(*results[k][1]))
+        red = results[k][1]
+        pv = Pivot(remaining.pop(k), val, red, tuple(c.num.coeff(val) for c in red))
+        pivots.append(pv)
+        ref.append(pv)
+
+
+def test_tail_chase_is_certified_zero_by_the_span_check():
+    # x against (1 - eps) x: every subtraction leaves eps**k x, one order up,
+    # so only the span check stops the reduction
+    one, zero = EpsScalar.one(), EpsScalar.zero()
+    pv = Pivot(0, 0, (one - eps(1), zero), (F(1), F(0)))
+    assert reduce_both((one, zero), diagonal._Pivots([pv]), RefPivots([pv])) is None
+    # the same with a pivot frame of two, the chase in the second variable
+    pv2 = Pivot(1, 1, (zero, eps(1) - eps(2)), (F(0), F(1)))
+    for v in [(zero, eps(1)), (one - eps(1), eps(3)), (eps(2), eps(2))]:
+        assert reduce_both(v, diagonal._Pivots([pv, pv2]), RefPivots([pv, pv2])) is None
+    with pytest.raises(NoPivotError):
+        dvr_reduce_step([lf(one, zero), lf(eps(2), eps(2))], [pv, pv2])
+
+
+def load_bench_workloads():
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("waring_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_integer_pivot_search_matches_the_reference_on_the_corpora(monkeypatch):
+    # every reduction of every diagonalize call the golden documents and the
+    # benchmark's dense workload (seed 1) make, checked against the reference
+    import waring
+    from test_golden_documents import CONFIGS, EXPANSION_INPUTS, GENERATORS
+
+    real_reduce, real_spans = diagonal._reduce_vector, diagonal._Pivots.spans
+    reductions, answers = [], []
+
+    def checked(vec, pivots):
+        reductions.append(reduce_both(vec, pivots, RefPivots(pivots)))
+        return real_reduce(vec, pivots)
+
+    def spans(self, v):
+        answers.append(real_spans(self, v))
+        return answers[-1]
+
+    monkeypatch.setattr(diagonal, "_reduce_vector", checked)
+    monkeypatch.setattr(diagonal._Pivots, "spans", spans)
+    cases = [(*gen(*args), cfg) for gen, args in GENERATORS.values() for cfg in CONFIGS.values()]
+    cases += [(*make(), waring.DeborderConfig()) for make in EXPANSION_INPUTS.values()]
+    dense = load_bench_workloads().build_dense(waring, 1, False)
+    cases += [(f, B, cfg) for _, f, B, cfg in dense.inputs]
+    for f, B, cfg in cases:
+        waring.deborder(f, B, cfg)
+    assert len(reductions) > 500
+    assert None in reductions
+    assert True in answers and False in answers
+
+
+def test_span_check_clears_polynomial_denominators_per_vector():
+    # the same column carries different denominators in different vectors:
+    # v = (1 + eps) u, and w differs from such a multiple in one entry
+    one, unit = EpsScalar.one(), esc((0, 1), (1, 1))
+    u = (one / unit, one, eps(1) / (1 + eps(2)))
+    v = (one, unit, unit * u[2])
+    w = (one, unit + eps(1), unit * u[2])
+    pivots = diagonal._Pivots([Pivot(0, 0, u, ())])
+    assert pivots.spans(v) and RefPivots([Pivot(0, 0, u, ())]).spans(v)
+    assert not pivots.spans(w) and not RefPivots([Pivot(0, 0, u, ())]).spans(w)

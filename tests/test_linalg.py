@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from waring import EpsScalar, PoleAtZero, SingularMatrixError
 from waring.linalg import (
@@ -13,7 +13,6 @@ from waring.linalg import (
     rat_inverse,
     rat_nullspace,
     rat_rank,
-    rat_rref,
     rat_solve,
     solve_vandermonde,
 )
@@ -94,10 +93,8 @@ def all_fractions(rows):
 
 
 @given(rational_matrices())
-def test_rref_rank_nullspace_match_the_fraction_reference(A):
-    R, pivots = rat_rref(A)
-    assert (R, pivots) == ref_rref(A)
-    assert all_fractions(R)
+def test_rank_nullspace_match_the_fraction_reference(A):
+    _, pivots = ref_rref(A)
     assert rat_rank(A) == len(pivots)
     ker = rat_nullspace(A)
     assert ker == ref_nullspace(A)
@@ -129,14 +126,91 @@ def test_inverse_matches_the_fraction_reference(A):
         assert all_fractions(inv)
 
 
+# entries with denominators up to 10**9 + 7, next to the small ones
+wide_entries = st.one_of(
+    entries,
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.sampled_from([10**9 + 7, 998244353])),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9 + 7),
+)
+
+
+@st.composite
+def systems(draw):
+    """(kind, A, b): a tall, wide, rank-deficient but consistent or
+    inconsistent system, or one whose first row is 0 in the first column
+    while a later row is not, so that the first pivot needs a row swap."""
+    kind = draw(st.sampled_from(["tall", "wide", "deficient", "inconsistent", "row_swap"]))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(wide_entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if kind == "tall":
+        ncols = draw(st.integers(1, 4))
+        nrows = ncols + draw(st.integers(1, 3))
+    elif kind == "wide":
+        nrows = draw(st.integers(1, 4))
+        ncols = nrows + draw(st.integers(1, 3))
+    else:
+        nrows = draw(st.integers(2, 5))
+        ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 5))
+    if kind in ("deficient", "inconsistent"):
+        k = draw(st.integers(0, min(nrows, ncols) - 1))
+        B, C = block(nrows, k), block(k, ncols)
+        A = [[sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)) for j in range(ncols)]
+             for i in range(nrows)]
+    else:
+        A = block(nrows, ncols)
+    if kind == "row_swap":
+        A[0][0] = 0
+        A[draw(st.integers(1, nrows - 1))][0] = draw(wide_entries.filter(bool))
+    x = draw(st.lists(wide_entries, min_size=ncols, max_size=ncols))
+    b = [sum((a * t for a, t in zip(r, x)), Fraction(0)) for r in A]
+    if kind == "inconsistent":
+        b = [v + w for v, w in zip(b, draw(st.lists(wide_entries.filter(bool),
+                                                    min_size=nrows, max_size=nrows)))]
+    elif kind != "deficient" and draw(st.booleans()):
+        b = draw(st.lists(wide_entries, min_size=nrows, max_size=nrows))
+    return kind, A, b
+
+
+@settings(max_examples=150)
+@given(systems())
+def test_forward_elimination_matches_the_fraction_references(case):
+    kind, A, b = case
+    _, pivots = ref_rref(A)
+    sol = rat_solve(A, b)
+    assert sol == ref_solve(A, b)
+    if kind == "inconsistent":
+        assume(sol is None)  # b moved off the column space of A
+    if kind == "deficient":
+        assert sol is not None
+        assert [sum((a * t for a, t in zip(r, sol)), Fraction(0)) for r in A] == b
+    if sol is not None:
+        assert all_fractions([sol])
+        assert all(sol[j] == 0 for j in range(len(A[0])) if j not in pivots)
+    ker = rat_nullspace(A)
+    assert ker == ref_nullspace(A)
+    assert all_fractions(ker)
+    assert rat_rank(A) == len(pivots)
+    if len(A) == len(A[0]):
+        want = ref_inverse(A)
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                rat_inverse(A)
+        else:
+            assert rat_inverse(A) == want
+
+
 @pytest.mark.parametrize("func,args", [
-    (rat_rref, ([[1], [2, 3]],)),
+    (rat_nullspace, ([[1], [2, 3]],)),
     (rat_rank, ([[1], [2, 3]],)),
     (rat_rank, ([[1, 2], [3]],)),
     (rat_nullspace, ([[1, 2], [3]],)),
     (rat_solve, ([[1, 2], [3]], [1, 2])),
     (rat_inverse, ([[1, 2], [3]],)),
-], ids=["rref", "rank_short_first", "rank_short_last", "nullspace", "solve", "inverse"])
+], ids=["nullspace_short_first", "rank_short_first", "rank_short_last", "nullspace", "solve",
+        "inverse"])
 def test_ragged_rows_are_a_value_error(func, args):
     with pytest.raises(ValueError):
         func(*args)
@@ -151,20 +225,30 @@ def rand_matrix(rng, rows, cols, height=6):
     return [[F(rng.randint(-height, height)) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_rref_shape_and_pivots():
+def test_rank_solve_and_nullspace_read_the_reference_echelon():
     rng = random.Random(7)
     for _ in range(30):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = rand_matrix(rng, m, n)
-        R, pivots = rat_rref(A)
+        R, pivots = ref_rref(A)
         assert len(pivots) == rat_rank(A)
         assert pivots == sorted(pivots)
-        for k, j in enumerate(pivots):
-            assert R[k][j] == 1
-            assert all(R[i][j] == 0 for i in range(m) if i != k)
-        # idempotent
-        R2, p2 = rat_rref(R)
-        assert R2 == R and p2 == pivots
+        free = [j for j in range(n) if j not in pivots]
+        # A x = (column j of A), free unknowns 0, is solved by column j of
+        # the reduced echelon form on the pivots: e_j for a pivot column j
+        for j in range(n):
+            x = rat_solve(A, [r[j] for r in A])
+            assert [x[pc] for pc in pivots] == [R[k][j] for k in range(len(pivots))]
+            assert all(x[fc] == 0 for fc in free)
+        # the kernel vector of free column fc is e_fc minus R's column fc
+        ker = rat_nullspace(A)
+        assert len(ker) == len(free)
+        for v, fc in zip(ker, free):
+            assert [v[c] for c in free] == [int(c == fc) for c in free]
+            assert [v[pc] for pc in pivots] == [-R[k][fc] for k in range(len(pivots))]
+        # the echelon form has the same row space: same rank and kernel basis
+        assert rat_rank(R) == len(pivots)
+        assert rat_nullspace(R) == ker
 
 
 def test_rank_matches_sympy():

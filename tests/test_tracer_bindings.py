@@ -53,7 +53,7 @@ def test_every_traced_method_and_counter_exists():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["dense", "families"])
+@pytest.mark.parametrize("workload", ["cli", "dense", "families"])
 def test_traced_smoke_run_records_every_expected_layer(workload):
     # about a second each; the run writes only under bench/out/
     proc = subprocess.run(
