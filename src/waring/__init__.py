@@ -60,7 +60,6 @@ _DEFERRED = {
             "DiagonalizedDecomposition",
             "derivative_decomposition",
             "diagonalize",
-            "dvr_reduce_step",
             "staircase_check",
         ),
         "diagonal",
@@ -144,7 +143,6 @@ __all__ = [
     "dense_decompose",
     "derivative_decomposition",
     "diagonalize",
-    "dvr_reduce_step",
     "essential_rank",
     "essential_reduce",
     "extract_local_cofactor",

@@ -209,8 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--poly", required=True, help="target polynomial document")
     d.add_argument("--out", help="write the Waring decomposition here")
     d.add_argument("--report", help="write the report document here")
-    d.add_argument("--base-threshold", type=int, default=4, dest="base_threshold")
-    d.add_argument("--y-size", type=int, default=None, dest="y_size")
+    d.add_argument(
+        "--base-threshold", type=int, default=4, dest="base_threshold",
+        help="solve densely at or below this rank; changes a route only with "
+        "--y-size, or above rank 100 with a threshold above 100")
+    d.add_argument(
+        "--y-size", type=int, default=None, dest="y_size",
+        help="Y-block width, at least 1 (default floor(10 sqrt(rank)), which "
+        "holds every pivot up to rank 100, so the split needs this flag there)")
     d.set_defaults(func=cmd_deborder)
 
     o = sub.add_parser("oracle", help="independent rank bounds for a polynomial")

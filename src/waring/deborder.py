@@ -74,17 +74,19 @@ from .poly import HomoPoly, LinearForm, monomials_of_degree
 class DeborderConfig:
     """Knobs for the debordering recursion.
 
-    base_threshold is the rank at or below which a certificate is solved
-    densely instead of split; y_size overrides the Y-block width, which must
-    be at least 1.  The dense solve itself has no setting: its forms are
-    fixed by the target's shape (``dense_decompose``).
+    y_size overrides the Y-block width, which must be at least 1.  The
+    dense solve itself has no setting: its forms are fixed by the target's
+    shape (``dense_decompose``).
 
-    The Y/Z split is the paper's route to its rank bound.  A certificate is
-    split only when its pivot count exceeds the Y-block width, and the
-    default width floor(10 * sqrt(rank)) is at least the rank, hence at
-    least the pivot count, for every rank up to 100.  So for those ranks
-    the default settings solve everything densely, and only an explicit
-    y_size (1 or 2, say) reaches the split; base_threshold alone cannot.
+    The Y/Z split is the paper's route to its rank bound.  A certificate of
+    rank r with p pivots is solved densely when r <= base_threshold or
+    p <= the Y-block width, and split otherwise.  The default width
+    floor(10 * sqrt(r)) is at least r, hence at least p, for every r up to
+    100.  So base_threshold changes a route only together with an explicit
+    y_size (at a threshold of 2 or more), or at ranks above 100 with a
+    threshold above 100.  At the default settings every rank up to 100 is
+    solved densely, and only an explicit y_size (1 or 2, say) reaches the
+    split.
     """
 
     base_threshold: int = 4

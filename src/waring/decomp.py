@@ -328,7 +328,7 @@ def essential_reduce(
     f2 = f.substitute_linear(T)
     if any(any(m[N:]) for m, _ in f2.items()):
         raise InvariantError("essential reduction left a trailing variable in use")
-    B2 = B.substitute([[EpsScalar.from_rational(x) for x in r] for r in T])
+    B2 = B.substitute(T)
     return f2, B2, T, N
 
 

@@ -27,15 +27,15 @@ pivot basis all its coordinates then have positive valuation), so it is
 declared zero.  That check is exact linear algebra over Q(eps) against a
 fraction-free echelon form of the pivot vectors over Z[eps], kept as pivots
 are found: a check reduces only the candidate, by Bareiss steps
-(``linalg._ff_update``), and each new pivot is folded in once.
+(``linalg._ff_update``), and each new pivot is folded in as it is added.
 
-The search runs on integers.  A vector over Q[eps] is held as dense integer
-eps-lists over one integer denominator (``poly._int_eps_row``); valuations
-and leads are read off the lists, and the lead solve is one fraction-free
-elimination of the integer leads with integer back substitution.
-EpsScalars are built only for the pivot each step selects.  Candidates and
-pivot vectors must lie in Q[eps], as every normalized certificate's forms
-do; a reduction that meets another vector raises InvariantError.
+The search runs on integers.  Each normalized summand is cleared once to
+one row, dense integer eps-lists over one integer denominator
+(``poly._int_eps_row``); a form outside Q[eps], which normalization never
+leaves, raises InvariantError there.  Valuations and leads are read off the
+lists, and the lead solve is one fraction-free elimination of the integer
+leads with integer back substitution.  EpsScalars are built only for the
+rows of G.
 
 The pivot search stops once it has nvars pivots.  One more pivot could not
 be framed into an nvars x nvars basis, so a further reduction step could
@@ -82,12 +82,19 @@ _REDUCE_CAP = 10_000
 
 @dataclass(frozen=True)
 class Pivot:
-    """One selected pivot: which summand, at which valuation, reduced to what."""
+    """One selected pivot: which summand, at which valuation, reduced to
+    lists / den (dense integer eps-lists over one positive integer)."""
 
     original_index: int
     valuation: int
-    vector: Tuple[EpsScalar, ...]
-    lead: Tuple[Fraction, ...]
+    lists: List[List[int]]
+    den: int
+
+    @property
+    def lead(self) -> List[int]:
+        """den times the eps**valuation coefficients of the reduced vector."""
+        q = self.valuation
+        return [x[q] if len(x) > q else 0 for x in self.lists]
 
 
 @dataclass(frozen=True)
@@ -116,40 +123,26 @@ class DiagonalizedDecomposition:
 
 
 class _Pivots(list):
-    """Pivots in selection order, kept also on integers.
+    """Pivots in selection order, with their rows in echelon form over Z[eps].
 
-    ``forms`` holds per pivot (valuation, lead, lists): lists is its vector
-    over Q[eps] as dense integer eps-lists over one integer denominator,
-    lead their eps**valuation coefficients (both None for a vector outside
-    Q[eps]).  ``_rows`` is a fraction-free row echelon form of the vectors
-    over Z[eps]: each row is a vector cleared of its denominators and
-    reduced through the rows before it by Bareiss steps, with the column of
-    its first nonzero entry.  Both grow by the pivots appended since
-    ``fold`` last ran.
+    ``_rows`` is a fraction-free row echelon form of the pivots' lists:
+    each row is a pivot's lists reduced through the rows before it by
+    Bareiss steps, with the column of its first nonzero entry.  ``append``
+    folds each pivot in as it is added.
     """
 
-    __slots__ = ("forms", "_rows", "_folded")
+    __slots__ = ("_rows",)
 
-    def __init__(self, pivots: Sequence[Pivot] = ()):
-        super().__init__(pivots)
-        self.forms: List[Tuple[int, Optional[List[int]], Optional[List[List[int]]]]] = []
+    def __init__(self):
+        super().__init__()
         self._rows: List[Tuple[int, List[List[int]]]] = []
-        self._folded = 0
 
-    def fold(self) -> "_Pivots":
-        for pv in self[self._folded:]:
-            lists, s = _int_eps_row(pv.vector)
-            q = pv.valuation
-            if len(s) == 1:
-                self.forms.append((q, [x[q] if len(x) > q else 0 for x in lists], lists))
-            else:
-                self.forms.append((q, None, None))
-            r = self._residual(lists)
-            col = next((j for j, x in enumerate(r) if x), None)
-            if col is not None:
-                self._rows.append((col, r))
-        self._folded = len(self)
-        return self
+    def append(self, pv: Pivot) -> None:
+        super().append(pv)
+        r = self._residual(pv.lists)
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is not None:
+            self._rows.append((col, r))
 
     def _residual(self, v: List[List[int]]) -> List[List[int]]:
         # one Bareiss step per row: exact, as v is one more row of the matrix
@@ -160,67 +153,59 @@ class _Pivots(list):
             prev = a
         return v
 
-    def spans(self, v: Sequence[EpsScalar]) -> bool:
-        """rank(pivot vectors + [v]) == number of pivots, over Q(eps)."""
-        self.fold()
-        return len(self._rows) + any(self._residual(_int_eps_row(v)[0])) == len(self)
+    def spans(self, v: List[List[int]]) -> bool:
+        """rank(pivot lists + [v]) == number of pivots, over Q(eps)."""
+        return len(self._rows) + any(self._residual(v)) == len(self)
 
 
 def _reduce_vector(
-    vec: Sequence[EpsScalar], pivots: _Pivots
+    row: Tuple[List[List[int]], int], pivots: _Pivots
 ) -> Optional[Tuple[int, List[List[int]], int]]:
     """Reduce against the pivots; None means certified zero in the ring-span.
 
-    Returns (valuation, lists, den): the reduced vector is lists / den, as
-    dense integer eps-lists over one positive integer, or vec itself when
-    lists is None (no reduction step was taken).  Only full
-    leading-coefficient cancellations are performed (partial in-span
-    components of a lead are left in place); this is exactly what makes the
-    final change of variables produce a clean staircase with nothing above
-    the pivot order.  The lead solve runs on the integer leads: with X / d
-    its solution, v / den becomes (d*v - sum_p X_p eps**(val - q_p) v_p) /
-    (d*den), over the pivot vectors' own lists v_p.
+    row is (lists, den), the vector lists / den over Q[eps].  Returns
+    (valuation, lists, den) of the reduced vector, the row itself when no
+    reduction step was taken.  Only full leading-coefficient cancellations
+    are performed (partial in-span components of a lead are left in place);
+    this is exactly what makes the final change of variables produce a
+    clean staircase with nothing above the pivot order.  The lead solve
+    runs on the integer leads: with X / d its solution, v / den becomes
+    (d*v - sum_p X_p eps**(val - q_p) v_p) / (d*den), over the pivots' own
+    lists v_p.
     """
-    v, s = _int_eps_row(vec)
-    if len(s) != 1:
-        raise InvariantError("reduction vector left Q[eps]")
-    den = s[0]
-    forms = pivots.fold().forms
-    qmax = max((q for q, _, _ in forms), default=None)
+    v, den = row
+    qmax = max((pv.valuation for pv in pivots), default=None)
     in_span: Optional[bool] = None
-    reduced = False
     for _ in range(_REDUCE_CAP):
         if not any(v):
             return None
         val = min(next(i for i, c in enumerate(x) if c) for x in v if x)
         if qmax is not None and val > qmax:
             if in_span is None:
-                # v - vec lies in the span of the pivots
-                in_span = pivots.spans(vec)
+                # v - row lies in the span of the pivots
+                in_span = pivots.spans(row[0])
             if in_span:
                 return None
-        eligible = [f for f in forms if f[0] <= val]
+        eligible = [pv for pv in pivots if pv.valuation <= val]
         if not eligible:
-            return val, v if reduced else None, den
-        if any(lead is None for _, lead, _ in eligible):
-            raise InvariantError("pivot vector left Q[eps]")
+            return val, v, den
         k = len(eligible)
-        m, cols, d = _int_echelon([[lead[i] for _, lead, _ in eligible]
+        leads = [pv.lead for pv in eligible]
+        m, cols, d = _int_echelon([[lead[i] for lead in leads]
                                    + [x[val] if len(x) > val else 0] for i, x in enumerate(v)])
         if k in cols:
-            return val, v if reduced else None, den
+            return val, v, den
         X = _back_substitute(m, cols, d, k)
         if d < 0:
             d, X = -d, {j: -x for j, x in X.items()}
         a = [d]
         for j, x in X.items():
             if x:
-                q, _, lists = eligible[j]
-                c = [0] * (val - q) + [x]
-                v = [_ff_update(a, vi, c, y, [1]) for vi, y in zip(v, lists)]
+                pv = eligible[j]
+                c = [0] * (val - pv.valuation) + [x]
+                v = [_ff_update(a, vi, c, y, [1]) for vi, y in zip(v, pv.lists)]
                 a = [1]
         den *= d
-        reduced = True
         g = gcd(den, *(c for x in v for c in x))
         if g > 1:
             den //= g
@@ -228,30 +213,23 @@ def _reduce_vector(
     raise InvariantError("echelon reduction did not terminate")
 
 
-def dvr_reduce_step(
-    candidates: Sequence[LinearForm], pivots: Sequence[Pivot]
-) -> Tuple[int, int, LinearForm]:
-    """Reduce every candidate and select the next pivot.
+def _select_pivot(
+    rows: Sequence[Tuple[List[List[int]], int]], pivots: _Pivots
+) -> Tuple[int, int, List[List[int]], int]:
+    """Reduce every row and select the next pivot.
 
-    Returns (index into candidates, valuation, reduced form), choosing the
-    minimal reduced valuation and breaking ties by smallest index.  Raises
-    NoPivotError when every candidate reduces to zero.  ``diagonalize``
-    passes the one ``_Pivots`` it appends to, so the echelon form of the
-    pivot vectors is kept from call to call; any other sequence gets its own.
+    Returns (index into rows, valuation, lists, den) of the reduced row,
+    choosing the minimal reduced valuation and breaking ties by smallest
+    index.  Raises NoPivotError when every row reduces to zero.
     """
-    if not isinstance(pivots, _Pivots):
-        pivots = _Pivots(pivots)
-    best: Optional[Tuple[int, int, Optional[List[List[int]]], int]] = None
-    for idx, form in enumerate(candidates):
-        res = _reduce_vector(form.coefs, pivots)
+    best: Optional[Tuple[int, int, List[List[int]], int]] = None
+    for idx, row in enumerate(rows):
+        res = _reduce_vector(row, pivots)
         if res is not None and (best is None or res[0] < best[1]):
             best = (idx,) + res
     if best is None:
         raise NoPivotError("all candidates reduce to zero")
-    idx, val, lists, den = best
-    if lists is None:
-        return idx, val, candidates[idx]
-    return idx, val, LinearForm(tuple(_eps_of(x, den) for x in lists))
+    return best
 
 
 def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecomposition:
@@ -270,33 +248,34 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     n = Bn.nvars
     local_base = is_local(Bn)
 
+    rows = []
+    for _, form in Bn.summands:
+        lists, s = _int_eps_row(form)
+        if len(s) != 1:
+            raise InvariantError("normalized form left Q[eps]")
+        rows.append((lists, s[0]))
     pivots = _Pivots()
-    remaining = list(range(len(Bn.summands)))
+    remaining = list(range(len(rows)))
     while remaining and len(pivots) < n:
         try:
-            j, val, red = dvr_reduce_step([Bn.summands[i][1] for i in remaining], pivots)
+            j, val, lists, den = _select_pivot([rows[i] for i in remaining], pivots)
         except NoPivotError:
             break
-        lead = tuple(c.num.coeff(val) for c in red.coefs)
-        pivots.append(Pivot(remaining.pop(j), val, red.coefs, lead))
+        pivots.append(Pivot(remaining.pop(j), val, lists, den))
     if not pivots:
         raise NoPivotError("no pivot found; decomposition expands to zero")
 
-    p = len(pivots)
     # rows of G: rescaled reduced pivots, padded with standard vectors whose
     # eps=0 rows stay independent of the pivot leads
-    grows: List[List[EpsScalar]] = []
-    for pv in pivots:
-        down = EpsScalar.eps(-pv.valuation)
-        grows.append([c * down for c in pv.vector])
-    leads = [list(pv.lead) for pv in pivots]
+    grows = [[_eps_of(x[pv.valuation:], pv.den) for x in pv.lists] for pv in pivots]
+    leads = [pv.lead for pv in pivots]
     for j in range(n):
         if len(grows) == n:
             break
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
+        e = [int(i == j) for i in range(n)]
         if rat_rank(leads + [e]) > len(leads):
             leads.append(e)
-            grows.append([EpsScalar.from_rational(x) for x in e])
+            grows.append(e)
     if len(grows) != n:
         raise InvariantError("could not complete the pivot frame to a basis")
 
@@ -436,7 +415,6 @@ __all__ = [
     "DiagonalizedDecomposition",
     "Pivot",
     "diagonalize",
-    "dvr_reduce_step",
     "staircase_check",
     "derivative_decomposition",
     "restrict_vars_zero",

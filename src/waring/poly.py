@@ -23,14 +23,13 @@ canonical EpsScalar built per monomial.  Any other denominator, such as
 1/(1+eps), makes the whole sum fall back to multiplying and adding the
 scalars term by term.
 
-``HomoPoly.substitute_linear`` uses the same integers when every
-coefficient and every row entry is a Fraction: each row is cleared to an
-integer vector over its lcm denominator, its powers come from
+``HomoPoly.substitute_linear`` is rational only (a polynomial or rows over
+Q(eps) raise TypeError) and uses the same integers: each row is cleared to
+an integer vector over its lcm denominator, its powers come from
 ``_int_power_terms`` once per (row, exponent), the integer products are
 summed per monomial over the lcm of the terms' denominators, and one
 Fraction is built per output monomial.  Inside the products a monomial is
-one integer key (Kronecker substitution).  Rows holding EpsScalars multiply
-and add scalars.
+one integer key (Kronecker substitution).
 
 ``substitute_forms`` is the one substitution kernel for linear forms
 (``LinearForm.substitute`` is its one-form case).  It clears the matrix
@@ -242,42 +241,21 @@ class HomoPoly:
     def substitute_linear(self, rows: Sequence[Sequence[object]]) -> "HomoPoly":
         """p(Mx) where variable i is replaced by the linear form rows[i].
 
-        rows must be an nvars x nvars matrix of scalars compatible with the
-        coefficient kind.  Exact expansion; no truncation anywhere.  Rational
-        input runs on integers (``_rational_substitute``).
+        p and the nvars x nvars matrix M must be rational (ints count);
+        anything over Q(eps) raises TypeError.  Exact, on integers
+        (``_rational_substitute``).
         """
         n = self.nvars
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("substitution matrix has wrong shape")
+        forms = [tuple(_as_coeff(c) for c in r) for r in rows]
+        if not all(isinstance(c, Fraction) for r in forms for c in r) or not all(
+            isinstance(c, Fraction) for c in self._terms.values()
+        ):
+            raise TypeError("substitute_linear takes a rational polynomial and rational rows")
         if self.is_zero:
             return self
-        forms = [tuple(_as_coeff(c) for c in r) for r in rows]
-        if all(isinstance(c, Fraction) for c in self._terms.values()) and all(
-            isinstance(c, Fraction) for r in forms for c in r
-        ):
-            return _rational_substitute(self, forms)
-        power_cache: Dict[Tuple[int, int], HomoPoly] = {}
-
-        def var_power(i: int, e: int) -> HomoPoly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = _form_power(forms[i], e, n)
-                power_cache[key] = got
-            return got
-
-        total = HomoPoly.zero(n, self.degree)
-        for m, c in self._terms.items():
-            piece: HomoPoly | None = None
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                p = var_power(i, e)
-                piece = p if piece is None else piece * p
-            if piece is None:  # degree-0 polynomial
-                piece = HomoPoly(n, 0, {(0,) * n: Fraction(1)})
-            total = total + piece.scale(c)
-        return total
+        return _rational_substitute(self, forms)
 
     def limit_at_zero(self) -> "HomoPoly":
         """Entrywise limit at eps = 0; coefficients become Fractions.
@@ -651,24 +629,6 @@ def _scalar_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
     return HomoPoly._make(nvars, degree, acc)
 
 
-def _form_power(coefs: Sequence[object], d: int, nvars: int) -> HomoPoly:
-    """(c . x)**d as a one-summand power sum with weight 1.
-
-    The weight is of the coefficients' kind; a row that mixes Fractions and
-    EpsScalars takes the scalar loop with weight Fraction(1), so each output
-    coefficient keeps the kind of the scalars it multiplies.
-    """
-    if not any(coefs):
-        return HomoPoly.zero(nvars, d)
-    if d == 0:
-        return HomoPoly(nvars, 0, {(0,) * nvars: Fraction(1)})
-    if all(isinstance(c, Fraction) for c in coefs):
-        return power_sum(nvars, d, ((Fraction(1), coefs),))
-    if all(isinstance(c, EpsScalar) for c in coefs):
-        return power_sum(nvars, d, ((EpsScalar.one(), coefs),))
-    return _scalar_power_sum(nvars, d, ((Fraction(1), coefs),))
-
-
 def _den_of(c) -> int:
     """Least integer clearing a Fraction or a polynomial EpsScalar."""
     if isinstance(c, Fraction):
@@ -777,7 +737,11 @@ class LinearForm(tuple):
         return cls(tuple(Fraction(1 if i == index else 0) for i in range(nvars)))
 
     def power(self, d: int) -> HomoPoly:
-        return _form_power(self.coefs, d, self.nvars)
+        """(c . x)**d, a one-summand power sum with weight 1 of the form's kind."""
+        n = self.nvars
+        if d == 0:
+            return HomoPoly(n, 0, {(0,) * n: Fraction(1)})
+        return power_sum(n, d, ((Fraction(1) if self.is_rational else EpsScalar.one(), self),))
 
     def scale(self, s) -> "LinearForm":
         s = _as_coeff(s)

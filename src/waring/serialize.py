@@ -12,7 +12,9 @@ reproduces x exactly.
 Malformed input raises FormatError, which the command-line layer maps to
 exit code 2.  So does a declared shape past the ceilings below, checked
 before anything is built from it: expanding a power enumerates every
-monomial of the degree and every factorial up to it.
+monomial of the degree and every factorial up to it.  So does an eps
+exponent past its ceiling: expansion holds dense lists of eps-coefficients
+as long as the exponents it meets.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ KINDS = ("polynomial", "border", "waring", "report")
 MAX_NVARS = 64
 MAX_DEGREE = 64
 MAX_MONOMIALS = 2000  # C(nvars + degree - 1, degree)
+# `gen` writes eps exponents up to 63 (osculating j <= 63; shipped inputs
+# reach 5).  On a 2-vCPU host, verifying one summand in 3 variables of
+# degree 61 whose form carries 1 + eps**e takes 0.45 s at e = 1 and 4.7 s
+# at this ceiling, and grows linearly in e.
+MAX_EPS_EXPONENT = 64
 
 
 class FormatError(ValueError):
@@ -79,6 +86,8 @@ def eps_poly_from_json(obj) -> EpsPoly:
         e, c = entry
         if not _is_int(e) or e < 0:
             raise FormatError(f"bad eps exponent {e!r}")
+        if e > MAX_EPS_EXPONENT:
+            raise FormatError(f"eps exponent {e} is past the ceiling of {MAX_EPS_EXPONENT}")
         if e in acc:
             raise FormatError(f"duplicate eps exponent {e}")
         acc[e] = rational_from_str(c)
@@ -277,7 +286,9 @@ def parse_document(text: str, expect: str | None = None):
     """(kind, value) from a document string; FormatError on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer past the digit limit;
+        # RecursionError: nesting deeper than the interpreter's stack
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
@@ -312,6 +323,7 @@ __all__ = [
     "DOCUMENT_VERSION",
     "KINDS",
     "MAX_DEGREE",
+    "MAX_EPS_EXPONENT",
     "MAX_MONOMIALS",
     "MAX_NVARS",
     "border_from_json",

@@ -1,6 +1,7 @@
 """Shared builders and invariant checkers for the test suite."""
 
 import os
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from waring import (
     normalize_border,
     staircase_check,
 )
+from waring.diagonal import Pivot
 from waring.linalg import rat_inverse, rat_rank
+from waring.poly import _int_eps_row
 
 
 # property tests run the same examples every time, write no example
@@ -90,6 +93,19 @@ def repeated_product(coefs, d):
     return out
 
 
+def ref_substitute(f, rows):
+    """f(Mx) as a sum over monomials of products of row powers, each power a
+    repeated product; rows over Q or Q(eps)."""
+    n = f.nvars
+    total = HomoPoly.zero(n, f.degree)
+    for m, c in f.items():
+        piece = HomoPoly(n, 0, {(0,) * n: Fraction(1)})
+        for row, e in zip(rows, m):
+            piece = piece * repeated_product(row, e)
+        total = total + piece.scale(c)
+    return total
+
+
 def field_rref(rows):
     """Reduced row echelon form by plain Gauss-Jordan over a field (Q or
     Q(eps): the entries are Fractions or EpsScalars); returns (rref, pivot
@@ -119,11 +135,31 @@ def field_rref(rows):
     return m, pivots
 
 
+def int_row(vec):
+    """vec as the pivot search holds it: (lists, den), dense integer
+    eps-lists over one integer, vec = lists / den over Q[eps].  A vector
+    outside Q[eps] is first multiplied by the lcm of its polynomial
+    denominators, which keeps its Q(eps)-span, all a span check reads; den
+    is then 1."""
+    lists, s = _int_eps_row(vec)
+    return lists, s[0] if len(s) == 1 else 1
+
+
+def int_pivot(index, valuation, vec):
+    """The integer ``diagonal.Pivot`` of the vector vec."""
+    return Pivot(index, valuation, *int_row(vec))
+
+
+# a pivot of the reference search: its valuation and its vector of EpsScalars
+RefPivot = namedtuple("RefPivot", "valuation vector")
+
+
 class RefPivots(list):
     """The pivot search's echelon over the field Q(eps), on EpsScalars: the
-    reference the integer ``diagonal._Pivots`` is checked against.  Each
-    row is 1 at its pivot column and 0 at the pivot columns of the rows
-    before it; ``spans`` folds in the pivots appended since it last ran.
+    reference the integer ``diagonal._Pivots`` is checked against.  Holds
+    RefPivot pairs; each echelon row is 1 at its pivot column and 0 at the pivot
+    columns of the rows before it; ``spans`` folds in the pivots appended
+    since it last ran.
     """
 
     def __init__(self, pivots=()):
@@ -173,8 +209,8 @@ def ref_reduce_vector(vec, pivots):
             return val, tuple(v)
         # the lead solve by field_rref, free unknowns 0
         k = len(eligible)
-        rref, cols = field_rref([[Fraction(p.lead[i]) for p in eligible] + [lead[i]]
-                                 for i in range(len(v))])
+        rref, cols = field_rref([[p.vector[i].num.coeff(p.valuation) for p in eligible]
+                                 + [lead[i]] for i in range(len(v))])
         if k in cols:
             return val, tuple(v)
         sol = [Fraction(0)] * k
@@ -238,7 +274,7 @@ def assert_staircase_invariants(f, B):
     # the transformed expansion is its expansion composed with the transform
     normalized = normalize_border(B).expand()
     transformed = D.decomposition.expand()
-    assert transformed == normalized.substitute_linear(D.transform.rows)
+    assert transformed == ref_substitute(normalized, D.transform.rows)
 
     out = check_border(D.decomposition, D.limit)
     assert out.ok

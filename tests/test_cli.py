@@ -16,7 +16,13 @@ import pytest
 from waring import CertificateCheckError, DeborderConfig, EpsScalar, LinearForm, paper_bound
 from waring.cli import MAX_CATALECTICANT_ENTRIES, main
 from waring.decomp import BorderDecomposition
-from waring.serialize import MAX_DEGREE, parse_document, read_document, write_document
+from waring.serialize import (
+    MAX_DEGREE,
+    MAX_EPS_EXPONENT,
+    parse_document,
+    read_document,
+    write_document,
+)
 from conftest import FRESH_ENV, F, mono
 
 
@@ -182,6 +188,19 @@ def test_oversized_documents_exit_two_before_any_work(workdir):
         doc = {"kind": kind, "version": 1, "payload": payload}
         (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["verify", "--type", "waring", "w.json", "p.json"], ["oracle", "p.json"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and "ceiling" in err
+
+
+def test_eps_exponent_past_the_ceiling_exits_two(workdir):
+    # tangent d = 3 whose moving form carries 1 + eps**(ceiling + 1): refused
+    # by verify and deborder before any expansion
+    assert run_cli(["gen", "--family", "tangent", "--d", "3"])[0] == 0
+    doc = json.loads((workdir / "tangent_d3_border.json").read_text(encoding="utf-8"))
+    doc["payload"]["summands"][0]["form"]["coefs"][1]["num"].append([MAX_EPS_EXPONENT + 1, "1"])
+    (workdir / "b.json").write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["verify", "--type", "border", "b.json", "tangent_d3_poly.json"],
+                 ["deborder", "--border", "b.json", "--poly", "tangent_d3_poly.json"]):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "" and "ceiling" in err
 

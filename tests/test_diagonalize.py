@@ -16,49 +16,57 @@ from waring import (
     check_border,
     derivative_decomposition,
     diagonalize,
-    dvr_reduce_step,
     falling_factorial,
     normalize_border,
 )
 from waring import diagonal
-from waring.diagonal import Pivot
 from waring.linalg import EpsMatrix
 from waring.oracle import gen_multibase, gen_random, gen_tangent
 from waring.poly import _eps_of
 from conftest import (
     F,
+    RefPivot,
     RefPivots,
     assert_staircase_invariants,
     eps,
     esc,
     field_rref,
-    lf,
+    int_pivot,
+    int_row,
     mono,
     ref_reduce_vector,
 )
 
 
+def kept_pivots(*pivots):
+    """A diagonal._Pivots holding the given integer pivots, in order."""
+    out = diagonal._Pivots()
+    for pv in pivots:
+        out.append(pv)
+    return out
+
+
 def test_reduce_step_picks_minimal_valuation_first():
-    cands = [lf(EpsScalar.one(), eps(1)), lf(EpsScalar.one(), EpsScalar.zero())]
-    idx, val, red = dvr_reduce_step(cands, [])
+    cands = [(EpsScalar.one(), eps(1)), (EpsScalar.one(), EpsScalar.zero())]
+    idx, val, *red = diagonal._select_pivot([int_row(v) for v in cands], kept_pivots())
     assert (idx, val) == (0, 0)
-    assert red.coefs == cands[0].coefs
+    assert tuple(red) == int_row(cands[0])
 
 
 def test_reduce_step_cancels_against_a_pivot():
-    first = lf(EpsScalar.one(), eps(1))
-    p1 = Pivot(0, 0, tuple(first.coefs), (F(1), F(0)))
-    idx, val, red = dvr_reduce_step([lf(EpsScalar.one(), EpsScalar.zero())], [p1])
+    p1 = int_pivot(0, 0, (EpsScalar.one(), eps(1)))
+    idx, val, *red = diagonal._select_pivot(
+        [int_row((EpsScalar.one(), EpsScalar.zero()))], kept_pivots(p1))
     assert (idx, val) == (0, 1)
-    assert red.coefs == (EpsScalar.zero(), -eps(1))
+    assert tuple(red) == int_row((EpsScalar.zero(), -eps(1)))
 
 
 def test_reduce_step_exhausted():
-    first = lf(EpsScalar.one(), eps(1))
-    p1 = Pivot(0, 0, tuple(first.coefs), (F(1), F(0)))
-    p2 = Pivot(1, 1, (EpsScalar.zero(), -eps(1)), (F(0), F(-1)))
+    p1 = int_pivot(0, 0, (EpsScalar.one(), eps(1)))
+    p2 = int_pivot(1, 1, (EpsScalar.zero(), -eps(1)))
     with pytest.raises(NoPivotError):
-        dvr_reduce_step([lf(EpsScalar.one(), EpsScalar.zero())], [p1, p2])
+        diagonal._select_pivot([int_row((EpsScalar.one(), EpsScalar.zero()))],
+                               kept_pivots(p1, p2))
 
 
 def test_diagonalize_tangent_staircase():
@@ -201,13 +209,13 @@ def test_pivot_search_stops_at_nvars_pivots_and_drops_nothing(monkeypatch):
     from test_golden_documents import dense_certificate
 
     calls = []
-    real = diagonal.dvr_reduce_step
+    real = diagonal._select_pivot
 
-    def counted(candidates, pivots):
+    def counted(rows, pivots):
         calls.append(pivots)
-        return real(candidates, pivots)
+        return real(rows, pivots)
 
-    monkeypatch.setattr(diagonal, "dvr_reduce_step", counted)
+    monkeypatch.setattr(diagonal, "_select_pivot", counted)
     cases = [dense_certificate(21, 4, 3, (1, 2), 4), dense_certificate(22, 5, 3, (2,), 3)]
     cases += [gen_random(n, d, r, seed=s)
               for n, d, r in [(2, 3, 3), (3, 3, 5), (4, 3, 6), (4, 3, 4), (3, 3, 2)]
@@ -223,11 +231,11 @@ def test_pivot_search_stops_at_nvars_pivots_and_drops_nothing(monkeypatch):
             assert len(calls) == D.p + 1
         if D.p == n and leftovers:
             stopped += 1
-            forms = [normalize_border(B).summands[i][1] for i in leftovers]
+            rows = [int_row(normalize_border(B).summands[i][1]) for i in leftovers]
             # every step is handed the one list that diagonalize appends to,
             # so the last call's argument now holds all the pivots
             with pytest.raises(NoPivotError):
-                real(forms, calls[-1])
+                real(rows, calls[-1])
     assert stopped >= 5  # the corpus exercises the stop (9 of its 17 inputs)
 
 
@@ -273,26 +281,30 @@ def test_kept_echelon_answers_the_span_check_like_eps_rref(case):
     pivots = diagonal._Pivots()
     for k in range(len(vecs) + 1):
         for v in cands:
-            assert pivots.spans(v) == (len(field_rref(list(vecs[:k]) + [v])[1]) == k)
+            assert pivots.spans(int_row(v)[0]) == (len(field_rref(list(vecs[:k]) + [v])[1]) == k)
         if k < len(vecs):
-            pivots.append(Pivot(k, 0, vecs[k], ()))
+            pivots.append(int_pivot(k, 0, vecs[k]))
 
 
 # -- the integer pivot search against the EpsScalar reference -----------------
 
 
-def reduce_both(vec, pivots, ref, reduce=diagonal._reduce_vector):
-    """Run the integer reduction and the reference; assert they agree on the
-    None result, the valuation and the reduced vector, and return the
-    reference's answer."""
-    got = reduce(vec, pivots)
-    want = ref_reduce_vector(vec, ref)
+def eps_vector(lists, den):
+    """The vector lists / den of EpsScalars."""
+    return tuple(_eps_of(x, den) for x in lists)
+
+
+def reduce_both(row, pivots, ref, reduce=diagonal._reduce_vector):
+    """Run the integer reduction of the row (lists, den) and the reference on
+    its EpsScalars; assert they agree on the None result, the valuation and
+    the reduced vector, and return the reference's answer."""
+    got = reduce(row, pivots)
+    want = ref_reduce_vector(eps_vector(*row), ref)
     if want is None:
         assert got is None
     else:
         val, lists, den = got
-        red = tuple(vec) if lists is None else tuple(_eps_of(x, den) for x in lists)
-        assert (val, red) == want
+        assert (val, eps_vector(lists, den)) == want
     return want
 
 
@@ -330,33 +342,35 @@ def test_integer_pivot_search_matches_the_eps_scalar_reference(vecs):
     pivots, ref = diagonal._Pivots(), RefPivots()
     remaining = list(range(len(vecs)))
     while remaining and len(pivots) < n:
-        results = [reduce_both(vecs[i], pivots, ref) for i in remaining]
+        rows = [int_row(vecs[i]) for i in remaining]
+        results = [reduce_both(row, pivots, ref) for row in rows]
         kept = [(r[0], k) for k, r in enumerate(results) if r is not None]
         if not kept:
             with pytest.raises(NoPivotError):
-                dvr_reduce_step([lf(*vecs[i]) for i in remaining], pivots)
+                diagonal._select_pivot(rows, pivots)
             break
         val, k = min(kept)
-        assert dvr_reduce_step([lf(*vecs[i]) for i in remaining], pivots) == \
-            (k, val, lf(*results[k][1]))
         red = results[k][1]
-        pv = Pivot(remaining.pop(k), val, red, tuple(c.num.coeff(val) for c in red))
-        pivots.append(pv)
-        ref.append(pv)
+        assert diagonal._select_pivot(rows, pivots) == (k, val) + int_row(red)
+        pivots.append(int_pivot(remaining.pop(k), val, red))
+        ref.append(RefPivot(val, red))
 
 
 def test_tail_chase_is_certified_zero_by_the_span_check():
     # x against (1 - eps) x: every subtraction leaves eps**k x, one order up,
     # so only the span check stops the reduction
     one, zero = EpsScalar.one(), EpsScalar.zero()
-    pv = Pivot(0, 0, (one - eps(1), zero), (F(1), F(0)))
-    assert reduce_both((one, zero), diagonal._Pivots([pv]), RefPivots([pv])) is None
+    u = (one - eps(1), zero)
+    pv, ref = int_pivot(0, 0, u), RefPivot(0, u)
+    assert reduce_both(int_row((one, zero)), kept_pivots(pv), RefPivots([ref])) is None
     # the same with a pivot frame of two, the chase in the second variable
-    pv2 = Pivot(1, 1, (zero, eps(1) - eps(2)), (F(0), F(1)))
+    u2 = (zero, eps(1) - eps(2))
+    pv2, ref2 = int_pivot(1, 1, u2), RefPivot(1, u2)
     for v in [(zero, eps(1)), (one - eps(1), eps(3)), (eps(2), eps(2))]:
-        assert reduce_both(v, diagonal._Pivots([pv, pv2]), RefPivots([pv, pv2])) is None
+        assert reduce_both(int_row(v), kept_pivots(pv, pv2), RefPivots([ref, ref2])) is None
     with pytest.raises(NoPivotError):
-        dvr_reduce_step([lf(one, zero), lf(eps(2), eps(2))], [pv, pv2])
+        diagonal._select_pivot([int_row((one, zero)), int_row((eps(2), eps(2)))],
+                               kept_pivots(pv, pv2))
 
 
 def load_bench_workloads():
@@ -380,9 +394,10 @@ def test_integer_pivot_search_matches_the_reference_on_the_corpora(monkeypatch):
     real_reduce, real_spans = diagonal._reduce_vector, diagonal._Pivots.spans
     reductions, answers = [], []
 
-    def checked(vec, pivots):
-        reductions.append(reduce_both(vec, pivots, RefPivots(pivots)))
-        return real_reduce(vec, pivots)
+    def checked(row, pivots):
+        ref = RefPivots(RefPivot(pv.valuation, eps_vector(pv.lists, pv.den)) for pv in pivots)
+        reductions.append(reduce_both(row, pivots, ref))
+        return real_reduce(row, pivots)
 
     def spans(self, v):
         answers.append(real_spans(self, v))
@@ -408,6 +423,8 @@ def test_span_check_clears_polynomial_denominators_per_vector():
     u = (one / unit, one, eps(1) / (1 + eps(2)))
     v = (one, unit, unit * u[2])
     w = (one, unit + eps(1), unit * u[2])
-    pivots = diagonal._Pivots([Pivot(0, 0, u, ())])
-    assert pivots.spans(v) and RefPivots([Pivot(0, 0, u, ())]).spans(v)
-    assert not pivots.spans(w) and not RefPivots([Pivot(0, 0, u, ())]).spans(w)
+    # each vector is cleared to Z[eps] by its own denominators (int_row,
+    # ``poly._int_eps_row``), so the kept echelon holds non-constant leads
+    pivots, ref = kept_pivots(int_pivot(0, 0, u)), RefPivots([RefPivot(0, u)])
+    assert pivots.spans(int_row(v)[0]) and ref.spans(v)
+    assert not pivots.spans(int_row(w)[0]) and not ref.spans(w)

@@ -20,9 +20,9 @@ from waring import (
     poly,
 )
 from waring.linalg import rat_inverse
-from waring.poly import _form_power, substitute_forms
+from waring.poly import substitute_forms
 from test_golden_documents import dense_certificate
-from conftest import F, esc, lf, mono, rand_poly, repeated_product
+from conftest import F, esc, lf, mono, rand_poly, ref_substitute, repeated_product
 
 
 def test_falling_factorial_values():
@@ -224,7 +224,7 @@ def _invert_unitriangular(rows):
     return inv
 
 
-# -- _form_power against the repeated product ----------------------------------
+# -- LinearForm.power against the repeated product ------------------------------
 
 
 PROPERTY = settings(max_examples=80)
@@ -241,7 +241,7 @@ def nonzero(coefs):
 
 
 def assert_power_matches(coefs, d):
-    got = _form_power(coefs, d, len(coefs))
+    got = LinearForm(coefs).power(d)
     want = repeated_product(coefs, d)
     assert (got.nvars, got.degree) == (want.nvars, want.degree)
     assert dict(got.items()) == dict(want.items())
@@ -274,24 +274,14 @@ def test_form_power_with_quotient_coefficients(coefs, d):
        .filter(nonzero),
        st.integers(0, 5))
 def test_form_power_mixed_scalar_kinds(coefs, d):
-    # substitute_linear may hand over rows mixing Fractions and EpsScalars
-    assert_power_matches(coefs, d)
+    # a form never mixes kinds: a mixed row is lifted to EpsScalars, and its
+    # power is that of the lifted row
+    lifted = [c if isinstance(c, EpsScalar) else EpsScalar.from_rational(c) for c in coefs]
+    assert LinearForm(coefs) == tuple(lifted)
+    assert_power_matches(lifted, d)
 
 
 # -- substitute_linear over Q against a product of row powers ------------------
-
-
-def ref_substitute(f, rows):
-    """f(Mx) as a sum over monomials of products of row powers, each power a
-    repeated product."""
-    n = f.nvars
-    total = HomoPoly.zero(n, f.degree)
-    for m, c in f.items():
-        piece = HomoPoly(n, 0, {(0,) * n: F(1)})
-        for row, e in zip(rows, m):
-            piece = piece * repeated_product(row, e)
-        total = total + piece.scale(c)
-    return total
 
 
 def assert_substitution_matches(f, rows):
@@ -418,6 +408,8 @@ def test_kronecker_keyed_substitution_matches_tuple_keys(n, d, count):
 
 
 def test_only_rational_rows_and_coefficients_take_the_integer_substitution(monkeypatch):
+    # rational input runs on integers; a polynomial or rows over Q(eps) are
+    # refused before any work
     calls = []
     real = poly._rational_substitute
     monkeypatch.setattr(poly, "_rational_substitute",
@@ -427,10 +419,13 @@ def test_only_rational_rows_and_coefficients_take_the_integer_substitution(monke
     f.substitute_linear(rows)
     assert len(calls) == 1
     eps_rows = [[EpsScalar.one(), esc((1, 1))], [EpsScalar.zero(), EpsScalar.one()]]
-    g = f.substitute_linear(eps_rows)
-    f.lift_to_eps().substitute_linear([[F(1), F(2)], [F(0), F(1)]])
+    with pytest.raises(TypeError):
+        f.substitute_linear(eps_rows)
+    with pytest.raises(TypeError):
+        f.lift_to_eps().substitute_linear([[F(1), F(2)], [F(0), F(1)]])
+    with pytest.raises(TypeError):
+        HomoPoly.zero(2, 2).substitute_linear(eps_rows)
     assert len(calls) == 1
-    assert all(isinstance(c, EpsScalar) for _, c in g.items())
 
 
 # -- substitute_forms against the scalar product c . M ---------------------------

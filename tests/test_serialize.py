@@ -2,17 +2,20 @@
 
 import json
 import random
+from copy import deepcopy
 from dataclasses import asdict
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waring import DeborderConfig, EpsPoly, EpsScalar, FormatError, deborder
 from waring.deborder import dense_decompose
-from waring.oracle import gen_random, gen_tangent
+from waring.oracle import gen_osculating, gen_random, gen_tangent
 from waring.serialize import (
     MAX_DEGREE,
+    MAX_EPS_EXPONENT,
     MAX_MONOMIALS,
     MAX_NVARS,
     border_from_json,
@@ -241,6 +244,26 @@ def test_shapes_past_the_ceilings_are_refused():
         assert poly_from_json({"nvars": nvars, "degree": degree, "terms": []}).is_zero
 
 
+def test_eps_exponents_past_the_ceiling_are_refused():
+    # the largest exponent gen writes (osculating j = 63 at degree 64) reads;
+    # one past the ceiling is refused wherever it sits, before any EpsPoly
+    # is built
+    _, B = gen_osculating(MAX_DEGREE, MAX_DEGREE - 1)
+    assert parse_document(dumps_document("border", B))[1] == B
+    assert eps_poly_from_json([[MAX_EPS_EXPONENT, "1"]]) == EpsPoly({MAX_EPS_EXPONENT: F(1)})
+    _, B = gen_tangent(3)
+    doc = json.loads(dumps_document("border", B))
+    summand = doc["payload"]["summands"][0]
+    weight, coef = summand["weight"], summand["form"]["coefs"][1]
+    for target in (weight["num"], weight["den"], coef["num"]):
+        saved = list(target)
+        target.append([MAX_EPS_EXPONENT + 1, "1"])
+        with pytest.raises(FormatError, match="ceiling"):
+            parse_document(json.dumps(doc))
+        target[:] = saved
+    assert parse_document(json.dumps(doc))[1] == B
+
+
 def test_decomposition_payload_validation():
     f, B = gen_tangent(3)
     obj = border_to_json(B)
@@ -275,3 +298,82 @@ def test_documents_end_with_newline_and_sorted_keys():
     assert text.endswith("\n")
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
+
+
+# -- parse_document under mutation: only FormatError escapes -------------------
+
+
+def _valid_documents():
+    f, B = gen_tangent(3)
+    f2, B2 = gen_random(3, 3, 3, seed=1)
+    W, report = deborder(f, B)
+    return [json.loads(dumps_document(kind, value)) for kind, value in (
+        ("polynomial", f), ("polynomial", f2), ("border", B), ("border", B2),
+        ("waring", W), ("report", report_to_json(report, asdict(DeborderConfig()))),
+    )]
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON value, as the keys and indices leading to it."""
+    yield path
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _paths(v, path + (i,))
+
+
+# values that do not belong: bools, floats and strings where ints belong,
+# negative and oversized integers, zero denominators, wrong containers
+junk = st.one_of(
+    st.booleans(), st.none(), st.floats(), st.text(max_size=4),
+    st.integers(-3, 3), st.integers(-10**30, 10**30),
+    st.sampled_from([MAX_EPS_EXPONENT, MAX_EPS_EXPONENT + 1, MAX_DEGREE + 1, MAX_NVARS + 1,
+                     "1/0", "0", "-1", "1/2", [], {}, [[0, "0"]], [[0, "1"], [0, "1"]]]),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = deepcopy(draw(junk))
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, target = path[-1], parent[path[-1]]
+        op = draw(st.sampled_from(["replace", "duplicate", "drop"]))
+        if op == "duplicate" and isinstance(target, list) and target:
+            # duplicate exponents, monomials and summands, or one entry too many
+            target.append(deepcopy(draw(st.sampled_from(target))))
+        elif op == "drop":
+            # one entry or key too few: wrong arity, missing fields
+            del parent[key]
+        else:
+            parent[key] = deepcopy(draw(junk))  # later mutations may edit it
+    return doc
+
+
+@settings(max_examples=400)
+@given(mutated_documents())
+def test_parse_document_lets_only_format_error_escape(doc):
+    try:
+        parse_document(json.dumps(doc))
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # nesting past the interpreter's stack
+    '{"kind": "polynomial", "version": 1, "payload": {"nvars": ' + "1" * 5000 + "}}",
+])
+def test_json_the_decoder_refuses_is_a_format_error(text):
+    with pytest.raises(FormatError, match="not valid JSON"):
+        parse_document(text)
