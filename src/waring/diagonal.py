@@ -31,7 +31,7 @@ are found: a check reduces only the candidate, by Bareiss steps
 
 The search runs on integers.  Each normalized summand is cleared once to
 one row, dense integer eps-lists over one integer denominator
-(``poly._int_eps_row``); a form outside Q[eps], which normalization never
+(``epsilon._int_eps_row``); a form outside Q[eps], which normalization never
 leaves, raises InvariantError there.  Valuations and leads are read off the
 lists, and the lead solve is one fraction-free elimination of the integer
 leads with integer back substitution.  EpsScalars are built only for the
@@ -41,8 +41,9 @@ The pivot search stops once it has nvars pivots.  One more pivot could not
 be framed into an nvars x nvars basis, so a further reduction step could
 only certify the remaining candidates zero; skipping it saves a reduction
 per candidate, and ``staircase_check`` still asserts every non-pivot row in
-the new coordinates.  The summands move to the new coordinates in one call
-of ``poly.substitute_forms``.
+the new coordinates.  The summands move to the new coordinates from the
+rows already held: the transform is cleared once, and
+``poly._substitute_row`` multiplies each row by it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .decomp import (
     normalize_border,
     restrict_vars_zero,
 )
-from .epsilon import EpsScalar
+from .epsilon import EpsScalar, _eps_of, _int_eps_row
 from .errors import (
     InvariantError,
     NoPivotError,
@@ -68,14 +69,7 @@ from .errors import (
     ZeroDerivativeError,
 )
 from .linalg import EpsMatrix, _back_substitute, _ff_update, _int_echelon, rat_inverse, rat_rank
-from .poly import (
-    HomoPoly,
-    LinearForm,
-    _eps_of,
-    _int_eps_row,
-    falling_factorial,
-    substitute_forms,
-)
+from .poly import HomoPoly, LinearForm, _substitute_row, falling_factorial
 
 _REDUCE_CAP = 10_000
 
@@ -267,7 +261,7 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
 
     # rows of G: rescaled reduced pivots, padded with standard vectors whose
     # eps=0 rows stay independent of the pivot leads
-    grows = [[_eps_of(x[pv.valuation:], pv.den) for x in pv.lists] for pv in pivots]
+    grows = [[_eps_of(x[pv.valuation:], [pv.den]) for x in pv.lists] for pv in pivots]
     leads = [pv.lead for pv in pivots]
     for j in range(n):
         if len(grows) == n:
@@ -288,7 +282,8 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         raise InvariantError("change of variables is not a unit at eps = 0") from exc
 
     order = [pv.original_index for pv in pivots] + remaining
-    forms = substitute_forms([Bn.summands[i][1] for i in order], A.rows)
+    M, S = _int_eps_row([x for r in A.rows for x in r])
+    forms = [_substitute_row(rows[i][0], [rows[i][1]], M, S) for i in order]
     summands = tuple((Bn.summands[i][0], g) for i, g in zip(order, forms))
     D = DiagonalizedDecomposition(
         decomposition=BorderDecomposition(n, Bn.degree, summands),

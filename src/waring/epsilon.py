@@ -22,12 +22,18 @@ scale.  Both give exactly what the general algorithms give.
 
 Scalars coerce from int and Fraction on the fly, so generic polynomial code
 can mix them with plain rationals.
+
+The integer kernels in ``poly``, ``linalg`` and ``diagonal`` cross between
+Q(eps) and integer eps-lists through one codec pair only: ``_int_eps_row``
+clears a vector to lists over one common denominator, and ``_eps_of``
+builds a canonical scalar back from a list and a denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from math import lcm
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleAtZero
 
@@ -350,11 +356,6 @@ class EpsScalar:
     def is_polynomial(self) -> bool:
         return self.den == _EP_ONE
 
-    @property
-    def is_laurent(self) -> bool:
-        """True when the denominator is a power of eps (1 included)."""
-        return len(self.den._terms) == 1
-
     def valuation(self) -> int:
         """eps-valuation val(num) - val(den); raises on zero."""
         if self.is_zero:
@@ -481,3 +482,57 @@ class EpsScalar:
         if self.is_polynomial:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+_EPS_ZERO = EpsScalar.zero()
+
+
+# -- the Z[eps] row codec ----------------------------------------------------
+
+
+def _int_eps_row(row: Sequence) -> Tuple[List[List[int]], List[int]]:
+    """A vector of Fractions and EpsScalars cleared to Z[eps]: (lists, den)
+    with row[i] = lists[i] / den, as dense integer eps-lists ([] for 0).
+
+    den is s times the lcm of the rational denominators left, s the lcm of
+    the entries' denominators.  So den is a monomial c * eps**k exactly
+    when every entry is a Laurent polynomial, and each entry is then only
+    shifted and scaled; den's last entry is nonzero.
+    """
+    s = _EP_ONE
+    for x in row:
+        if isinstance(x, EpsScalar) and x.den is not _EP_ONE and x.den._terms != s._terms:
+            if len(s._terms) == len(x.den._terms) == 1:  # eps**a and eps**b
+                s = max(s, x.den, key=EpsPoly.degree)
+            else:
+                s = s * x.den.exact_div(EpsPoly.gcd(s, x.den))
+    if len(s._terms) == 1:  # s = eps**k: each entry is only shifted
+        (k,) = s._terms
+        parts = [(x.num._terms, k - max(x.den._terms)) if isinstance(x, EpsScalar)
+                 else ({0: x} if x else {}, k) for x in row]
+    else:
+        parts = [((x.num * s.exact_div(x.den) if isinstance(x, EpsScalar) else s * x)._terms, 0)
+                 for x in row]
+    parts.append((s._terms, 0))
+    scale = lcm(*[c.denominator for terms, _ in parts for c in terms.values()])
+    lists = []
+    for terms, shift in parts:
+        out = [0] * (shift + max(terms) + 1) if terms else []
+        for e, c in terms.items():
+            out[shift + e] = c.numerator * (scale // c.denominator)
+        lists.append(out)
+    den = lists.pop()
+    return lists, den
+
+
+def _eps_of(x: List[int], den: List[int]) -> EpsScalar:
+    """The EpsScalar x / den of two dense integer eps-lists, den's last
+    entry nonzero.  Over a monomial den, c * eps**k, it is a Laurent
+    polynomial, built canonical as it stands; over any other den the
+    constructor reduces it."""
+    if any(den[:-1]):
+        return EpsScalar(EpsPoly._make({e: Fraction(v) for e, v in enumerate(x) if v}),
+                         EpsPoly._make({e: Fraction(v) for e, v in enumerate(den) if v}))
+    k, c = len(den) - 1, den[-1]
+    terms = {e - k: Fraction(v, c) for e, v in enumerate(x) if v}
+    return EpsScalar._from_laurent(terms) if terms else _EPS_ZERO

@@ -10,7 +10,7 @@ pivot and the columns right of it, dividing exactly by the previous pivot.
 the solution, d the last pivot, so only the Fractions returned are built.
 ``EpsMatrix.inverse`` runs the Gauss-Jordan form of Bareiss over Z[eps],
 on dense integer lists of eps-coefficients: each row is cleared to Z[eps]
-over its own denominator (``poly._int_eps_row``), and exact division by the
+over its own denominator (``epsilon._int_eps_row``), and exact division by the
 previous pivot keeps every entry a polynomial (a minor).  Over the field Q(eps)
 instead, every update would reduce an EpsScalar by a gcd.  Vandermonde
 systems are solved through the Lagrange basis in O(n^2).
@@ -22,9 +22,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .epsilon import EpsPoly, EpsScalar
+from .epsilon import EpsScalar, _eps_of, _int_eps_row
 from .errors import PoleAtZero, SingularMatrixError
-from .poly import _eps_of, _int_eps_row
 
 
 def _int_echelon(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int], int]:
@@ -251,9 +250,8 @@ class EpsMatrix:
         identity block becomes diag(s_i), and the reduced form of [S G | S]
         is still [I | G^-1].  Each step divides exactly by the previous
         pivot, as in ``_int_echelon``, so the matrix ends as d times that
-        reduced form, d the last pivot.  When d is a constant every entry of
-        G^-1 is a polynomial and is built canonical as it stands; otherwise
-        the EpsScalar constructor reduces it.
+        reduced form, d the last pivot, and each entry of G^-1 is built once
+        over d by ``epsilon._eps_of``.
         """
         n = self.dim
         m = []
@@ -275,11 +273,7 @@ class EpsMatrix:
                     c = mi[col]
                     m[i] = [_ff_update(a, x, c, y, prev) for x, y in zip(mi, prow)]
             prev = a
-        if len(prev) == 1:
-            return EpsMatrix([[_eps_of(x, prev[0]) for x in r[n:]] for r in m])
-        den = EpsPoly(dict(enumerate(prev)))
-        return EpsMatrix([[EpsScalar(EpsPoly(dict(enumerate(x))), den) for x in r[n:]]
-                          for r in m])
+        return EpsMatrix([[_eps_of(x, prev) for x in r[n:]] for r in m])
 
     def at_zero(self) -> List[List[Fraction]]:
         """Entrywise limit at eps = 0; raises PoleAtZero on a pole."""

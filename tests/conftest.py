@@ -22,8 +22,8 @@ from waring import (
     staircase_check,
 )
 from waring.diagonal import Pivot
+from waring.epsilon import _int_eps_row
 from waring.linalg import rat_inverse, rat_rank
-from waring.poly import _int_eps_row
 
 
 # property tests run the same examples every time, write no example
@@ -242,6 +242,26 @@ def unit_denominator_tangent():
     return HomoPoly.monomial(2, (2, 1)), B
 
 
+def common_denominator(scalars):
+    """The lcm of the scalars' denominators, as an EpsScalar."""
+    den = EpsPoly.const(1)
+    for c in scalars:
+        if c.den != den:
+            den = den * c.den.exact_div(EpsPoly.gcd(den, c.den))
+    return EpsScalar(den)
+
+
+def compose_with_unit_denominators(B):
+    """B composed with A(eps) = I + eps/(1+eps) N, N the strictly upper
+    triangular matrix of ones.  A(0) = I, so the limit is unchanged, while
+    the forms now carry the non-monomial denominator 1 + eps."""
+    n = B.nvars
+    t = EpsScalar(EpsPoly({1: F(1)}), EpsPoly({0: F(1), 1: F(1)}))
+    one, zero = EpsScalar.one(), EpsScalar.zero()
+    return B.substitute([[one if i == j else t if j > i else zero for j in range(n)]
+                         for i in range(n)])
+
+
 def assert_staircase_invariants(f, B):
     """Diagonalize and assert every structural property, returning the result.
 
@@ -271,10 +291,16 @@ def assert_staircase_invariants(f, B):
     assert prod == ident
 
     # diagonalize works on the normalized certificate; up to summand order
-    # the transformed expansion is its expansion composed with the transform
+    # the transformed expansion is its expansion composed with the transform.
+    # Both sides are multiplied by c1 * c2**d, c1 and c2 the common
+    # denominators of the expansion and of the transform, so the reference
+    # composes polynomials in eps: (c1 p)(c2 A x) = c1 c2**d p(A x)
     normalized = normalize_border(B).expand()
     transformed = D.decomposition.expand()
-    assert transformed == ref_substitute(normalized, D.transform.rows)
+    c1 = common_denominator(c for _, c in normalized.items())
+    c2 = common_denominator(x for r in D.transform.rows for x in r)
+    assert transformed.scale(c1 * c2**B.degree) == ref_substitute(
+        normalized.scale(c1), [[x * c2 for x in r] for r in D.transform.rows])
 
     out = check_border(D.decomposition, D.limit)
     assert out.ok

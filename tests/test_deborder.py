@@ -39,7 +39,16 @@ from waring.oracle import (
 )
 from waring.linalg import rat_solve
 from waring.poly import monomials_of_degree
-from conftest import F, eps, lf, mono
+from conftest import (
+    F,
+    assert_staircase_invariants,
+    compose_with_unit_denominators,
+    eps,
+    lf,
+    mono,
+    unit_denominator_tangent,
+)
+from test_golden_documents import dense_certificate
 
 
 # -- a-priori bound ---------------------------------------------------------
@@ -464,6 +473,37 @@ def test_deborder_forced_split_on_local_certificate():
     cfg = DeborderConfig(y_size=2, base_threshold=1)
     W, report = deborder(f, B, cfg)
     assert report.verified and verify_waring(W, f)
+
+
+# certificates whose forms carry the non-monomial denominator 1 + eps: two
+# dense certificates composed with I + eps/(1+eps) N, and a tangent one
+UNIT_DENOMINATOR_INPUTS = {
+    "dense_n4": lambda: composed_dense_certificate(21, 4, 3, (1, 2), 4),
+    "dense_n5": lambda: composed_dense_certificate(22, 5, 3, (2,), 3),
+    "tangent": unit_denominator_tangent,
+}
+
+
+def composed_dense_certificate(*args):
+    f, B = dense_certificate(*args)
+    B = compose_with_unit_denominators(B)
+    assert any(len(c.den.pairs()) > 1 for _, g in B.summands for c in g)
+    return f, B
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_DENOMINATOR_INPUTS))
+@pytest.mark.parametrize("cfg", [DeborderConfig(), DeborderConfig(y_size=1, base_threshold=1)],
+                         ids=["default", "split"])
+def test_deborder_on_unit_denominators(name, cfg):
+    f, B = UNIT_DENOMINATOR_INPUTS[name]()
+    W, report = deborder(f, B, cfg)
+    assert report.verified and verify_waring(W, f)
+    assert report.achieved_rank == W.rank() <= paper_bound(f.degree, B.rank())
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_DENOMINATOR_INPUTS))
+def test_staircase_invariants_on_unit_denominators(name):
+    assert_staircase_invariants(*UNIT_DENOMINATOR_INPUTS[name]())
 
 
 def test_deborder_rank_one_exact():

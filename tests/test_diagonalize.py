@@ -20,9 +20,9 @@ from waring import (
     normalize_border,
 )
 from waring import diagonal
+from waring.epsilon import _eps_of
 from waring.linalg import EpsMatrix
 from waring.oracle import gen_multibase, gen_random, gen_tangent
-from waring.poly import _eps_of
 from conftest import (
     F,
     RefPivot,
@@ -290,8 +290,8 @@ def test_kept_echelon_answers_the_span_check_like_eps_rref(case):
 
 
 def eps_vector(lists, den):
-    """The vector lists / den of EpsScalars."""
-    return tuple(_eps_of(x, den) for x in lists)
+    """The vector lists / den of EpsScalars, den a positive integer."""
+    return tuple(_eps_of(x, [den]) for x in lists)
 
 
 def reduce_both(row, pivots, ref, reduce=diagonal._reduce_vector):
@@ -424,7 +424,7 @@ def test_span_check_clears_polynomial_denominators_per_vector():
     v = (one, unit, unit * u[2])
     w = (one, unit + eps(1), unit * u[2])
     # each vector is cleared to Z[eps] by its own denominators (int_row,
-    # ``poly._int_eps_row``), so the kept echelon holds non-constant leads
+    # ``epsilon._int_eps_row``), so the kept echelon holds non-constant leads
     pivots, ref = kept_pivots(int_pivot(0, 0, u)), RefPivots([RefPivot(0, u)])
     assert pivots.spans(int_row(v)[0]) and ref.spans(v)
     assert not pivots.spans(int_row(w)[0]) and not ref.spans(w)

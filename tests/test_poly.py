@@ -17,12 +17,22 @@ from waring import (
     diagonalize,
     falling_factorial,
     monomials_of_degree,
+    normalize_border,
     poly,
 )
 from waring.linalg import rat_inverse
 from waring.poly import substitute_forms
 from test_golden_documents import dense_certificate
-from conftest import F, esc, lf, mono, rand_poly, ref_substitute, repeated_product
+from conftest import (
+    F,
+    compose_with_unit_denominators,
+    esc,
+    lf,
+    mono,
+    rand_poly,
+    ref_substitute,
+    repeated_product,
+)
 
 
 def test_falling_factorial_values():
@@ -500,29 +510,26 @@ def test_substitute_forms_with_quotient_entries(case):
     assert_forms_match(*case)
 
 
-def test_substitute_forms_falls_back_on_a_non_polynomial_entry(monkeypatch):
-    calls = []
-    real = poly._scalar_substitute
-    monkeypatch.setattr(poly, "_scalar_substitute",
-                        lambda form, rows: calls.append(1) or real(form, rows))
+def test_substitute_forms_on_a_non_polynomial_entry():
     unit = EpsScalar(EpsPoly({0: F(1)}), EpsPoly({0: F(1), 1: F(1)}))  # 1/(1+eps)
     rows = [[unit, esc((1, 2))], [EpsScalar.zero(), EpsScalar.one()]]
     forms = [lf(EpsScalar.one(), esc((0, 3), (2, F(1, 5)))), lf(F(1), F(-2))]
     assert_forms_match(forms, rows)
-    calls.clear()
-    substitute_forms(forms, rows)
-    assert len(calls) == 2
     with pytest.raises(ValueError):
         substitute_forms(forms, rows[:1])  # wrong shape
 
 
+def count_gcd_calls(monkeypatch):
+    """A list that gets one entry per EpsPoly.gcd call from now on."""
+    calls = []
+    gcd = EpsPoly.gcd
+    monkeypatch.setattr(EpsPoly, "gcd", staticmethod(lambda a, b: calls.append(1) or gcd(a, b)))
+    return calls
+
+
 def test_diagonalize_and_waring_substitute_take_the_integer_paths(monkeypatch):
     # the staircase transform's entries are polynomials in eps, and the way
-    # back is rational: neither may reach the scalar loop
-    calls = []
-    real = poly._scalar_substitute
-    monkeypatch.setattr(poly, "_scalar_substitute",
-                        lambda form, rows: calls.append(1) or real(form, rows))
+    # back is rational: no substitution reduces a scalar by a gcd
     for args in [(21, 4, 3, (1, 2), 4), (22, 5, 3, (2,), 3)]:
         f, B = dense_certificate(*args)
         D = diagonalize(B, f)
@@ -531,8 +538,29 @@ def test_diagonalize_and_waring_substitute_take_the_integer_paths(monkeypatch):
         W = WaringDecomposition(f.nvars, f.degree, tuple(
             (F(k + 1), LinearForm([F(k - i, 3) for i in range(f.nvars)]))
             for k in range(3)))
+        forms = [g for _, g in normalize_border(B).summands]
+        calls = count_gcd_calls(monkeypatch)
+        substitute_forms(forms, D.transform.rows)
         W2 = W.substitute(D.base_change_inv)
+        monkeypatch.undo()
+        assert calls == []
         assert all(type(c) is Fraction for _, g in W2.summands for c in g)
+    ident = [[F(1) if i == j else F(0) for j in range(5)] for i in range(5)]
+    calls = count_gcd_calls(monkeypatch)
+    assert B.substitute(ident) == B
     assert calls == []
-    B.substitute([[F(1) if i == j else F(0) for j in range(5)] for i in range(5)])
-    assert calls == []
+
+
+def test_a_unit_denominator_transform_reduces_each_coefficient_at_most_once(monkeypatch):
+    # composed with I + eps/(1+eps) N, the certificate's staircase transform
+    # has non-monomial denominators; each output coefficient is built once
+    f, B = dense_certificate(22, 5, 3, (2,), 3)
+    B = compose_with_unit_denominators(B)
+    A = diagonalize(B, f).transform
+    assert any(len(x.den.pairs()) > 1 for r in A.rows for x in r)
+    forms = [g for _, g in normalize_border(B).summands]
+    calls = count_gcd_calls(monkeypatch)
+    got = substitute_forms(forms, A.rows)
+    monkeypatch.undo()
+    assert len(calls) <= len(forms) * B.nvars
+    assert [list(g) for g in got] == [ref_substitute_form(g, A.rows) for g in forms]
