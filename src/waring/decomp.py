@@ -15,8 +15,12 @@ substitution kernel, once for all their forms.
 diagonalization step expects: per summand, the eps-content of the form is
 moved into the weight, denominators are cleared from the form (a unit at 0,
 absorbed by the weight), and form tails that provably cannot affect the limit
-are cut.  ``essential_reduce`` rotates away variables the target polynomial
-does not genuinely use.
+are cut.  It and ``base_of_form`` read each form as the codec clears it
+(``epsilon._int_eps_row``): integer eps-lists over one denominator, with
+their lowest-order coefficients from ``epsilon._lowest``.  ``check_border``
+reads the residual order off each expanded coefficient's numerator and
+denominator, without building the difference.  ``essential_reduce`` rotates
+away variables the target polynomial does not genuinely use.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .epsilon import EpsPoly, EpsScalar
+from .epsilon import EpsScalar, _eps_of, _int_eps_row, _lowest
 from .errors import DegenerateDecompositionError, InvariantError
 from .linalg import rat_nullspace, rat_rank
-from .poly import HomoPoly, LinearForm, Monomial, power_sum, substitute_forms
+from .poly import HomoPoly, LinearForm, Monomial, _int_poly_mul, power_sum, substitute_forms
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,8 +181,19 @@ def check_border(B: BorderDecomposition, f: HomoPoly) -> BorderCheck:
     if val < 0:
         return BorderCheck(False, None, f"pole of order {-val} at eps = 0", wit)
     limit = S.limit_at_zero()
-    diff = S - f.lift_to_eps()
-    q = None if diff.is_zero else diff.min_valuation()[0]
+    # q from each coefficient num / den of S: val(num - f_m den) - val(den),
+    # and 0 for a monomial of f that S lacks
+    q = None
+    hits = 0
+    for m, c in S.items():
+        fm = f.coeff(m)
+        hits += fm != 0
+        r = c.num - c.den * fm if fm else c.num
+        if r:
+            v = r.valuation() - c.den.valuation()
+            q = v if q is None else min(q, v)
+    if hits < len(f):
+        q = 0
     if limit == f:
         return BorderCheck(True, q, "ok", None)
     bad = (limit - f)
@@ -196,48 +211,35 @@ def verify_waring(W: WaringDecomposition, f: HomoPoly) -> bool:
 def normalize_border(B: BorderDecomposition) -> BorderDecomposition:
     """Canonical working form: polynomial, content-free forms; tails cut.
 
-    Per summand: divide the form by eps**v where v is the minimal coefficient
-    valuation (weight picks up eps**(v*d)), clear the coefficient denominators
-    (a unit at eps = 0, its d-th power divides the weight), then truncate form
-    coefficients above eps**t with t = max(0, -val(weight)).  Every discarded
-    tail contributes valuation >= 1 to the expansion, so the limit -- and
-    therefore what the certificate proves -- is unchanged.  Summands whose
-    form vanishes under truncation are deleted; none can here, since content
-    extraction leaves a valuation-0 coefficient that truncation keeps.
+    Per summand, the form is cleared once by the codec to lists / den
+    (``epsilon._int_eps_row``).  With v the lists' common valuation and c
+    den's lowest nonzero entry, form = (eps**v * c / den) * N, where N is
+    the lists shifted down by v, over c: a polynomial form with a
+    coefficient of valuation 0.  The weight takes the factor's d-th power,
+    and N's coefficients are cut above eps**t with
+    t = max(0, -val(new weight)).  Every discarded tail contributes
+    valuation >= 1 to the expansion, so the limit -- and therefore what the
+    certificate proves -- is unchanged, and the valuation-0 coefficient
+    stays, so no form vanishes.
+
+    den / (c * eps**val(den)) is the lcm of the coefficients' denominators,
+    normalized to 1 at eps = 0; that fixes N, so normalizing twice gives
+    the same certificate as normalizing once.
     """
     d = B.degree
     out = []
     for w, form in B.summands:
-        # eps-content of the form into the weight
-        v = min(c.valuation() for c in form.coefs if not c.is_zero)
-        if v != 0:
-            form = form.scale(EpsScalar.eps(-v))
-            w = w * EpsScalar.eps(v * d)
-        # clear denominators: after content extraction each reduced
-        # coefficient with valuation >= 0 has a denominator that is a unit
-        # at 0, so the lcm D is one too and w/D^d stays honest.
-        den = EpsPoly.const(1)
-        for c in form.coefs:
-            if c.is_zero or c.is_polynomial:
-                continue
-            g = EpsPoly.gcd(den, c.den)
-            den = den * c.den.exact_div(g)
-        if den.degree() > 0:
-            scale = EpsScalar.from_poly(den)
-            form = form.scale(scale)
-            w = w / scale**d
-        for c in form.coefs:
-            if not c.is_zero and not c.is_polynomial:
-                raise InvariantError("form coefficient not polynomial after clearing")
-        # cut tails that cannot reach the limit
+        lists, den = _int_eps_row(form)
+        v, _ = _lowest(lists)
+        _, (c,) = _lowest([den])
+        if v or len(den) > 1:
+            (wl,), wden = _int_eps_row((w,))
+            for _ in range(d):
+                wden = _int_poly_mul(wden, den)
+            cd = c**d
+            w = _eps_of([0] * (v * d) + [x * cd for x in wl], wden)
         t = max(0, -w.valuation())
-        coefs = tuple(
-            EpsScalar.from_poly(c.num.truncate(t)) if not c.is_zero else c
-            for c in form.coefs
-        )
-        if all(c.is_zero for c in coefs):
-            continue
-        out.append((w, LinearForm(coefs)))
+        out.append((w, LinearForm([_eps_of(x[v:v + t + 1], [c]) for x in lists])))
     return BorderDecomposition(B.nvars, d, tuple(out))
 
 
@@ -245,21 +247,12 @@ def base_of_form(form: LinearForm) -> LinearForm:
     """Lowest eps-order coefficient vector, scaled so its first nonzero entry is 1.
 
     This is the rational direction the form degenerates to; it is well defined
-    for any nonzero form over Q(eps).
+    for any nonzero form over Q(eps).  Read off the codec's lists: the
+    lowest-order coefficients are their leads over one common factor.
     """
-    v = min(c.valuation() for c in form.coefs if not c.is_zero)
-    lead = []
-    for c in form.coefs:
-        if c.is_zero:
-            lead.append(Fraction(0))
-        else:
-            cv, lc = c.laurent_lead()
-            lead.append(lc if cv == v else Fraction(0))
-    for x in lead:
-        if x != 0:
-            scale = 1 / x
-            break
-    return LinearForm(tuple(x * scale for x in lead))
+    _, leads = _lowest(_int_eps_row(form)[0])
+    first = next(x for x in leads if x)
+    return LinearForm([Fraction(x, first) for x in leads])
 
 
 def is_local(B: BorderDecomposition) -> Optional[LinearForm]:

@@ -33,24 +33,26 @@ The search runs on integers.  Each normalized summand is cleared once to
 one row, dense integer eps-lists over one integer denominator
 (``epsilon._int_eps_row``); a form outside Q[eps], which normalization never
 leaves, raises InvariantError there.  Valuations and leads are read off the
-lists, and the lead solve is one fraction-free elimination of the integer
-leads with integer back substitution.  EpsScalars are built only for the
-rows of G.
+lists (``epsilon._lowest``), and the lead solve is one fraction-free
+elimination of the integer leads with integer back substitution.  G is the
+pivots' lists over the lcm of their integer denominators, and its inverse
+A stays a matrix of integer eps-lists over one denominator
+(``linalg.EpsMatrix``); no EpsScalar is built for G or A.
 
 The pivot search stops once it has nvars pivots.  One more pivot could not
 be framed into an nvars x nvars basis, so a further reduction step could
 only certify the remaining candidates zero; skipping it saves a reduction
 per candidate, and ``staircase_check`` still asserts every non-pivot row in
 the new coordinates.  The summands move to the new coordinates from the
-rows already held: the transform is cleared once, and
-``poly._substitute_row`` multiplies each row by it.
+rows already held: ``poly._substitute_row`` multiplies each row by A's
+lists, and builds the transformed forms' EpsScalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .decomp import (
@@ -60,7 +62,7 @@ from .decomp import (
     normalize_border,
     restrict_vars_zero,
 )
-from .epsilon import EpsScalar, _eps_of, _int_eps_row
+from .epsilon import EpsScalar, _int_eps_row, _lowest
 from .errors import (
     InvariantError,
     NoPivotError,
@@ -87,8 +89,7 @@ class Pivot:
     @property
     def lead(self) -> List[int]:
         """den times the eps**valuation coefficients of the reduced vector."""
-        q = self.valuation
-        return [x[q] if len(x) > q else 0 for x in self.lists]
+        return _lowest(self.lists)[1]
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def _reduce_vector(
     for _ in range(_REDUCE_CAP):
         if not any(v):
             return None
-        val = min(next(i for i, c in enumerate(x) if c) for x in v if x)
+        val, lead = _lowest(v)
         if qmax is not None and val > qmax:
             if in_span is None:
                 # v - row lies in the span of the pivots
@@ -185,8 +186,7 @@ def _reduce_vector(
             return val, v, den
         k = len(eligible)
         leads = [pv.lead for pv in eligible]
-        m, cols, d = _int_echelon([[lead[i] for lead in leads]
-                                   + [x[val] if len(x) > val else 0] for i, x in enumerate(v)])
+        m, cols, d = _int_echelon([[pl[i] for pl in leads] + [c] for i, c in enumerate(lead)])
         if k in cols:
             return val, v, den
         X = _back_substitute(m, cols, d, k)
@@ -259,9 +259,10 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     if not pivots:
         raise NoPivotError("no pivot found; decomposition expands to zero")
 
-    # rows of G: rescaled reduced pivots, padded with standard vectors whose
-    # eps=0 rows stay independent of the pivot leads
-    grows = [[_eps_of(x[pv.valuation:], [pv.den]) for x in pv.lists] for pv in pivots]
+    # rows of G: rescaled reduced pivots over the lcm S of their dens, padded
+    # with standard vectors whose eps=0 rows stay independent of the leads
+    S = lcm(*(pv.den for pv in pivots))
+    grows = [[[c * (S // pv.den) for c in x[pv.valuation:]] for x in pv.lists] for pv in pivots]
     leads = [pv.lead for pv in pivots]
     for j in range(n):
         if len(grows) == n:
@@ -269,12 +270,11 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         e = [int(i == j) for i in range(n)]
         if rat_rank(leads + [e]) > len(leads):
             leads.append(e)
-            grows.append(e)
+            grows.append([[S] if i == j else [] for i in range(n)])
     if len(grows) != n:
         raise InvariantError("could not complete the pivot frame to a basis")
 
-    G = EpsMatrix(grows)
-    A = G.inverse()
+    A = EpsMatrix._cleared([x for r in grows for x in r], [S]).inverse()
     try:
         A0 = A.at_zero()
         A0_inv = rat_inverse(A0)
@@ -282,8 +282,7 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         raise InvariantError("change of variables is not a unit at eps = 0") from exc
 
     order = [pv.original_index for pv in pivots] + remaining
-    M, S = _int_eps_row([x for r in A.rows for x in r])
-    forms = [_substitute_row(rows[i][0], [rows[i][1]], M, S) for i in order]
+    forms = [_substitute_row(rows[i][0], [rows[i][1]], A.lists, A.den) for i in order]
     summands = tuple((Bn.summands[i][0], g) for i, g in zip(order, forms))
     D = DiagonalizedDecomposition(
         decomposition=BorderDecomposition(n, Bn.degree, summands),

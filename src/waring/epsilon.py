@@ -23,10 +23,13 @@ scale.  Both give exactly what the general algorithms give.
 Scalars coerce from int and Fraction on the fly, so generic polynomial code
 can mix them with plain rationals.
 
-The integer kernels in ``poly``, ``linalg`` and ``diagonal`` cross between
-Q(eps) and integer eps-lists through one codec pair only: ``_int_eps_row``
-clears a vector to lists over one common denominator, and ``_eps_of``
-builds a canonical scalar back from a list and a denominator.
+The integer kernels in ``poly``, ``linalg``, ``decomp`` and ``diagonal``
+cross between Q(eps) and integer eps-lists through one codec pair only:
+``_int_eps_row`` clears a vector to lists over one common denominator, and
+``_eps_of`` builds a canonical scalar back from a list and a denominator.
+``_int_rat_row`` clears a rational vector to integers; the codec uses it
+too, so it holds the one lcm of rational denominators.  ``_lowest`` reads
+the common valuation and the lowest-order coefficients of cleared lists.
 """
 
 from __future__ import annotations
@@ -204,10 +207,6 @@ class EpsPoly:
             raise ValueError("exact_div with nonzero remainder")
         return q
 
-    def truncate(self, max_exponent: int) -> "EpsPoly":
-        """Drop all terms with exponent strictly above max_exponent."""
-        return EpsPoly({e: c for e, c in self._terms.items() if e <= max_exponent})
-
     def derivative(self) -> "EpsPoly":
         return EpsPoly({e - 1: c * e for e, c in self._terms.items() if e > 0})
 
@@ -362,12 +361,6 @@ class EpsScalar:
             raise ValueError("valuation of zero")
         return self.num.valuation() - self.den.valuation()
 
-    def laurent_lead(self) -> Tuple[int, Fraction]:
-        """(valuation, leading Laurent coefficient at eps -> 0)."""
-        vn, cn = self.num.lowest()
-        vd, cd = self.den.lowest()
-        return vn - vd, cn / cd
-
     def limit(self) -> Fraction:
         """Value at eps = 0; requires valuation >= 0."""
         if self.is_zero:
@@ -514,15 +507,32 @@ def _int_eps_row(row: Sequence) -> Tuple[List[List[int]], List[int]]:
         parts = [((x.num * s.exact_div(x.den) if isinstance(x, EpsScalar) else s * x)._terms, 0)
                  for x in row]
     parts.append((s._terms, 0))
-    scale = lcm(*[c.denominator for terms, _ in parts for c in terms.values()])
+    ints = iter(_int_rat_row([c for terms, _ in parts for c in terms.values()])[0])
     lists = []
     for terms, shift in parts:
         out = [0] * (shift + max(terms) + 1) if terms else []
-        for e, c in terms.items():
-            out[shift + e] = c.numerator * (scale // c.denominator)
+        for e in terms:
+            out[shift + e] = next(ints)
         lists.append(out)
     den = lists.pop()
     return lists, den
+
+
+def _int_rat_row(row: Sequence) -> Tuple[List[int], int]:
+    """A vector of ints and Fractions cleared to integers: (ints, den) with
+    row[i] = ints[i] / den, den the lcm of the entries' denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _lowest(lists: Sequence[List[int]]) -> Tuple[int, List[int]]:
+    """(v, leads) of integer eps-lists, not all zero, without trailing
+    zeros: v is their common valuation, the least index of a nonzero entry,
+    and leads[i] is lists[i]'s coefficient of eps**v (0 past its end).  For
+    a vector cleared to lists / den, the vector's lowest-order coefficients
+    are the leads over den's lowest nonzero entry."""
+    v = min(next(i for i, c in enumerate(x) if c) for x in lists if x)
+    return v, [x[v] if len(x) > v else 0 for x in lists]
 
 
 def _eps_of(x: List[int], den: List[int]) -> EpsScalar:

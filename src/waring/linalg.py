@@ -8,21 +8,23 @@ pivot and the columns right of it, dividing exactly by the previous pivot.
 ``rat_rank`` reads the pivot count; ``rat_solve``, ``rat_nullspace`` and
 ``rat_inverse`` back-substitute on integers (``_back_substitute``), d times
 the solution, d the last pivot, so only the Fractions returned are built.
-``EpsMatrix.inverse`` runs the Gauss-Jordan form of Bareiss over Z[eps],
-on dense integer lists of eps-coefficients: each row is cleared to Z[eps]
-over its own denominator (``epsilon._int_eps_row``), and exact division by the
-previous pivot keeps every entry a polynomial (a minor).  Over the field Q(eps)
-instead, every update would reduce an EpsScalar by a gcd.  Vandermonde
-systems are solved through the Lagrange basis in O(n^2).
+Each rational row is cleared by ``epsilon._int_rat_row``.  An
+``EpsMatrix`` is held cleared to Z[eps]: dense integer lists of
+eps-coefficients over one denominator (``epsilon._int_eps_row``).
+``EpsMatrix.inverse`` runs the Gauss-Jordan form of Bareiss over Z[eps] on
+those lists, and exact division by the previous pivot keeps every entry a
+polynomial (a minor).  Over the field Q(eps) instead, every update would
+reduce an EpsScalar by a gcd.  Vandermonde systems are solved through the
+Lagrange basis in O(n^2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt
 from typing import Dict, List, Sequence, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row
+from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row
 from .errors import PoleAtZero, SingularMatrixError
 
 
@@ -49,8 +51,7 @@ def _int_echelon(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], L
         for x in r:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"matrix entry {x!r} is not rational")
-        den = lcm(*(x.denominator for x in r))
-        m.append([x.numerator * (den // x.denominator) for x in r])
+        m.append(_int_rat_row(r)[0])
     nrows = len(m)
     pivots: List[int] = []
     prev = 1
@@ -217,47 +218,52 @@ def solve_vandermonde(nodes: Sequence[Fraction], rhs: Sequence[Fraction]) -> Lis
 
 
 class EpsMatrix:
-    """Square matrix over Q(eps)."""
+    """Square matrix over Q(eps), held cleared to Z[eps]: ``lists`` is the
+    n x n matrix as one row-major vector of dense integer eps-lists over the
+    one integer eps-list ``den`` (den's last entry nonzero), the ``(M, S)``
+    that ``poly._substitute_row`` takes.  The constructor clears rows of
+    EpsScalars, Fractions and ints once, through ``epsilon._int_eps_row``;
+    ``rows`` builds the EpsScalars back each time it is read.
+    """
 
-    __slots__ = ("rows",)
+    __slots__ = ("dim", "lists", "den")
 
     def __init__(self, rows: Sequence[Sequence[object]]):
         n = len(rows)
-        clean = []
         for r in rows:
             if len(r) != n:
                 raise ValueError("EpsMatrix must be square")
-            clean.append(tuple(self._lift(x) for x in r))
-        self.rows = tuple(clean)
+            for x in r:
+                if not isinstance(x, (EpsScalar, int, Fraction)):
+                    raise TypeError(f"bad matrix entry {x!r}")
+        self.dim = n
+        self.lists, self.den = _int_eps_row([x for r in rows for x in r])
 
-    @staticmethod
-    def _lift(x) -> EpsScalar:
-        if isinstance(x, EpsScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return EpsScalar.from_rational(x)
-        raise TypeError(f"bad matrix entry {x!r}")
+    @classmethod
+    def _cleared(cls, lists: List[List[int]], den: List[int]) -> "EpsMatrix":
+        """The matrix lists / den, lists row-major, taken as it stands."""
+        out = cls.__new__(cls)
+        out.dim, out.lists, out.den = isqrt(len(lists)), lists, den
+        return out
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> Tuple[Tuple[EpsScalar, ...], ...]:
+        n = self.dim
+        return tuple(tuple(_eps_of(x, self.den) for x in self.lists[i * n:(i + 1) * n])
+                     for i in range(n))
 
     def inverse(self) -> "EpsMatrix":
-        """Fraction-free Gauss-Jordan on [G | I] over Z[eps].
+        """Fraction-free Gauss-Jordan on [L | den I] over Z[eps], L = ``lists``.
 
-        Row i is multiplied by a polynomial s_i that clears its entries to
-        Z[eps] (the lcm of their denominators times an integer), so the
-        identity block becomes diag(s_i), and the reduced form of [S G | S]
-        is still [I | G^-1].  Each step divides exactly by the previous
-        pivot, as in ``_int_echelon``, so the matrix ends as d times that
-        reduced form, d the last pivot, and each entry of G^-1 is built once
-        over d by ``epsilon._eps_of``.
+        The reduced form of [L | den I] is [I | den L^-1], and den L^-1 is
+        this matrix's inverse.  Each step divides exactly by the previous
+        pivot, as in ``_int_echelon``, so the block ends as p times the
+        reduced form, p the last pivot: the inverse is the right-hand block
+        over p.
         """
         n = self.dim
-        m = []
-        for i, row in enumerate(self.rows):
-            ints, s = _int_eps_row(row)
-            m.append(ints + [s if j == i else [] for j in range(n)])
+        m = [self.lists[i * n:(i + 1) * n] + [self.den if j == i else [] for j in range(n)]
+             for i in range(n)]
         prev = [1]
         for col in range(n):
             for k in range(col, n):
@@ -273,21 +279,26 @@ class EpsMatrix:
                     c = mi[col]
                     m[i] = [_ff_update(a, x, c, y, prev) for x, y in zip(mi, prow)]
             prev = a
-        return EpsMatrix([[_eps_of(x, prev) for x in r[n:]] for r in m])
+        return EpsMatrix._cleared([x for r in m for x in r[n:]], prev)
 
     def at_zero(self) -> List[List[Fraction]]:
-        """Entrywise limit at eps = 0; raises PoleAtZero on a pole."""
+        """Entrywise limit at eps = 0; raises PoleAtZero on a pole.
+
+        With v = val(den), an entry x / den has a pole exactly when x has a
+        nonzero coefficient below eps**v, and its limit is otherwise
+        x[v] / den[v].
+        """
+        n = self.dim
+        v = next(i for i, c in enumerate(self.den) if c)
         out = []
-        for i, row in enumerate(self.rows):
+        for i in range(n):
             orow = []
-            for j, x in enumerate(row):
-                try:
-                    orow.append(x.limit())
-                except PoleAtZero as exc:
-                    raise PoleAtZero(f"matrix entry ({i},{j}) has a pole", witness=(i, j)) from exc
+            for j, x in enumerate(self.lists[i * n:(i + 1) * n]):
+                if any(x[:v]):
+                    raise PoleAtZero(f"matrix entry ({i},{j}) has a pole", witness=(i, j))
+                orow.append(Fraction(x[v], self.den[v]) if len(x) > v else Fraction(0))
             out.append(orow)
         return out
 
     def __repr__(self) -> str:
         return "EpsMatrix([" + ", ".join(repr(list(r)) for r in self.rows) + "])"
-

@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row
+from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row
 from .errors import PoleAtZero
 
 Monomial = Tuple[int, ...]
@@ -282,14 +282,6 @@ class HomoPoly:
                 acc[m] = v
         return HomoPoly(self.nvars, self.degree, acc)
 
-    def lift_to_eps(self) -> "HomoPoly":
-        """Reinterpret rational coefficients as EpsScalars."""
-        acc = {
-            m: (c if isinstance(c, EpsScalar) else EpsScalar.from_rational(c))
-            for m, c in self._terms.items()
-        }
-        return HomoPoly._make(self.nvars, self.degree, acc)
-
     def min_valuation(self) -> Tuple[int, Monomial]:
         """Minimal eps-valuation over coefficients, with a witness monomial."""
         if self.is_zero:
@@ -455,12 +447,11 @@ def _rational_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
     parts = []
     L = 1
     for w, form in summands:
-        support = [i for i, c in enumerate(form) if c]
-        den = lcm(*(form[i].denominator for i in support))
-        ints = [form[i].numerator * (den // form[i].denominator) for i in support]
+        ints, den = _int_rat_row(form)
+        support = [i for i, c in enumerate(ints) if c]
         D = w.denominator * den**degree
         L = lcm(L, D)
-        parts.append((w.numerator, D, support, ints))
+        parts.append((w.numerator, D, support, [ints[i] for i in support]))
     acc: dict = {}
     for wn, D, support, ints in parts:
         for m, t in _int_power_terms(ints, degree, nvars, support, wn * (L // D)):
@@ -487,10 +478,9 @@ def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
     base = p.degree + 1
     rows = []
     for form in forms:
-        support = [i for i, c in enumerate(form) if c]
-        den = lcm(*(form[i].denominator for i in support))
-        ints = [form[i].numerator * (den // form[i].denominator) for i in support]
-        rows.append((den, support, ints))
+        ints, den = _int_rat_row(form)
+        support = [i for i, c in enumerate(ints) if c]
+        rows.append((den, support, [ints[i] for i in support]))
     parts = []
     L = 1
     for m, c in p._terms.items():
@@ -633,8 +623,7 @@ def substitute_forms(forms: Sequence["LinearForm"], rows) -> Tuple["LinearForm",
     out = []
     for form in forms:
         if rational and form.is_rational:
-            den = lcm(*(c.denominator for c in form))
-            cs = [c.numerator * (den // c.denominator) for c in form]
+            cs, den = _int_rat_row(form)
             out.append(LinearForm([
                 Fraction(sum(c * x[0] for c, x in zip(cs, M[j::n]) if c and x), den * S[0])
                 for j in range(n)]))
@@ -690,12 +679,6 @@ class LinearForm(tuple):
         if d == 0:
             return HomoPoly(n, 0, {(0,) * n: Fraction(1)})
         return power_sum(n, d, ((Fraction(1) if self.is_rational else EpsScalar.one(), self),))
-
-    def scale(self, s) -> "LinearForm":
-        s = _as_coeff(s)
-        if s == 0:
-            raise ValueError("scaling a form by zero")
-        return LinearForm(tuple(c * s for c in self.coefs))
 
     def substitute(self, rows: Sequence[Sequence[object]]) -> "LinearForm":
         """The form x -> self(Mx); coefficient vector becomes c . M."""

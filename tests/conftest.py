@@ -222,6 +222,36 @@ def ref_reduce_vector(vec, pivots):
                 v = [a - mult * b for a, b in zip(v, p.vector)]
 
 
+def ref_normalize_border(B):
+    """Normalization on EpsScalars: per summand, the form's eps-content moves
+    into the weight, the coefficients are multiplied by the lcm of their
+    denominators (built with monic gcds, so its value at eps = 0 need not
+    be 1) and the weight divided by its d-th power, and each coefficient is
+    cut above eps**t, t = max(0, -val(weight)).  The reference
+    ``normalize_border`` is checked against."""
+    d = B.degree
+    out = []
+    for w, form in B.summands:
+        coefs = list(form.coefs)
+        v = min(c.valuation() for c in coefs if not c.is_zero)
+        if v != 0:
+            coefs = [c * EpsScalar.eps(-v) for c in coefs]
+            w = w * EpsScalar.eps(v * d)
+        den = EpsPoly.const(1)
+        for c in coefs:
+            if not c.is_zero and not c.is_polynomial:
+                den = den * c.den.exact_div(EpsPoly.gcd(den, c.den))
+        if den.degree() > 0:
+            scale = EpsScalar.from_poly(den)
+            coefs = [c * scale for c in coefs]
+            w = w / scale**d
+        t = max(0, -w.valuation())
+        coefs = [EpsScalar.from_poly(EpsPoly({e: a for e, a in c.num.pairs() if e <= t}))
+                 for c in coefs]
+        out.append((w, LinearForm(coefs)))
+    return BorderDecomposition(B.nvars, d, tuple(out))
+
+
 def is_unit_at_zero(M):
     """All entries of the EpsMatrix M regular at 0 and M(0) invertible over Q."""
     try:

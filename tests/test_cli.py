@@ -121,6 +121,18 @@ def test_gen_osculating_and_multibase_names(workdir):
     assert json.loads(out)["border"] == "multibase_d5_border.json"
 
 
+def test_verify_reports_a_null_q_on_an_exact_certificate(workdir):
+    # xy = (x+y)^2/4 - (x-y)^2/4, with no eps anywhere: q is null, not absent
+    B = BorderDecomposition(2, 2, ((F(1, 4), LinearForm((F(1), F(1)))),
+                                   (F(-1, 4), LinearForm((F(1), F(-1))))))
+    write_document("exact_border.json", "border", B)
+    write_document("target.json", "polynomial", mono(2, (1, 1)))
+    code, out, _ = run_cli(["verify", "--type", "border", "exact_border.json", "target.json"])
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "q": None}
+    assert '"q": null' in out
+
+
 def test_verify_failure_is_exit_one(workdir):
     # a certificate with a pole: eps^-1 * x^3 against x^3
     B = BorderDecomposition(2, 3, ((EpsScalar.eps(-1), LinearForm.variable(2, 0)),))

@@ -1,7 +1,9 @@
 """Decomposition containers, exact border verification, normalization."""
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,18 @@ from waring import (
 from waring import poly
 from waring.linalg import rat_inverse
 from waring.oracle import gen_random, gen_tangent, gen_multibase
-from conftest import F, eps, esc, lf, mono, repeated_product, unit_denominator_tangent
+from conftest import (
+    F,
+    eps,
+    esc,
+    lf,
+    mono,
+    ref_normalize_border,
+    repeated_product,
+    unit_denominator_tangent,
+)
+from test_golden_documents import dense_certificate
+from test_poly import count_gcd_calls
 
 
 def x_var(n, i):
@@ -142,6 +155,25 @@ def test_border_residual_order_is_exactly_min_valuation():
     )
     out = check_border(B, mono(2, (2, 0)))
     assert out.ok and out.q == 2
+
+
+def test_border_residual_order_matches_the_expanded_difference():
+    # q against the minimal valuation of the expansion minus the lifted
+    # target, on passing and failing targets; x^2 is missing from the
+    # exact sum of the first case, so it reads 0 there
+    exact = BorderDecomposition(2, 2, ((F(1, 4), lf(F(1), F(1))), (F(-1, 4), lf(F(1), F(-1)))))
+    cases = [(mono(2, (1, 1)), exact), gen_tangent(3), gen_tangent(5), gen_multibase(4)]
+    cases += [gen_random(2, 3, 3, seed=seed) for seed in range(4)]
+    for f, B in cases:
+        first = (f.degree,) + (0,) * (f.nvars - 1)
+        for target in (f, f + mono(f.nvars, first), f + mono(f.nvars, first[::-1], 3)):
+            out = check_border(B, target)
+            if "pole" in out.reason:
+                continue
+            diff = B.expand() - HomoPoly(target.nvars, target.degree, {
+                m: EpsScalar.from_rational(c) for m, c in target.items()})
+            assert out.q == (None if diff.is_zero else diff.min_valuation()[0])
+    assert check_border(exact, mono(2, (1, 1)) + mono(2, (2, 0))).q == 0
 
 
 # -- normalize_border -------------------------------------------------------
@@ -406,3 +438,81 @@ def test_only_non_monomial_denominators_take_the_scalar_loop(monkeypatch):
     f, B = unit_denominator_tangent()
     assert check_border(B, f).ok
     assert calls == [1]
+
+
+# -- normalization against the scalar reference -----------------------------
+
+
+def non_monomial_denominators(form):
+    return sum(len(c.den.pairs()) > 1 for c in form)
+
+
+def assert_normalizes_like_the_reference(B):
+    """normalize_border against ref_normalize_border, summand by summand, and
+    its own contract: polynomial forms with a coefficient of valuation 0,
+    idempotence, and an expansion that moves only at valuation >= 1."""
+    N, R = normalize_border(B), ref_normalize_border(B)
+    assert N.rank() == R.rank() == B.rank()
+    for (w, form), (rw, rform), (_, given_form) in zip(N.summands, R.summands, B.summands):
+        assert all(c.is_zero or c.is_polynomial for c in form)
+        assert min(c.valuation() for c in form if c) == 0
+        if non_monomial_denominators(given_form) <= 1:
+            assert (w, form) == (rw, rform)
+        else:
+            # the reference's lcm need not be 1 at eps = 0: the same
+            # summand, up to one rational factor
+            lam = next(c / r for c, r in zip(form, rform) if r)
+            assert lam.is_polynomial and lam.num.degree() == 0
+            assert form == LinearForm([c * lam for c in rform])
+            assert w == rw / lam**B.degree
+    assert normalize_border(N) == N
+    moved = N.expand() - B.expand()
+    assert moved.is_zero or moved.min_valuation()[0] >= 1
+
+
+@PROPERTY
+@given(decompositions(laurent_weights, laurent_scalars, BorderDecomposition))
+def test_laurent_normalization_matches_the_scalar_reference(B):
+    assert_normalizes_like_the_reference(B)
+
+
+# denominators drawn as products of units that share factors, so that the
+# reference's monic gcds leave an lcm whose value at eps = 0 is not 1
+shared_units = [EpsPoly({0: F(1), 1: F(2)}), EpsPoly({0: F(1), 1: F(-1)}),
+                EpsPoly({0: F(1), 2: F(3)})]
+shared_unit_scalars = st.builds(
+    lambda p, units: EpsScalar(p, reduce(operator.mul, units)),
+    nonzero_eps_polys, st.lists(st.sampled_from(shared_units), min_size=1, max_size=2))
+
+
+@SLOW_PROPERTY
+@given(st.one_of(
+    decompositions(mixed_weights, mixed_coefs, BorderDecomposition, max_degree=3),
+    decompositions(laurent_weights, shared_unit_scalars, BorderDecomposition, max_degree=2)))
+def test_normalization_with_non_monomial_denominators_matches_the_scalar_reference(B):
+    assert_normalizes_like_the_reference(B)
+
+
+def test_normalize_pins_a_form_with_two_related_unit_denominators():
+    # 1/(1+2eps) and 1/((1+2eps)(1-eps)): the lcm, normalized to 1 at
+    # eps = 0, is (1+2eps)(1-eps); the weight eps^-1 keeps the eps^1 tail
+    u = EpsPoly({0: F(1), 1: F(2)})
+    v = EpsPoly({0: F(1), 1: F(-1)})
+    form = lf(EpsScalar(EpsPoly.const(1), u), EpsScalar(EpsPoly.const(1), u * v))
+    B = BorderDecomposition(2, 2, ((EpsScalar.eps(-1), form),))
+    ((w, got),) = normalize_border(B).summands
+    assert got == lf(esc((0, 1), (1, -1)), EpsScalar.one())
+    assert w == EpsScalar(EpsPoly.const(1), EpsPoly.eps() * u * u * v * v)
+    # the reference clears by 2(1+2eps)(1-eps): the same summand scaled by 2
+    ((rw, ref),) = ref_normalize_border(B).summands
+    assert ref == lf(esc((0, 2), (1, -2)), EpsScalar.from_rational(2))
+    assert rw == w / 4
+
+
+def test_dense_certificate_checks_and_normalizes_without_a_gcd(monkeypatch):
+    f, B = dense_certificate(22, 5, 3, (2,), 3)
+    calls = count_gcd_calls(monkeypatch)
+    assert check_border(B, f).ok
+    assert calls == []
+    normalize_border(B)
+    assert calls == []

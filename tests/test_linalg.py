@@ -440,6 +440,49 @@ def test_eps_matrix_at_zero_and_lifting():
     assert is_unit_at_zero(M)
 
 
+def assert_at_zero_is_the_entrywise_limit(M):
+    """M.at_zero() against limit() of every entry of M.rows: equal, and
+    PoleAtZero exactly when some entry has a pole."""
+    try:
+        want = [[x.limit() for x in r] for r in M.rows]
+    except PoleAtZero:
+        with pytest.raises(PoleAtZero):
+            M.at_zero()
+        return
+    assert M.at_zero() == want
+
+
+@settings(max_examples=40)
+@given(eps_matrices())
+def test_eps_matrix_at_zero_is_the_entrywise_limit(rows):
+    M = EpsMatrix(rows)
+    assert_at_zero_is_the_entrywise_limit(M)
+    try:
+        Minv = M.inverse()
+    except SingularMatrixError:
+        return
+    assert_at_zero_is_the_entrywise_limit(Minv)
+
+
+def test_eps_matrix_at_zero_over_a_denominator_of_positive_valuation():
+    # I held as (eps I) / eps, and its inverse, held over the last pivot
+    # eps**2: regular at zero although the denominator vanishes there
+    ident = EpsMatrix._cleared([[0, 1], [], [], [0, 1]], [0, 1])
+    for M in (ident, ident.inverse()):
+        assert M.den[0] == 0
+        assert_at_zero_is_the_entrywise_limit(M)
+        assert M.at_zero() == [[F(1), F(0)], [F(0), F(1)]]
+    # x0 / (eps (1 + eps)) is a pole, x1 / (eps (1 + eps)) with x1 = eps is not
+    M = EpsMatrix._cleared([[1], [0, 1], [], [0, 1, 1]], [0, 1, 1])
+    assert_at_zero_is_the_entrywise_limit(M)
+    with pytest.raises(PoleAtZero) as info:
+        M.at_zero()
+    assert info.value.witness == (0, 0)
+    M = EpsMatrix._cleared([[0, 2], [0, 1], [], [0, 1, 1]], [0, 1, 1])
+    assert_at_zero_is_the_entrywise_limit(M)
+    assert M.at_zero() == [[F(2), F(1)], [F(0), F(1)]]
+
+
 @settings(max_examples=40)
 @given(
     st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=5),

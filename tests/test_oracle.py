@@ -217,7 +217,7 @@ def test_gen_random_respects_the_advertised_shapes():
             assert len(w.num.pairs()) == 1
             assert len(w.den.pairs()) == 1
             assert -2 <= w.valuation() <= 2
-            _, c = w.laurent_lead()
+            c = w.num.lowest()[1] / w.den.lowest()[1]
             assert abs(c.numerator) <= 9 and c.denominator <= 9
             for c in form.coefs:
                 if c.is_zero:

@@ -137,9 +137,9 @@ def test_homopoly_restrict_zero():
 
 def test_homopoly_eps_lift_and_limit():
     f = mono(2, (2, 0)) + mono(2, (0, 2), 3)
-    lifted = f.lift_to_eps()
+    lifted = HomoPoly(2, 2, {m: EpsScalar.from_rational(c) for m, c in f.items()})
     assert lifted.limit_at_zero() == f
-    g = lifted.scale(EpsScalar.eps(1)) + mono(2, (1, 1)).lift_to_eps()
+    g = lifted.scale(EpsScalar.eps(1)) + HomoPoly(2, 2, {(1, 1): EpsScalar.one()})
     assert g.min_valuation() == (0, (1, 1))
     assert g.limit_at_zero() == mono(2, (1, 1))
 
@@ -167,8 +167,6 @@ def test_linearform_parallel_and_scale():
     assert lf(F(2), F(4)).is_parallel(lf(F(1), F(2)))
     assert not lf(F(1), F(1)).is_parallel(lf(F(1), F(2)))
     assert not lf(F(1), F(0)).is_parallel(lf(F(0), F(1)))
-    doubled = lf(F(1), F(2)).scale(F(2))
-    assert doubled.coefs == (F(2), F(4))
 
 
 def test_linearform_substitute_matches_poly_substitution():
@@ -432,7 +430,8 @@ def test_only_rational_rows_and_coefficients_take_the_integer_substitution(monke
     with pytest.raises(TypeError):
         f.substitute_linear(eps_rows)
     with pytest.raises(TypeError):
-        f.lift_to_eps().substitute_linear([[F(1), F(2)], [F(0), F(1)]])
+        HomoPoly(2, 2, {m: EpsScalar.from_rational(c) for m, c in f.items()}).substitute_linear(
+            [[F(1), F(2)], [F(0), F(1)]])
     with pytest.raises(TypeError):
         HomoPoly.zero(2, 2).substitute_linear(eps_rows)
     assert len(calls) == 1
@@ -556,11 +555,13 @@ def test_a_unit_denominator_transform_reduces_each_coefficient_at_most_once(monk
     # has non-monomial denominators; each output coefficient is built once
     f, B = dense_certificate(22, 5, 3, (2,), 3)
     B = compose_with_unit_denominators(B)
-    A = diagonalize(B, f).transform
-    assert any(len(x.den.pairs()) > 1 for r in A.rows for x in r)
+    # the transform's rows are built as EpsScalars when read: read them
+    # before counting, so only the substitution's own reductions count
+    rows = diagonalize(B, f).transform.rows
+    assert any(len(x.den.pairs()) > 1 for r in rows for x in r)
     forms = [g for _, g in normalize_border(B).summands]
     calls = count_gcd_calls(monkeypatch)
-    got = substitute_forms(forms, A.rows)
+    got = substitute_forms(forms, rows)
     monkeypatch.undo()
     assert len(calls) <= len(forms) * B.nvars
-    assert [list(g) for g in got] == [ref_substitute_form(g, A.rows) for g in forms]
+    assert [list(g) for g in got] == [ref_substitute_form(g, rows) for g in forms]
