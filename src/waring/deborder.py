@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 from .decomp import (
     BorderDecomposition,
     WaringDecomposition,
-    base_of_form,
+    _base_of_row,
     check_border,
     essential_reduce,
     restrict_vars_zero,
@@ -198,17 +198,12 @@ def partition_into_local(
     if f.nvars != B.nvars or f.degree != B.degree:
         raise ValueError("target polynomial shape does not match the decomposition")
     buckets: Dict[Tuple[Fraction, ...], List] = {}
-    order: List[Tuple[Fraction, ...]] = []
-    for w, form in B.summands:
-        key = base_of_form(form).coefs
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append((w, form))
+    for row in B.cleared:
+        buckets.setdefault(_base_of_row(row[1]), []).append(row)
     out: List[Tuple[BorderDecomposition, HomoPoly]] = []
     total = HomoPoly.zero(f.nvars, f.degree)
-    for key in order:
-        Bk = BorderDecomposition(B.nvars, B.degree, tuple(buckets[key]))
+    for key, rows in buckets.items():
+        Bk = BorderDecomposition._of_rows(B.nvars, B.degree, rows)
         S = Bk.expand()
         if S.is_zero:
             fk = HomoPoly.zero(f.nvars, f.degree)

@@ -7,20 +7,20 @@ always by exact expansion: a border decomposition certifies its limit
 polynomial iff every coefficient of the expanded sum has eps-valuation >= 0
 and the entrywise limit equals the target.
 
-Both ``expand`` methods call ``poly.power_sum``, the one expansion kernel,
-and both ``substitute`` methods call ``poly.substitute_forms``, the one
-substitution kernel, once for all their forms.
+A border certificate holds each form as a row, cleared once to integer
+eps-lists over one denominator; every step here reads and writes rows:
+``expand``, ``substitute``, ``restrict_vars_zero``, ``take_vars``,
+``extend_vars``, ``normalize_border``, and the base directions that
+``is_local`` and the partition read (``_base_of_row``).
 
 ``normalize_border`` brings a border certificate to the working shape the
 diagonalization step expects: per summand, the eps-content of the form is
 moved into the weight, denominators are cleared from the form (a unit at 0,
 absorbed by the weight), and form tails that provably cannot affect the limit
-are cut.  It and ``base_of_form`` read each form as the codec clears it
-(``epsilon._int_eps_row``): integer eps-lists over one denominator, with
-their lowest-order coefficients from ``epsilon._lowest``.  ``check_border``
-reads the residual order off each expanded coefficient's numerator and
-denominator, without building the difference.  ``essential_reduce`` rotates
-away variables the target polynomial does not genuinely use.
+are cut.  ``check_border`` reads the residual order off each expanded
+coefficient's numerator and denominator, without building the difference.
+``essential_reduce`` rotates away variables the target polynomial does not
+genuinely use.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row, _lowest
+from .epsilon import EpsScalar, _eps_of, _int_eps_row, _lowest, _reduce_row
 from .errors import DegenerateDecompositionError, InvariantError
 from .linalg import rat_nullspace, rat_rank
 from .poly import HomoPoly, LinearForm, Monomial, _int_poly_mul, power_sum, substitute_forms
+from .poly import _cleared_power_sum, _substitute_row
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,59 +92,91 @@ class WaringDecomposition:
         )
 
 
-@dataclass(frozen=True)
 class BorderDecomposition:
-    """sum of weight * form**degree with scalars in Q(eps)."""
+    """sum of weight * form**degree with scalars in Q(eps).
 
-    nvars: int
-    degree: int
-    summands: Tuple[Tuple[EpsScalar, LinearForm], ...]
+    Each summand is held as (w, lists, den): its EpsScalar weight, and its
+    form as the codec clears it (``epsilon._int_eps_row``) once, when the
+    certificate is built.  Every step keeps rows in that clearing
+    (``epsilon._reduce_row``), so equality and hashing are by value.
+    ``summands`` builds the (weight, LinearForm) pairs each time it is read.
+    """
 
-    def __post_init__(self):
-        if self.degree < 1:
+    __slots__ = ("nvars", "degree", "cleared")
+
+    def __init__(self, nvars: int, degree: int, summands):
+        if degree < 1:
             raise ValueError("decomposition degree must be at least 1")
-        clean = []
-        for w, form in self.summands:
+        cleared = []
+        for w, form in summands:
             if isinstance(w, (int, Fraction)):
                 w = EpsScalar.from_rational(w)
             if w.is_zero:
                 raise ValueError("zero weight in border decomposition")
-            if form.nvars != self.nvars:
+            if form.nvars != nvars:
                 raise ValueError("form arity mismatch")
-            if form.is_rational:
-                form = LinearForm(tuple(EpsScalar.from_rational(c) for c in form.coefs))
-            clean.append((w, form))
-        object.__setattr__(self, "summands", tuple(clean))
+            cleared.append((w, *_int_eps_row(form)))
+        self.nvars, self.degree, self.cleared = nvars, degree, tuple(cleared)
+
+    @classmethod
+    def _of_rows(cls, nvars: int, degree: int, cleared) -> "BorderDecomposition":
+        """The certificate of rows already in the codec's clearing."""
+        out = cls.__new__(cls)
+        out.nvars, out.degree, out.cleared = nvars, degree, tuple(cleared)
+        return out
+
+    @property
+    def summands(self) -> Tuple[Tuple[EpsScalar, LinearForm], ...]:
+        return tuple((w, LinearForm([_eps_of(x, den) for x in lists]))
+                     for w, lists, den in self.cleared)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BorderDecomposition):
+            return NotImplemented
+        return (self.nvars, self.degree, self.cleared) == (other.nvars, other.degree, other.cleared)
+
+    def __hash__(self):
+        return hash((self.nvars, self.degree, tuple(w for w, _, _ in self.cleared)))
+
+    def __repr__(self) -> str:
+        return f"BorderDecomposition({self.nvars}, {self.degree}, {self.summands!r})"
 
     def rank(self) -> int:
-        return len(self.summands)
+        return len(self.cleared)
 
     def expand(self) -> HomoPoly:
-        return power_sum(self.nvars, self.degree, self.summands)
+        return _cleared_power_sum(self.nvars, self.degree, self.cleared)
 
     def scale_weights(self, s) -> "BorderDecomposition":
         s = EpsScalar.from_rational(s) if isinstance(s, (int, Fraction)) else s
         if s.is_zero:
             raise ValueError("scaling weights by zero")
-        return BorderDecomposition(
-            self.nvars, self.degree, tuple((w * s, f) for w, f in self.summands)
-        )
+        return BorderDecomposition._of_rows(
+            self.nvars, self.degree, [(w * s, lists, den) for w, lists, den in self.cleared])
 
     def substitute(self, rows) -> "BorderDecomposition":
-        forms = substitute_forms([f for _, f in self.summands], rows)
-        return BorderDecomposition(
-            self.nvars, self.degree, tuple(zip([w for w, _ in self.summands], forms))
-        )
+        """Apply the change of variables x -> Mx to every form; the matrix,
+        over Q or Q(eps), is cleared once."""
+        n = self.nvars
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError("substitution matrix has wrong shape")
+        M, S = _int_eps_row([x for r in rows for x in r])
+        return BorderDecomposition._of_rows(n, self.degree, [
+            (w, *_substitute_row(lists, den, M, S)) for w, lists, den in self.cleared])
 
     def extend_vars(self, nvars: int) -> "BorderDecomposition":
-        return BorderDecomposition(
-            nvars, self.degree, tuple((w, f.extend_vars(nvars)) for w, f in self.summands)
-        )
+        if nvars < self.nvars:
+            raise ValueError("extend_vars cannot shrink")
+        pad = nvars - self.nvars
+        return BorderDecomposition._of_rows(nvars, self.degree, [
+            (w, lists + [[] for _ in range(pad)], den) for w, lists, den in self.cleared])
 
     def take_vars(self, nvars: int) -> "BorderDecomposition":
-        return BorderDecomposition(
-            nvars, self.degree, tuple((w, f.take_vars(nvars)) for w, f in self.summands)
-        )
+        """Drop trailing variables, which no form may use."""
+        if nvars > self.nvars or any(any(lists[nvars:]) for _, lists, _ in self.cleared):
+            raise ValueError("take_vars cannot grow or drop a variable a form uses")
+        return BorderDecomposition._of_rows(nvars, self.degree, [
+            (w, lists[:nvars], den) for w, lists, den in self.cleared])
 
 
 @dataclass(frozen=True)
@@ -211,25 +244,18 @@ def verify_waring(W: WaringDecomposition, f: HomoPoly) -> bool:
 def normalize_border(B: BorderDecomposition) -> BorderDecomposition:
     """Canonical working form: polynomial, content-free forms; tails cut.
 
-    Per summand, the form is cleared once by the codec to lists / den
-    (``epsilon._int_eps_row``).  With v the lists' common valuation and c
-    den's lowest nonzero entry, form = (eps**v * c / den) * N, where N is
-    the lists shifted down by v, over c: a polynomial form with a
-    coefficient of valuation 0.  The weight takes the factor's d-th power,
-    and N's coefficients are cut above eps**t with
-    t = max(0, -val(new weight)).  Every discarded tail contributes
-    valuation >= 1 to the expansion, so the limit -- and therefore what the
-    certificate proves -- is unchanged, and the valuation-0 coefficient
-    stays, so no form vanishes.
-
-    den / (c * eps**val(den)) is the lcm of the coefficients' denominators,
-    normalized to 1 at eps = 0; that fixes N, so normalizing twice gives
-    the same certificate as normalizing once.
+    With a form held as lists / den, v the lists' common valuation and c
+    den's lowest nonzero entry, form = (eps**v * c / den) * N, N the lists
+    shifted down by v, over c: a polynomial form with a coefficient of
+    valuation 0.  The weight takes the factor's d-th power, and N is cut
+    above eps**t, t = max(0, -val(new weight)).  A cut tail contributes
+    valuation >= 1 to the expansion, so the limit is unchanged, and no form
+    vanishes.  den / (c * eps**val(den)) is the lcm of the coefficients'
+    denominators, 1 at eps = 0; that fixes N, so normalizing is idempotent.
     """
     d = B.degree
     out = []
-    for w, form in B.summands:
-        lists, den = _int_eps_row(form)
+    for w, lists, den in B.cleared:
         v, _ = _lowest(lists)
         _, (c,) = _lowest([den])
         if v or len(den) > 1:
@@ -239,32 +265,32 @@ def normalize_border(B: BorderDecomposition) -> BorderDecomposition:
             cd = c**d
             w = _eps_of([0] * (v * d) + [x * cd for x in wl], wden)
         t = max(0, -w.valuation())
-        out.append((w, LinearForm([_eps_of(x[v:v + t + 1], [c]) for x in lists])))
-    return BorderDecomposition(B.nvars, d, tuple(out))
+        out.append((w, *_reduce_row([x[v:v + t + 1] for x in lists], [c])))
+    return BorderDecomposition._of_rows(B.nvars, d, out)
+
+
+def _base_of_row(lists) -> Tuple[Fraction, ...]:
+    """The base direction of a form cleared to lists: the leads of the lists
+    at their common valuation, divided by the first nonzero lead."""
+    _, leads = _lowest(lists)
+    first = next(x for x in leads if x)
+    return tuple(Fraction(x, first) for x in leads)
 
 
 def base_of_form(form: LinearForm) -> LinearForm:
     """Lowest eps-order coefficient vector, scaled so its first nonzero entry is 1.
 
     This is the rational direction the form degenerates to; it is well defined
-    for any nonzero form over Q(eps).  Read off the codec's lists: the
-    lowest-order coefficients are their leads over one common factor.
+    for any nonzero form over Q(eps).  Read off the codec's lists
+    (``_base_of_row``), as the pipeline reads it off a certificate's rows.
     """
-    _, leads = _lowest(_int_eps_row(form)[0])
-    first = next(x for x in leads if x)
-    return LinearForm([Fraction(x, first) for x in leads])
+    return LinearForm(_base_of_row(_int_eps_row(form)[0]))
 
 
 def is_local(B: BorderDecomposition) -> Optional[LinearForm]:
     """The common base if all summands degenerate to one direction, else None."""
-    if not B.summands:
-        return None
-    bases = [base_of_form(form) for _, form in B.summands]
-    first = bases[0]
-    for b in bases[1:]:
-        if b != first:
-            return None
-    return first
+    bases = {_base_of_row(lists) for _, lists, _ in B.cleared}
+    return LinearForm(bases.pop()) if len(bases) == 1 else None
 
 
 def _partial_coefficient_rows(f: HomoPoly) -> List[List[Fraction]]:
@@ -331,13 +357,16 @@ def restrict_vars_zero(B: BorderDecomposition, vars_to_zero) -> BorderDecomposit
     Exact: the expansion of the result is the expansion of B with those
     variables set to zero, so valuations cannot drop and the limit restricts.
     """
-    kill = list(vars_to_zero)
+    kill = set(vars_to_zero)
     for i in kill:
         if not 0 <= i < B.nvars:
             raise ValueError(f"variable index {i} out of range")
     out = []
-    for w, form in B.summands:
-        restricted = form.restrict_zero(kill)
-        if restricted is not None:
-            out.append((w, restricted))
-    return BorderDecomposition(B.nvars, B.degree, tuple(out))
+    for w, lists, den in B.cleared:
+        if any(lists[i] for i in kill):
+            lists = [[] if i in kill else x for i, x in enumerate(lists)]
+            if not any(lists):
+                continue
+            lists, den = _reduce_row(lists, den)
+        out.append((w, lists, den))
+    return BorderDecomposition._of_rows(B.nvars, B.degree, out)

@@ -29,23 +29,23 @@ fraction-free echelon form of the pivot vectors over Z[eps], kept as pivots
 are found: a check reduces only the candidate, by Bareiss steps
 (``linalg._ff_update``), and each new pivot is folded in as it is added.
 
-The search runs on integers.  Each normalized summand is cleared once to
-one row, dense integer eps-lists over one integer denominator
-(``epsilon._int_eps_row``); a form outside Q[eps], which normalization never
-leaves, raises InvariantError there.  Valuations and leads are read off the
-lists (``epsilon._lowest``), and the lead solve is one fraction-free
-elimination of the integer leads with integer back substitution.  G is the
-pivots' lists over the lcm of their integer denominators, and its inverse
-A stays a matrix of integer eps-lists over one denominator
-(``linalg.EpsMatrix``); no EpsScalar is built for G or A.
+The search runs on integers, on the rows the certificate holds: a
+normalized form is dense integer eps-lists over one positive integer.
+Valuations and leads are read off the lists (``epsilon._lowest``), and the
+lead solve is one fraction-free elimination of the integer leads with
+integer back substitution.  G is the pivots' lists over the lcm of their
+integer denominators, and its inverse A stays a matrix of integer eps-lists
+over one denominator (``linalg.EpsMatrix``).
 
 The pivot search stops once it has nvars pivots.  One more pivot could not
 be framed into an nvars x nvars basis, so a further reduction step could
 only certify the remaining candidates zero; skipping it saves a reduction
 per candidate, and ``staircase_check`` still asserts every non-pivot row in
-the new coordinates.  The summands move to the new coordinates from the
-rows already held: ``poly._substitute_row`` multiplies each row by A's
-lists, and builds the transformed forms' EpsScalars.
+the new coordinates.  The summands move to the new coordinates as rows:
+``poly._substitute_row`` multiplies each row by A's lists.
+``staircase_check`` and ``derivative_decomposition`` read those rows; the
+one scalar arithmetic left here is the derivative certificate's weight,
+w * (d)_order * c**order.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .decomp import (
     BorderDecomposition,
-    base_of_form,
+    _base_of_row,
     is_local,
     normalize_border,
     restrict_vars_zero,
 )
-from .epsilon import EpsScalar, _int_eps_row, _lowest
+from .epsilon import _eps_of, _lowest
 from .errors import (
     InvariantError,
     NoPivotError,
@@ -242,12 +242,8 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     n = Bn.nvars
     local_base = is_local(Bn)
 
-    rows = []
-    for _, form in Bn.summands:
-        lists, s = _int_eps_row(form)
-        if len(s) != 1:
-            raise InvariantError("normalized form left Q[eps]")
-        rows.append((lists, s[0]))
+    # normalized rows are over a positive integer: (lists, den[0])
+    rows = [(lists, den[0]) for _, lists, den in Bn.cleared]
     pivots = _Pivots()
     remaining = list(range(len(rows)))
     while remaining and len(pivots) < n:
@@ -282,10 +278,10 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         raise InvariantError("change of variables is not a unit at eps = 0") from exc
 
     order = [pv.original_index for pv in pivots] + remaining
-    forms = [_substitute_row(rows[i][0], [rows[i][1]], A.lists, A.den) for i in order]
-    summands = tuple((Bn.summands[i][0], g) for i, g in zip(order, forms))
+    summands = [(Bn.cleared[i][0], *_substitute_row(rows[i][0], [rows[i][1]], A.lists, A.den))
+                for i in order]
     D = DiagonalizedDecomposition(
-        decomposition=BorderDecomposition(n, Bn.degree, summands),
+        decomposition=BorderDecomposition._of_rows(n, Bn.degree, summands),
         transform=A,
         base_change=tuple(tuple(r) for r in A0),
         base_change_inv=tuple(tuple(r) for r in A0_inv),
@@ -295,9 +291,9 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     )
     staircase_check(D)
     if local_base is not None:
-        e0 = LinearForm.variable(n, 0)
-        for _, form in D.decomposition.summands:
-            if base_of_form(form) != e0:
+        e0 = tuple(LinearForm.variable(n, 0))
+        for _, lists, _ in D.decomposition.cleared:
+            if _base_of_row(lists) != e0:
                 raise InvariantError("local input did not stay based at x0")
     return D
 
@@ -314,46 +310,43 @@ def staircase_check(D: DiagonalizedDecomposition) -> None:
         raise InvariantError(f"pivot valuations not monotone: {qs}")
     if [k for k, _ in D.pivots] != list(range(p)):
         raise InvariantError("pivot variables are not the leading coordinates")
-    summands = D.decomposition.summands
-    n = D.decomposition.nvars
-    for row, (_, form) in enumerate(summands):
-        coefs = form.coefs
+    for row, (_, lists, den) in enumerate(D.decomposition.cleared):
         if row < p:
+            # a row over Q[eps] is cleared over a constant: den == [c]
             q = qs[row]
-            for j in range(n):
-                c = coefs[j]
+            if len(den) > 1:
+                raise InvariantError(f"pivot row {row} is not in Q[eps]")
+            for j, x in enumerate(lists):
                 if j > row:
-                    if not c.is_zero:
+                    if x:
                         raise InvariantError(
                             f"pivot row {row} uses variable {j} beyond its pivot"
                         )
                 elif j == row:
-                    if c != EpsScalar.eps(q):
+                    if x != [0] * q + den:
                         raise InvariantError(
-                            f"pivot row {row} has x_{row} coefficient {c!r}, expected eps^{q}"
+                            f"pivot row {row} has x_{row} coefficient {_eps_of(x, den)!r}, "
+                            f"expected eps^{q}"
                         )
                 else:
-                    if c.is_zero:
-                        continue
-                    if not c.is_polynomial:
-                        raise InvariantError(f"pivot row {row} entry {j} not in Q[eps]")
-                    for e, _coef in c.num.pairs():
-                        if not qs[j] <= e < q:
+                    for e, a in enumerate(x):
+                        if a and not qs[j] <= e < q:
                             raise InvariantError(
                                 f"pivot row {row}: x_{j} appears at eps-order {e}, "
                                 f"outside [{qs[j]}, {q})"
                             )
         else:
-            for j in range(n):
-                c = coefs[j]
-                if c.is_zero:
+            vden = _lowest([den])[0]
+            for j, x in enumerate(lists):
+                if not x:
                     continue
                 if j >= p:
                     raise InvariantError(f"non-pivot row {row} uses non-pivot variable {j}")
-                if c.valuation() < qs[j]:
+                v = _lowest([x])[0] - vden
+                if v < qs[j]:
                     raise InvariantError(
                         f"non-pivot row {row}: x_{j} coefficient has valuation "
-                        f"{c.valuation()} < {qs[j]}"
+                        f"{v} < {qs[j]}"
                     )
 
 
@@ -383,26 +376,24 @@ def derivative_decomposition(
         raise InvariantError("nonzero derivative in a non-pivot variable")
     scale = falling_factorial(d, order)
     kept = []
-    for w, form in D.decomposition.summands:
-        c = form.coefs[var]
-        if c.is_zero:
+    for w, lists, den in D.decomposition.cleared:
+        x = lists[var]
+        if not x:
             continue
-        w2 = w * scale * c**order
+        w2 = w * scale * _eps_of(x, den) ** order
         # valuation of the whole contribution w2 * form**(d-order): the
         # expansion of a linear-form power has one product per monomial, so
         # its minimal valuation is (d-order) * min coefficient valuation
-        contrib = w2.valuation() + (d - order) * min(
-            x.valuation() for x in form.coefs if not x.is_zero
-        )
+        contrib = w2.valuation() + (d - order) * (_lowest(lists)[0] - _lowest([den])[0])
         if contrib >= 1:
             continue
-        kept.append((w2, form))
+        kept.append((w2, lists, den))
     r = D.decomposition.rank()
     if len(kept) > r - var:
         raise InvariantError(
             f"derivative certificate has {len(kept)} summands, expected <= {r - var}"
         )
-    return BorderDecomposition(D.decomposition.nvars, d - order, tuple(kept))
+    return BorderDecomposition._of_rows(D.decomposition.nvars, d - order, kept)
 
 
 __all__ = [

@@ -10,9 +10,10 @@ Two scalar types live here:
 * ``EpsScalar`` -- an element of Q(eps) kept as a reduced fraction num/den of
   two ``EpsPoly``.  The denominator is normalized so that its lowest-order
   nonzero coefficient is 1; together with gcd reduction this makes the
-  representation canonical, so structural equality is semantic equality.
-  The eps-valuation of a scalar is val(num) - val(den) and may be negative;
-  nothing is ever truncated.
+  representation canonical, so structural equality is semantic equality;
+  a polynomial hashes as its ``EpsPoly``, and a constant of either type as
+  the ``Fraction`` it equals.  The eps-valuation of a scalar is
+  val(num) - val(den) and may be negative; nothing is ever truncated.
 
 Almost every denominator met in practice is 1 or a monomial c*eps**k, so
 ``EpsPoly.gcd`` answers without the Euclidean algorithm when either operand
@@ -30,12 +31,14 @@ cross between Q(eps) and integer eps-lists through one codec pair only:
 ``_int_rat_row`` clears a rational vector to integers; the codec uses it
 too, so it holds the one lcm of rational denominators.  ``_lowest`` reads
 the common valuation and the lowest-order coefficients of cleared lists.
+``_reduce_row`` takes a kernel's lists over any denominator to the codec's
+clearing, in which a border certificate holds its forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleAtZero
@@ -254,6 +257,8 @@ class EpsPoly:
         return bool(self._terms)
 
     def __hash__(self):
+        if not self._terms.keys() - {0}:  # a constant, hashed as its Fraction
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
@@ -469,7 +474,7 @@ class EpsScalar:
         return not self.is_zero
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.num) if self.den == _EP_ONE else hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_polynomial:
@@ -523,6 +528,25 @@ def _int_rat_row(row: Sequence) -> Tuple[List[int], int]:
     row[i] = ints[i] / den, den the lcm of the entries' denominators."""
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _reduce_row(lists: Sequence[Sequence[int]],
+                den: Sequence[int]) -> Tuple[List[List[int]], List[int]]:
+    """``_int_eps_row`` of the nonzero vector lists / den (trailing zeros
+    allowed), so equal vectors give equal rows.  Over a monomial den,
+    c * eps**k, it is integer work: shift out the leading zeros the lists
+    share, as far as eps**k allows, and divide by the gcd, den positive.
+    Any other den reduces each entry once through ``_eps_of``, the one gcd
+    path, and clears the vector again.
+    """
+    if any(den[:-1]):
+        return _int_eps_row([_eps_of(x, den) for x in lists])
+    lists = [x[:max((i + 1 for i, c in enumerate(x) if c), default=0)] for x in lists]
+    k = min(len(den) - 1, _lowest(lists)[0])
+    g = gcd(den[-1], *(c for x in lists for c in x))
+    if den[-1] < 0:
+        g = -g
+    return [[c // g for c in x[k:]] for x in lists], [0] * (len(den) - 1 - k) + [den[-1] // g]
 
 
 def _lowest(lists: Sequence[List[int]]) -> Tuple[int, List[int]]:

@@ -8,41 +8,24 @@ witnesses is graded lexicographic; since every stored polynomial is
 homogeneous that is plain descending tuple order on the exponents.
 
 ``LinearForm`` is a coefficient vector, as a tuple, with the operations the
-decomposition machinery needs: exact powers via multinomial expansion,
-composition with a linear change of variables, restriction.
+decomposition machinery needs on rational forms: exact powers, composition
+with a linear change of variables, extension by unused variables.
 
-``power_sum`` is the one expansion kernel: every weighted sum of powers of
-linear forms, and every single power (a one-summand sum with weight 1), is
-expanded there.  It runs on Python ints.  Over Q, each summand is scaled to
-an integer form over one denominator.  Over Q(eps), each weight and form is
-cleared by the codec (``epsilon._int_eps_row``); when every denominator
-comes out a monomial c*eps**k, the summand is an integer form over Z[eps],
-shifted and scaled.  The multinomial expansion is ``_int_power_terms``, and
-the contributions are summed per monomial (per monomial and eps-exponent)
-over the lcm of the summands' denominators.  Only then is one Fraction, or
-one canonical EpsScalar through ``epsilon._eps_of``, built per monomial.
-Any other denominator, such as 1 + eps, makes the whole sum fall back to
-multiplying and adding the scalars term by term (``_scalar_power_sum``
-says why that loop stays).
+The kernels run on Python ints.  The rational ones -- ``power_sum`` (every
+weighted sum of powers, and every single power), ``substitute_forms`` and
+``HomoPoly.substitute_linear`` -- scale each form or row to an integer
+vector over one denominator, sum integer contributions over the lcm of
+their denominators, and build one Fraction per output coefficient; each
+raises TypeError on anything over Q(eps).
 
-``HomoPoly.substitute_linear`` is rational only (a polynomial or rows over
-Q(eps) raise TypeError) and uses the same integers: each row is cleared to
-an integer vector over its lcm denominator, its powers come from
-``_int_power_terms`` once per (row, exponent), the integer products are
-summed per monomial over the lcm of the terms' denominators, and one
-Fraction is built per output monomial.  Inside the products a monomial is
-one integer key (Kronecker substitution).
-
-``substitute_forms`` is the one substitution kernel for linear forms
-(``LinearForm.substitute`` is its one-form case).  It clears the matrix
-once per call through the codec and has two paths.  A rational form
-against rational rows is an integer product over one denominator, one
-Fraction per output coefficient.  Any other form is cleared once through
-the codec, and ``_substitute_row`` multiplies its integer eps-lists by the
-matrix's and builds each output coefficient once by ``epsilon._eps_of``:
-canonical as built over a monomial denominator, reduced once otherwise.
-``diagonal.diagonalize`` calls ``_substitute_row`` on the rows it already
-holds.
+Over Q(eps) the kernels take the rows a border certificate holds
+(``decomp.BorderDecomposition``): forms cleared to dense integer eps-lists
+over one denominator.  ``_cleared_power_sum`` expands them on integers
+over Z[eps] when every denominator is a monomial c*eps**k, and builds one
+canonical EpsScalar per monomial; any other denominator, such as 1 + eps,
+sends the whole sum to ``_scalar_power_sum`` (which says why that loop
+stays).  ``_substitute_row`` multiplies a row by a cleared matrix and
+returns a row.
 """
 
 from __future__ import annotations
@@ -53,7 +36,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row
+from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _reduce_row
 from .errors import PoleAtZero
 
 Monomial = Tuple[int, ...]
@@ -413,37 +396,14 @@ def _int_power_terms(vals, d: int, nvars: int, support, scale=1):
 
 
 def power_sum(nvars: int, degree: int, summands) -> HomoPoly:
-    """sum of w * form**degree over the (w, form) summands, exactly.
+    """sum of w * form**degree over rational (w, form) summands, exactly.
 
-    Rational summands, and summands whose weights and forms clear to a
-    monomial denominator c * eps**k (every normalized certificate), are
-    expanded on integers over one common denominator; any other
-    denominator sends the whole sum through the scalar loop.  Coefficients
-    come out as Fractions for rational summands and as canonical
-    EpsScalars otherwise.
+    A form n / den contributes w.numerator * multinomial * prod n_i**a_i
+    over w.denominator * den**d, summed as ints over the lcm L of those
+    denominators; each monomial gets one Fraction(v, L).
     """
-    if not summands:
-        return HomoPoly._make(nvars, degree, {})
-    if isinstance(summands[0][0], Fraction):
-        return _rational_power_sum(nvars, degree, summands)
-    cleared = []
-    for w, form in summands:
-        (wl,), wden = _int_eps_row((w,))
-        lists, den = _int_eps_row(form)
-        if any(wden[:-1]) or any(den[:-1]):
-            return _scalar_power_sum(nvars, degree, summands)
-        cleared.append((wl, wden, lists, den))
-    return _laurent_power_sum(nvars, degree, cleared)
-
-
-def _rational_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
-    """Integer expansion of rational summands.
-
-    A form with coefficients c_i = n_i / den contributes
-    w.numerator * multinomial * prod n_i**a_i over w.denominator * den**d;
-    contributions are scaled to the lcm L of those denominators and summed
-    as ints, and each surviving monomial gets one Fraction(v, L).
-    """
+    if not all(isinstance(w, Fraction) and form.is_rational for w, form in summands):
+        raise TypeError("power_sum takes rational summands")
     parts = []
     L = 1
     for w, form in summands:
@@ -525,23 +485,30 @@ def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
     return HomoPoly._make(n, p.degree, out)
 
 
-def _laurent_power_sum(nvars: int, degree: int, cleared) -> HomoPoly:
-    """Integer expansion of summands cleared to monomial denominators.
+def _cleared_power_sum(nvars: int, degree: int, cleared) -> HomoPoly:
+    """sum of w * (lists / den)**degree over a border certificate's rows.
 
-    A summand is (wl, wden, lists, den) from ``_int_eps_row``: weight
-    wl / (c * eps**k), form lists / (C * eps**K), so it is eps**(-k - K*d)
-    times the integer expansion weighted by wl, over c * C**d.
-    Contributions are scaled to the lcm L of those denominators and summed
-    per monomial on one dense eps-list.
+    Each weight is cleared by the codec.  A weight wl / (c * eps**k) and a
+    form lists / (C * eps**K) make eps**(-k - K*d) times the integer
+    expansion weighted by wl, over c * C**d; contributions are summed per
+    monomial on one dense eps-list over the lcm of those denominators.  Any
+    denominator that is not a monomial sends the whole sum through
+    ``_scalar_power_sum``, with the forms' coefficients built once.
     """
     parts = []
     L = 1
-    for wl, wden, lists, den in cleared:
+    for w, lists, den in cleared:
+        (wl,), wden = _int_eps_row((w,))
+        if any(wden[:-1]) or any(den[:-1]):
+            return _scalar_power_sum(nvars, degree, [
+                (w, [_eps_of(x, den) for x in lists]) for w, lists, den in cleared])
         support = [i for i, x in enumerate(lists) if x]
         D = wden[-1] * den[-1] ** degree
         L = lcm(L, D)
         parts.append((1 - len(wden) + (1 - len(den)) * degree, D, support,
                       [lists[i] for i in support], wl))
+    if not parts:
+        return HomoPoly._make(nvars, degree, {})
     base = min(0, min(p[0] for p in parts))
     width = max(shift - base + len(wl) + degree * (max(map(len, lists)) - 1)
                 for shift, _, _, lists, wl in parts)
@@ -590,14 +557,14 @@ def _scalar_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
     return HomoPoly._make(nvars, degree, acc)
 
 
-def _substitute_row(cs, den, M, S) -> "LinearForm":
-    """The form cs / den composed with the n x n matrix M / S, both cleared
-    by ``_int_eps_row``, the matrix as one vector of rows: each output
-    coefficient is one sum of integer eps-list products, built once by
-    ``_eps_of`` over den * S."""
+def _substitute_row(cs, den, M, S) -> Tuple[List[List[int]], List[int]]:
+    """The form cs / den composed with the n x n matrix M / S (row-major),
+    both cleared by the codec: integer eps-list products over den * S,
+    returned as the codec clears them (``_reduce_row``).  A form that
+    becomes zero raises ValueError."""
     den = _int_poly_mul(den, S)
     n = len(cs)
-    coefs = []
+    out = []
     for j in range(n):
         acc: List[int] = []
         for c, x in zip(cs, M[j::n]):
@@ -606,29 +573,30 @@ def _substitute_row(cs, den, M, S) -> "LinearForm":
                 acc.extend([0] * (len(t) - len(acc)))
                 for e, v in enumerate(t):
                     acc[e] += v
-        coefs.append(_eps_of(acc, den))
-    return LinearForm(coefs)
+        out.append(acc)
+    if not any(any(x) for x in out):
+        raise ValueError("the zero vector is not a linear form")
+    return _reduce_row(out, den)
 
 
 def substitute_forms(forms: Sequence["LinearForm"], rows) -> Tuple["LinearForm", ...]:
-    """Each form composed with x -> Mx (its coefficient vector c becomes
-    c . M); the two paths are in the module docstring.  A form that becomes
-    zero raises ValueError."""
+    """Each rational form composed with x -> Mx, M rational (its coefficient
+    vector c becomes c . M); Q(eps) input raises TypeError, and a form that
+    becomes zero raises ValueError."""
     n = len(rows)
     if any(len(r) != n for r in rows) or any(len(f) != n for f in forms):
         raise ValueError("substitution matrix has wrong shape")
-    rows = [[_as_coeff(x) for x in r] for r in rows]
-    rational = all(isinstance(x, Fraction) for r in rows for x in r)
-    M, S = _int_eps_row([x for r in rows for x in r])
+    if not all(isinstance(x, (int, Fraction)) for r in rows for x in r) or not all(
+        form.is_rational for form in forms
+    ):
+        raise TypeError("substitute_forms takes rational forms and rational rows")
+    M, S = _int_rat_row([x for r in rows for x in r])
     out = []
     for form in forms:
-        if rational and form.is_rational:
-            cs, den = _int_rat_row(form)
-            out.append(LinearForm([
-                Fraction(sum(c * x[0] for c, x in zip(cs, M[j::n]) if c and x), den * S[0])
-                for j in range(n)]))
-        else:
-            out.append(_substitute_row(*_int_eps_row(form), M, S))
+        cs, den = _int_rat_row(form)
+        out.append(LinearForm([
+            Fraction(sum(c * x for c, x in zip(cs, M[j::n]) if c and x), den * S)
+            for j in range(n)]))
     return tuple(out)
 
 
@@ -674,33 +642,16 @@ class LinearForm(tuple):
         return cls(tuple(Fraction(1 if i == index else 0) for i in range(nvars)))
 
     def power(self, d: int) -> HomoPoly:
-        """(c . x)**d, a one-summand power sum with weight 1 of the form's kind."""
+        """(c . x)**d, a one-summand power sum with weight 1; rational only."""
         n = self.nvars
         if d == 0:
             return HomoPoly(n, 0, {(0,) * n: Fraction(1)})
-        return power_sum(n, d, ((Fraction(1) if self.is_rational else EpsScalar.one(), self),))
-
-    def substitute(self, rows: Sequence[Sequence[object]]) -> "LinearForm":
-        """The form x -> self(Mx); coefficient vector becomes c . M."""
-        return substitute_forms((self,), rows)[0]
-
-    def restrict_zero(self, vars_to_zero: Iterable[int]) -> "LinearForm | None":
-        """Zero out the listed coordinates; None if the form vanishes."""
-        kill = set(vars_to_zero)
-        out = tuple(Fraction(0) if i in kill else c for i, c in enumerate(self.coefs))
-        if all(c == 0 for c in out):
-            return None
-        return LinearForm(out)
+        return power_sum(n, d, ((Fraction(1), self),))
 
     def extend_vars(self, nvars: int) -> "LinearForm":
         if nvars < self.nvars:
             raise ValueError("extend_vars cannot shrink")
         return LinearForm(self.coefs + (Fraction(0),) * (nvars - self.nvars))
-
-    def take_vars(self, nvars: int) -> "LinearForm":
-        if any(c != 0 for c in self.coefs[nvars:]):
-            raise ValueError("form uses a dropped variable")
-        return LinearForm(self.coefs[:nvars])
 
     def is_parallel(self, other: "LinearForm") -> bool:
         """True if the two forms are proportional."""

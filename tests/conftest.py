@@ -299,8 +299,9 @@ def assert_staircase_invariants(f, B):
     is zero and the valuations are monotone, the change of variables is a
     unit at eps = 0 with an exactly invertible value, the transformed
     expansion equals the original one composed with the transform, the
-    transformed certificate still proves the transformed limit, and a local
-    certificate stays local.
+    transformed certificate still proves the transformed limit and equals
+    the certificate rebuilt from its summands, and a local certificate stays
+    local.
     """
     D = diagonalize(B, f)
     staircase_check(D)
@@ -334,6 +335,9 @@ def assert_staircase_invariants(f, B):
 
     out = check_border(D.decomposition, D.limit)
     assert out.ok
+    # the transformed rows are the codec's clearing of their values
+    again = BorderDecomposition(B.nvars, B.degree, D.decomposition.summands)
+    assert again == D.decomposition and hash(again) == hash(D.decomposition)
     assert D.limit == f.substitute_linear(D.base_change)
 
     if is_local(B) is not None:

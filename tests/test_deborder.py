@@ -14,6 +14,7 @@ from waring import (
     BorderDecomposition,
     CertificateCheckError,
     DeborderConfig,
+    EpsPoly,
     EpsScalar,
     HomoPoly,
     InvariantError,
@@ -23,6 +24,7 @@ from waring import (
     check_border,
     deborder,
     dense_decompose,
+    diagonalize,
     extract_local_cofactor,
     multiply_by_power,
     paper_bound,
@@ -710,3 +712,64 @@ def test_split_run_verifies_each_branch_once_each_way(monkeypatch):
     targets = [args[1] for args in borders[1:]]
     assert all(any(h == t for t in targets) for _, h in results[:-1])
     assert results[-1][1] == f
+
+
+# -- a held certificate is cleared once ----------------------------------------
+
+
+def count_clearing_and_scalars(monkeypatch):
+    """Lists that record, from now on: each ``_int_eps_row`` call on a
+    LinearForm (a form cleared again), each LinearForm built over Q(eps) (a
+    form's coefficients rebuilt as scalars), each EpsScalar built by its
+    constructor, and each EpsPoly.gcd call."""
+    cleared, rebuilt, built, gcds = [], [], [], []
+    for name in ("epsilon", "poly", "decomp", "diagonal", "linalg", "deborder"):
+        mod = importlib.import_module(f"waring.{name}")
+        real = getattr(mod, "_int_eps_row", None)
+        if real is not None:
+            monkeypatch.setattr(mod, "_int_eps_row", lambda row, real=real: (
+                isinstance(row, LinearForm) and cleared.append(row)) or real(row))
+    new = LinearForm.__new__
+
+    def counted_new(cls, coefs):
+        form = new(cls, coefs)
+        if not form.is_rational:
+            rebuilt.append(form)
+        return form
+
+    monkeypatch.setattr(LinearForm, "__new__", staticmethod(counted_new))
+    init = EpsScalar.__init__
+    monkeypatch.setattr(EpsScalar, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    gcd = EpsPoly.gcd
+    monkeypatch.setattr(EpsPoly, "gcd", staticmethod(lambda a, b: gcds.append(1) or gcd(a, b)))
+    return cleared, rebuilt, built, gcds
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dense_certificate(21, 4, 3, (1, 2), 4),
+    lambda: dense_certificate(22, 5, 3, (2,), 3),
+    lambda: gen_tangent(5), lambda: gen_osculating(10, 4), lambda: gen_multibase(5),
+], ids=["dense_n4", "dense_n5", "tangent5", "osculating104", "multibase5"])
+def test_a_held_laurent_certificate_is_never_cleared_again_or_rebuilt(monkeypatch, make):
+    # the default route diagonalizes every group or level; the staircase and
+    # the local-base check read rows, so no scalar is built at all
+    f, B = make()
+    cleared, rebuilt, built, gcds = count_clearing_and_scalars(monkeypatch)
+    diagonalize(B, f)
+    W, _ = deborder(f, B)
+    monkeypatch.undo()
+    assert (cleared, rebuilt, built, gcds) == ([], [], [], [])
+    assert verify_waring(W, f)
+
+
+def test_the_forced_split_still_builds_weight_scalars(monkeypatch):
+    # the derivative certificates' weights and the branch scaling stay
+    # EpsScalar arithmetic, which the bench's families layer records
+    f, B = gen_multibase(5)
+    cleared, rebuilt, built, gcds = count_clearing_and_scalars(monkeypatch)
+    W, report = deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))
+    monkeypatch.undo()
+    assert any(t.branch_k for t in report.trace)  # derivative branches ran
+    assert (cleared, rebuilt) == ([], [])
+    assert built and gcds

@@ -31,16 +31,18 @@ from waring.linalg import rat_inverse
 from waring.oracle import gen_random, gen_tangent, gen_multibase
 from conftest import (
     F,
+    compose_with_unit_denominators,
     eps,
     esc,
     lf,
     mono,
     ref_normalize_border,
+    ref_substitute,
     repeated_product,
     unit_denominator_tangent,
 )
 from test_golden_documents import dense_certificate
-from test_poly import count_gcd_calls
+from test_poly import count_gcd_calls, ref_substitute_form
 
 
 def x_var(n, i):
@@ -516,3 +518,91 @@ def test_dense_certificate_checks_and_normalizes_without_a_gcd(monkeypatch):
     assert calls == []
     normalize_border(B)
     assert calls == []
+
+
+# -- every row-level step against its EpsScalar reference ---------------------
+
+
+def assert_held_as_cleared(C):
+    """C's rows are the codec's clearing of its summands: rebuilt from its
+    own summands it is equal and hashes the same, so certificate equality
+    is by value."""
+    again = BorderDecomposition(C.nvars, C.degree, C.summands)
+    assert again == C and hash(again) == hash(C)
+
+
+def assert_steps_match_the_scalar_references(B, rows, kill):
+    """expand, normalize_border, substitute, restrict_vars_zero and
+    take_vars/extend_vars on the rows B holds, each against its reference
+    on B's summands as EpsScalars."""
+    assert_held_as_cleared(B)
+    assert_same_expansion(B)
+    assert_normalizes_like_the_reference(B)
+    assert_held_as_cleared(normalize_border(B))
+    want = [ref_substitute_form(form, rows) for _, form in B.summands]
+    if all(any(w) for w in want):
+        S = B.substitute(rows)
+        assert [(w, list(g)) for w, g in S.summands] == [
+            (w, v) for (w, _), v in zip(B.summands, want)]
+        assert S.expand() == ref_substitute(B.expand(), rows)
+        assert_held_as_cleared(S)
+    else:
+        with pytest.raises(ValueError):
+            B.substitute(rows)
+    R = restrict_vars_zero(B, kill)
+    assert [(w, list(g)) for w, g in R.summands] == [
+        (w, v) for w, v in ((w, [F(0) if i in kill else c for i, c in enumerate(form)])
+                            for w, form in B.summands) if any(v)]
+    assert R.expand() == B.expand().restrict_zero(kill)
+    assert_held_as_cleared(R)
+    E = B.extend_vars(B.nvars + 1)
+    assert [(w, list(g)) for w, g in E.summands] == [(w, list(f) + [0]) for w, f in B.summands]
+    assert E.take_vars(B.nvars) == B
+    with pytest.raises(ValueError):
+        restrict_vars_zero(B, [B.nvars])
+    if any(form[-1] for _, form in B.summands):
+        with pytest.raises(ValueError):
+            B.take_vars(B.nvars - 1)
+
+
+@st.composite
+def certificate_steps(draw, certificates, entries):
+    """(B, rows, kill): a certificate, a square matrix of entries, and a set
+    of variables to restrict to zero."""
+    B = draw(certificates)
+    n = B.nvars
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    kill = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return B, rows, kill
+
+
+laurent_certificates = decompositions(laurent_weights, laurent_scalars, BorderDecomposition)
+
+
+@PROPERTY
+@given(certificate_steps(laurent_certificates, st.one_of(fractions, laurent_scalars)))
+def test_row_steps_on_laurent_certificates_match_the_scalar_references(case):
+    assert_steps_match_the_scalar_references(*case)
+
+
+@SLOW_PROPERTY
+@given(certificate_steps(
+    decompositions(laurent_weights, laurent_scalars, BorderDecomposition, max_degree=2)
+    .map(compose_with_unit_denominators),
+    fractions))
+def test_row_steps_on_unit_denominator_certificates_match_the_scalar_references(case):
+    assert_steps_match_the_scalar_references(*case)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_tangent(4), lambda: gen_multibase(3), lambda: gen_random(3, 3, 4, seed=2),
+    lambda: dense_certificate(21, 4, 3, (1, 2), 4), unit_denominator_tangent,
+    lambda: (None, compose_with_unit_denominators(gen_random(3, 2, 3, seed=5)[1])),
+], ids=["tangent4", "multibase3", "random", "dense_n4", "unit_tangent", "unit_random"])
+def test_row_steps_on_the_corpus_match_the_scalar_references(make):
+    _, B = make()
+    n = B.nvars
+    rows = [[F((i + 2 * j) % 5 - 2, 1 + (i * j) % 3) for j in range(n)] for i in range(n)]
+    assert_steps_match_the_scalar_references(B, rows, {0})
+    assert_steps_match_the_scalar_references(B, [[eps(i - j) if i >= j else F(0) for j in range(n)]
+                                                 for i in range(n)], {n - 1})

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waring import EpsPoly, EpsScalar, PoleAtZero
+from waring import EpsPoly, EpsScalar, LinearForm, PoleAtZero
 from conftest import F, epoly, esc
 
 
@@ -119,6 +119,23 @@ def test_escalar_structural_equality_is_semantic():
     b = a * esc((0, 1), (1, -1))
     assert b == EpsScalar.one()
     assert hash(b) == hash(EpsScalar.one())
+
+
+def test_equal_values_hash_equally_across_scalar_kinds():
+    # a constant scalar equals its Fraction, a polynomial scalar its EpsPoly:
+    # each must hash as what it equals, or sets and dicts split equal keys
+    for c in (F(0), F(1), F(-2), F(3, 7)):
+        for x in (EpsScalar.from_rational(c), EpsPoly.const(c)):
+            assert x == c and hash(x) == hash(c)
+            assert len({x, c}) == 1
+    assert len({EpsScalar.from_rational(1), F(1), 1, EpsPoly.const(1)}) == 1
+    p = epoly((0, 1), (2, F(1, 3)))
+    assert EpsScalar.from_poly(p) == p and hash(EpsScalar.from_poly(p)) == hash(p)
+    # so a form over Q(eps) equal to a rational one hashes as it does
+    rational = (F(1), F(-2), F(0))
+    lifted = tuple(EpsScalar.from_rational(c) for c in rational)
+    assert lifted == rational and hash(lifted) == hash(rational)
+    assert len({LinearForm(rational), LinearForm(lifted)}) == 1
 
 
 def test_escalar_zero_and_one():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from waring import (
+    BorderDecomposition,
     EpsPoly,
     EpsScalar,
     HomoPoly,
@@ -19,6 +20,7 @@ from waring import (
     monomials_of_degree,
     normalize_border,
     poly,
+    restrict_vars_zero,
 )
 from waring.linalg import rat_inverse
 from waring.poly import substitute_forms
@@ -157,8 +159,12 @@ def test_linearform_power_binomial():
 
 
 def test_linearform_eps_power():
+    # LinearForm.power is rational; a form over Q(eps) expands as a
+    # one-summand border certificate
     form = lf(EpsScalar.one(), EpsScalar.eps())
-    p = form.power(2)
+    with pytest.raises(TypeError):
+        form.power(2)
+    p = BorderDecomposition(2, 2, ((EpsScalar.one(), form),)).expand()
     assert p.limit_at_zero() == mono(2, (2, 0))
     assert p.coeff((1, 1)) == EpsScalar.eps() * 2
 
@@ -174,19 +180,22 @@ def test_linearform_substitute_matches_poly_substitution():
     rows = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
     form = lf(F(1), F(-2), F(3))
     d = 3
-    lhs = form.substitute(rows).power(d)
+    lhs = substitute_forms([form], rows)[0].power(d)
     rhs = form.power(d).substitute_linear(rows)
     assert lhs == rhs
 
 
 def test_linearform_restrict_and_windows():
+    # restriction and dropping variables act on a certificate's rows
     form = lf(F(0), F(1), F(2))
-    assert form.restrict_zero([1]).coefs == (F(0), F(0), F(2))
-    assert form.restrict_zero([1, 2]) is None
+    B = BorderDecomposition(3, 2, ((F(1), form),))
+    assert restrict_vars_zero(B, [1]).summands[0][1] == (F(0), F(0), F(2))
+    assert restrict_vars_zero(B, [1, 2]).rank() == 0
     assert form.extend_vars(4).coefs == (F(0), F(1), F(2), F(0))
-    assert lf(F(1), F(0)).take_vars(1).coefs == (F(1),)
+    pair = BorderDecomposition(2, 2, ((F(1), lf(F(1), F(0))),))
+    assert pair.take_vars(1).summands[0][1] == (F(1),)
     with pytest.raises(ValueError):
-        form.take_vars(2)
+        B.take_vars(2)
 
 
 def test_linearform_variable_and_derivative():
@@ -248,8 +257,19 @@ def nonzero(coefs):
     return any(coefs)
 
 
+def form_power(coefs, d):
+    """The d-th power of the form: ``LinearForm.power`` over Q (and at
+    d = 0), the expansion of a one-summand border certificate over Q(eps)."""
+    form = LinearForm(coefs)
+    if form.is_rational or d == 0:
+        return form.power(d)
+    with pytest.raises(TypeError):
+        form.power(d)
+    return BorderDecomposition(form.nvars, d, ((EpsScalar.one(), form),)).expand()
+
+
 def assert_power_matches(coefs, d):
-    got = LinearForm(coefs).power(d)
+    got = form_power(coefs, d)
     want = repeated_product(coefs, d)
     assert (got.nvars, got.degree) == (want.nvars, want.degree)
     assert dict(got.items()) == dict(want.items())
@@ -470,19 +490,31 @@ def form_substitutions(draw, entries):
 
 
 def assert_forms_match(forms, rows):
+    """substitute_forms over Q and a certificate's substitute over Q(eps)
+    against the scalar product; substitute_forms refuses Q(eps) input."""
     want = [ref_substitute_form(f, rows) for f in forms]
+    rational = all(isinstance(x, Fraction) for r in rows for x in r) and all(
+        f.is_rational for f in forms)
+    B = BorderDecomposition(len(rows), 1, tuple((F(1), f) for f in forms))
     if not all(any(w) for w in want):
         with pytest.raises(ValueError):
+            B.substitute(rows)
+        if rational:
+            with pytest.raises(ValueError):
+                substitute_forms(forms, rows)
+        return
+    got = [g for _, g in B.substitute(rows).summands]
+    assert [list(g) for g in got] == want
+    assert all(type(c) is EpsScalar for g in got for c in g)
+    if not rational:
+        with pytest.raises(TypeError):
             substitute_forms(forms, rows)
         return
     got = substitute_forms(forms, rows)
     assert len(got) == len(forms)
-    rational_rows = all(isinstance(x, Fraction) for r in rows for x in r)
     for form, g, w in zip(forms, got, want):
         assert isinstance(g, LinearForm) and list(g) == w
-        kind = Fraction if rational_rows and form.is_rational else EpsScalar
-        assert all(type(c) is kind for c in g)
-        assert form.substitute(rows) == g
+        assert all(type(c) is Fraction for c in g)
 
 
 @PROPERTY
@@ -499,8 +531,9 @@ def test_substitute_forms_over_q_eps_polynomials(case):
     forms, rows = case
     assert_forms_match(forms, rows)
     if all(any(ref_substitute_form(f, rows)) for f in forms):
-        for g in substitute_forms(forms, rows):
-            assert all(c.is_polynomial for c in g if isinstance(c, EpsScalar))
+        B = BorderDecomposition(len(rows), 1, tuple((F(1), f) for f in forms))
+        for _, g in B.substitute(rows).summands:
+            assert all(c.is_polynomial for c in g)
 
 
 @PROPERTY
@@ -515,7 +548,7 @@ def test_substitute_forms_on_a_non_polynomial_entry():
     forms = [lf(EpsScalar.one(), esc((0, 3), (2, F(1, 5)))), lf(F(1), F(-2))]
     assert_forms_match(forms, rows)
     with pytest.raises(ValueError):
-        substitute_forms(forms, rows[:1])  # wrong shape
+        BorderDecomposition(2, 1, tuple((F(1), f) for f in forms)).substitute(rows[:1])
 
 
 def count_gcd_calls(monkeypatch):
@@ -537,9 +570,9 @@ def test_diagonalize_and_waring_substitute_take_the_integer_paths(monkeypatch):
         W = WaringDecomposition(f.nvars, f.degree, tuple(
             (F(k + 1), LinearForm([F(k - i, 3) for i in range(f.nvars)]))
             for k in range(3)))
-        forms = [g for _, g in normalize_border(B).summands]
+        N = normalize_border(B)
         calls = count_gcd_calls(monkeypatch)
-        substitute_forms(forms, D.transform.rows)
+        N.substitute(D.transform.rows)
         W2 = W.substitute(D.base_change_inv)
         monkeypatch.undo()
         assert calls == []
@@ -559,9 +592,10 @@ def test_a_unit_denominator_transform_reduces_each_coefficient_at_most_once(monk
     # before counting, so only the substitution's own reductions count
     rows = diagonalize(B, f).transform.rows
     assert any(len(x.den.pairs()) > 1 for r in rows for x in r)
-    forms = [g for _, g in normalize_border(B).summands]
+    N = normalize_border(B)
+    forms = [g for _, g in N.summands]
     calls = count_gcd_calls(monkeypatch)
-    got = substitute_forms(forms, rows)
+    got = N.substitute(rows)
     monkeypatch.undo()
     assert len(calls) <= len(forms) * B.nvars
-    assert [list(g) for g in got] == [ref_substitute_form(g, rows) for g in forms]
+    assert [list(g) for _, g in got.summands] == [ref_substitute_form(g, rows) for g in forms]
