@@ -21,7 +21,6 @@ from .decomp import (
     BorderCheck,
     BorderDecomposition,
     WaringDecomposition,
-    base_of_form,
     check_border,
     essential_rank,
     essential_reduce,
@@ -136,7 +135,6 @@ __all__ = [
     "VerificationError",
     "WaringDecomposition",
     "ZeroDerivativeError",
-    "base_of_form",
     "catalecticant_bound",
     "check_border",
     "deborder",

@@ -41,6 +41,12 @@ from .serialize import (
 # largest shipped input, multibase d = 12, needs 50,388.
 MAX_CATALECTICANT_ENTRIES = 60_000
 
+# `gen --family random` redraws up to 2000 certificates of --rank summands.
+# At this ceiling all 2000 draws (4 variables, degree 3, seed 7) took 7.1 s
+# on a 2-vCPU host; above it most draws have a pole (rank 20 ran out of
+# draws on 5 of 8 seeds at 3 variables, degree 4).
+MAX_RANDOM_RANK = 16
+
 
 def _out(obj) -> None:
     print(json.dumps(obj, sort_keys=True, default=str))
@@ -54,6 +60,8 @@ def cmd_gen(args) -> int:
     nvars = _FAMILY_NVARS.get(args.family, args.nvars)
     if args.d is not None and nvars is not None:
         check_shape(nvars, args.d)  # before the generator runs or anything is written
+    if args.rank is not None and args.rank > MAX_RANDOM_RANK:
+        raise FormatError(f"--rank {args.rank} is past the ceiling of {MAX_RANDOM_RANK}")
     f, B = gen_family(
         args.family, d=args.d, j=args.j, nvars=args.nvars, rank=args.rank, seed=args.seed
     )

@@ -10,8 +10,8 @@ and the entrywise limit equals the target.
 A border certificate holds each form as a row, cleared once to integer
 eps-lists over one denominator; every step here reads and writes rows:
 ``expand``, ``substitute``, ``restrict_vars_zero``, ``take_vars``,
-``extend_vars``, ``normalize_border``, and the base directions that
-``is_local`` and the partition read (``_base_of_row``).
+``normalize_border``, and the base directions that ``is_local`` and the
+partition read (``_base_of_row``).
 
 ``normalize_border`` brings a border certificate to the working shape the
 diagonalization step expects: per summand, the eps-content of the form is
@@ -20,7 +20,8 @@ absorbed by the weight), and form tails that provably cannot affect the limit
 are cut.  ``check_border`` reads the residual order off each expanded
 coefficient's numerator and denominator, without building the difference.
 ``essential_reduce`` rotates away variables the target polynomial does not
-genuinely use.
+genuinely use; its frame is the kernel of f's partials, completed to a basis
+by standard vectors read off one echelon (``linalg._basis_completion``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import List, Optional, Tuple
 
 from .epsilon import EpsScalar, _eps_of, _int_eps_row, _lowest, _reduce_row
 from .errors import DegenerateDecompositionError, InvariantError
-from .linalg import rat_nullspace, rat_rank
+from .linalg import _basis_completion, rat_nullspace, rat_rank
 from .poly import HomoPoly, LinearForm, Monomial, _int_poly_mul, power_sum, substitute_forms
 from .poly import _cleared_power_sum, _substitute_row
 
@@ -164,13 +165,6 @@ class BorderDecomposition:
         return BorderDecomposition._of_rows(n, self.degree, [
             (w, *_substitute_row(lists, den, M, S)) for w, lists, den in self.cleared])
 
-    def extend_vars(self, nvars: int) -> "BorderDecomposition":
-        if nvars < self.nvars:
-            raise ValueError("extend_vars cannot shrink")
-        pad = nvars - self.nvars
-        return BorderDecomposition._of_rows(nvars, self.degree, [
-            (w, lists + [[] for _ in range(pad)], den) for w, lists, den in self.cleared])
-
     def take_vars(self, nvars: int) -> "BorderDecomposition":
         """Drop trailing variables, which no form may use."""
         if nvars > self.nvars or any(any(lists[nvars:]) for _, lists, _ in self.cleared):
@@ -277,16 +271,6 @@ def _base_of_row(lists) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x, first) for x in leads)
 
 
-def base_of_form(form: LinearForm) -> LinearForm:
-    """Lowest eps-order coefficient vector, scaled so its first nonzero entry is 1.
-
-    This is the rational direction the form degenerates to; it is well defined
-    for any nonzero form over Q(eps).  Read off the codec's lists
-    (``_base_of_row``), as the pipeline reads it off a certificate's rows.
-    """
-    return LinearForm(_base_of_row(_int_eps_row(form)[0]))
-
-
 def is_local(B: BorderDecomposition) -> Optional[LinearForm]:
     """The common base if all summands degenerate to one direction, else None."""
     bases = {_base_of_row(lists) for _, lists, _ in B.cleared}
@@ -333,16 +317,9 @@ def essential_reduce(
     if N == n:
         T = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         return f, B, T, N
-    # columns: greedily chosen standard vectors completing the kernel to a basis
-    cols: List[List[Fraction]] = []
-    for i in range(n):
-        e = [Fraction(1 if j == i else 0) for j in range(n)]
-        trial = cols + [e] + kernel
-        if rat_rank(trial) == len(trial):
-            cols.append(e)
-        if len(cols) == N:
-            break
-    cols.extend(kernel)
+    # columns: the standard vectors completing the kernel to a basis, then the kernel
+    cols = [[Fraction(1 if i == j else 0) for i in range(n)]
+            for j in _basis_completion(kernel, n)] + kernel
     T = [[cols[j][i] for j in range(n)] for i in range(n)]  # vectors as columns
     f2 = f.substitute_linear(T)
     if any(any(m[N:]) for m, _ in f2.items()):

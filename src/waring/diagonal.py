@@ -34,8 +34,10 @@ normalized form is dense integer eps-lists over one positive integer.
 Valuations and leads are read off the lists (``epsilon._lowest``), and the
 lead solve is one fraction-free elimination of the integer leads with
 integer back substitution.  G is the pivots' lists over the lcm of their
-integer denominators, and its inverse A stays a matrix of integer eps-lists
-over one denominator (``linalg.EpsMatrix``).
+integer denominators, completed when short by the standard vectors that one
+echelon of the leads picks (``linalg._basis_completion``), and its inverse A
+stays a matrix of integer eps-lists over one denominator
+(``linalg.EpsMatrix``).
 
 The pivot search stops once it has nvars pivots.  One more pivot could not
 be framed into an nvars x nvars basis, so a further reduction step could
@@ -55,13 +57,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .decomp import (
-    BorderDecomposition,
-    _base_of_row,
-    is_local,
-    normalize_border,
-    restrict_vars_zero,
-)
+from .decomp import BorderDecomposition, _base_of_row, is_local, normalize_border
 from .epsilon import _eps_of, _lowest
 from .errors import (
     InvariantError,
@@ -70,7 +66,8 @@ from .errors import (
     SingularMatrixError,
     ZeroDerivativeError,
 )
-from .linalg import EpsMatrix, _back_substitute, _ff_update, _int_echelon, rat_inverse, rat_rank
+from .linalg import EpsMatrix, _back_substitute, _basis_completion, _ff_update, _int_echelon
+from .linalg import rat_inverse
 from .poly import HomoPoly, LinearForm, _substitute_row, falling_factorial
 
 _REDUCE_CAP = 10_000
@@ -256,21 +253,17 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         raise NoPivotError("no pivot found; decomposition expands to zero")
 
     # rows of G: rescaled reduced pivots over the lcm S of their dens, padded
-    # with standard vectors whose eps=0 rows stay independent of the leads
+    # with the standard vectors that complete the leads to a basis at eps = 0
     S = lcm(*(pv.den for pv in pivots))
     grows = [[[c * (S // pv.den) for c in x[pv.valuation:]] for x in pv.lists] for pv in pivots]
-    leads = [pv.lead for pv in pivots]
-    for j in range(n):
-        if len(grows) == n:
-            break
-        e = [int(i == j) for i in range(n)]
-        if rat_rank(leads + [e]) > len(leads):
-            leads.append(e)
-            grows.append([[S] if i == j else [] for i in range(n)])
-    if len(grows) != n:
-        raise InvariantError("could not complete the pivot frame to a basis")
+    if len(grows) < n:
+        try:
+            pad = _basis_completion([pv.lead for pv in pivots], n)
+        except ValueError as exc:
+            raise InvariantError("could not complete the pivot frame to a basis") from exc
+        grows += [[[S] if i == j else [] for i in range(n)] for j in pad]
 
-    A = EpsMatrix._cleared([x for r in grows for x in r], [S]).inverse()
+    A = EpsMatrix([x for r in grows for x in r], [S]).inverse()
     try:
         A0 = A.at_zero()
         A0_inv = rat_inverse(A0)
@@ -402,5 +395,4 @@ __all__ = [
     "diagonalize",
     "staircase_check",
     "derivative_decomposition",
-    "restrict_vars_zero",
 ]

@@ -8,9 +8,10 @@ pivot and the columns right of it, dividing exactly by the previous pivot.
 ``rat_rank`` reads the pivot count; ``rat_solve``, ``rat_nullspace`` and
 ``rat_inverse`` back-substitute on integers (``_back_substitute``), d times
 the solution, d the last pivot, so only the Fractions returned are built.
-Each rational row is cleared by ``epsilon._int_rat_row``.  An
-``EpsMatrix`` is held cleared to Z[eps]: dense integer lists of
-eps-coefficients over one denominator (``epsilon._int_eps_row``).
+Each rational row is cleared by ``epsilon._int_rat_row``.  One echelon
+of [V | I] also completes independent vectors V to a basis
+(``_basis_completion``).  An ``EpsMatrix`` is held cleared to Z[eps]: dense
+integer lists of eps-coefficients over one denominator.
 ``EpsMatrix.inverse`` runs the Gauss-Jordan form of Bareiss over Z[eps] on
 those lists, and exact division by the previous pivot keeps every entry a
 polynomial (a minor).  Over the field Q(eps) instead, every update would
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Sequence, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row
+from .epsilon import _int_rat_row
 from .errors import PoleAtZero, SingularMatrixError
 
 
@@ -93,6 +94,20 @@ def _back_substitute(m: List[List[int]], pivots: List[int], d: int, col: int) ->
 
 def rat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_int_echelon(rows)[1])
+
+
+def _basis_completion(vectors: Sequence[Sequence[Fraction]], n: int) -> List[int]:
+    """The indices j, ascending, of the standard vectors e_j that complete the
+    independent vectors to a basis of Q^n: the pivot columns of [V | I] after
+    V's own, V the vectors as columns.  A column is a pivot iff it is
+    independent of the columns before it, so these are the e_j a greedy scan
+    in index order takes.  Raises ValueError on dependent vectors."""
+    k = len(vectors)
+    pivots = _int_echelon([[v[i] for v in vectors] + [int(i == j) for j in range(n)]
+                           for i in range(n)])[1]
+    if pivots[:k] != list(range(k)):
+        raise ValueError("vectors to complete to a basis are dependent")
+    return [c - k for c in pivots[k:]]
 
 
 def rat_nullspace(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
@@ -221,36 +236,13 @@ class EpsMatrix:
     """Square matrix over Q(eps), held cleared to Z[eps]: ``lists`` is the
     n x n matrix as one row-major vector of dense integer eps-lists over the
     one integer eps-list ``den`` (den's last entry nonzero), the ``(M, S)``
-    that ``poly._substitute_row`` takes.  The constructor clears rows of
-    EpsScalars, Fractions and ints once, through ``epsilon._int_eps_row``;
-    ``rows`` builds the EpsScalars back each time it is read.
+    that ``poly._substitute_row`` takes.
     """
 
     __slots__ = ("dim", "lists", "den")
 
-    def __init__(self, rows: Sequence[Sequence[object]]):
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("EpsMatrix must be square")
-            for x in r:
-                if not isinstance(x, (EpsScalar, int, Fraction)):
-                    raise TypeError(f"bad matrix entry {x!r}")
-        self.dim = n
-        self.lists, self.den = _int_eps_row([x for r in rows for x in r])
-
-    @classmethod
-    def _cleared(cls, lists: List[List[int]], den: List[int]) -> "EpsMatrix":
-        """The matrix lists / den, lists row-major, taken as it stands."""
-        out = cls.__new__(cls)
-        out.dim, out.lists, out.den = isqrt(len(lists)), lists, den
-        return out
-
-    @property
-    def rows(self) -> Tuple[Tuple[EpsScalar, ...], ...]:
-        n = self.dim
-        return tuple(tuple(_eps_of(x, self.den) for x in self.lists[i * n:(i + 1) * n])
-                     for i in range(n))
+    def __init__(self, lists: List[List[int]], den: List[int]):
+        self.dim, self.lists, self.den = isqrt(len(lists)), lists, den
 
     def inverse(self) -> "EpsMatrix":
         """Fraction-free Gauss-Jordan on [L | den I] over Z[eps], L = ``lists``.
@@ -279,7 +271,7 @@ class EpsMatrix:
                     c = mi[col]
                     m[i] = [_ff_update(a, x, c, y, prev) for x, y in zip(mi, prow)]
             prev = a
-        return EpsMatrix._cleared([x for r in m for x in r[n:]], prev)
+        return EpsMatrix([x for r in m for x in r[n:]], prev)
 
     def at_zero(self) -> List[List[Fraction]]:
         """Entrywise limit at eps = 0; raises PoleAtZero on a pole.
@@ -301,4 +293,4 @@ class EpsMatrix:
         return out
 
     def __repr__(self) -> str:
-        return "EpsMatrix([" + ", ".join(repr(list(r)) for r in self.rows) + "])"
+        return f"EpsMatrix({self.lists!r}, {self.den!r})"

@@ -284,13 +284,6 @@ class HomoPoly:
         acc = {m: c for m, c in self._terms.items() if all(m[i] == 0 for i in kill)}
         return HomoPoly(self.nvars, self.degree, acc)
 
-    def extend_vars(self, nvars: int) -> "HomoPoly":
-        """Pad with trailing variables that the polynomial does not use."""
-        if nvars < self.nvars:
-            raise ValueError("extend_vars cannot shrink")
-        pad = (0,) * (nvars - self.nvars)
-        return HomoPoly(nvars, self.degree, {m + pad: c for m, c in self._terms.items()})
-
     def take_vars(self, nvars: int) -> "HomoPoly":
         """Drop trailing variables, which must be unused."""
         if nvars > self.nvars:

@@ -22,8 +22,8 @@ from waring import (
     staircase_check,
 )
 from waring.diagonal import Pivot
-from waring.epsilon import _int_eps_row
-from waring.linalg import rat_inverse, rat_rank
+from waring.epsilon import _eps_of, _int_eps_row
+from waring.linalg import EpsMatrix, rat_inverse, rat_rank
 
 
 # property tests run the same examples every time, write no example
@@ -252,6 +252,32 @@ def ref_normalize_border(B):
     return BorderDecomposition(B.nvars, d, tuple(out))
 
 
+def greedy_completion(vectors, n):
+    """The standard vectors' indices that complete the independent vectors
+    to a basis of Q^n, one rank per try: the scan that
+    ``linalg._basis_completion`` replaced, kept as its reference."""
+    chosen = []
+    for j in range(n):
+        e = [F(1 if i == j else 0) for i in range(n)]
+        trial = [list(v) for v in vectors] + [
+            [F(1 if i == k else 0) for i in range(n)] for k in chosen] + [e]
+        if rat_rank(trial) == len(trial):
+            chosen.append(j)
+    return chosen
+
+
+def eps_matrix(rows):
+    """The EpsMatrix of rows of EpsScalars, Fractions and ints, cleared by
+    the codec."""
+    return EpsMatrix(*_int_eps_row([x for r in rows for x in r]))
+
+
+def eps_matrix_rows(M):
+    """The entries of the EpsMatrix M as rows of EpsScalars."""
+    n = M.dim
+    return [[_eps_of(x, M.den) for x in M.lists[i * n:(i + 1) * n]] for i in range(n)]
+
+
 def is_unit_at_zero(M):
     """All entries of the EpsMatrix M regular at 0 and M(0) invertible over Q."""
     try:
@@ -329,9 +355,10 @@ def assert_staircase_invariants(f, B):
     normalized = normalize_border(B).expand()
     transformed = D.decomposition.expand()
     c1 = common_denominator(c for _, c in normalized.items())
-    c2 = common_denominator(x for r in D.transform.rows for x in r)
+    A = eps_matrix_rows(D.transform)
+    c2 = common_denominator(x for r in A for x in r)
     assert transformed.scale(c1 * c2**B.degree) == ref_substitute(
-        normalized.scale(c1), [[x * c2 for x in r] for r in D.transform.rows])
+        normalized.scale(c1), [[x * c2 for x in r] for r in A])
 
     out = check_border(D.decomposition, D.limit)
     assert out.ok

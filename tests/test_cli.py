@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from waring import CertificateCheckError, DeborderConfig, EpsScalar, LinearForm, paper_bound
-from waring.cli import MAX_CATALECTICANT_ENTRIES, main
+from waring.cli import MAX_CATALECTICANT_ENTRIES, MAX_RANDOM_RANK, main
 from waring.decomp import BorderDecomposition
 from waring.serialize import (
     MAX_DEGREE,
@@ -256,7 +256,9 @@ def test_gen_checks_the_shape_before_the_generator_runs(workdir, monkeypatch):
     for argv, says in ((["--family", "tangent", "--d", "1000000"], "ceiling"),
                        (["--family", "multibase", "--d", "21"], "2000 monomials"),
                        (["--family", "random", "--nvars", "65", "--d", "3", "--rank", "2"],
-                        "ceiling")):
+                        "ceiling"),
+                       (["--family", "random", "--nvars", "2", "--d", "3",
+                         "--rank", str(MAX_RANDOM_RANK + 1)], "ceiling")):
         code, out, err = run_cli(["gen"] + argv)
         assert code == 2 and out == "" and says in err
     assert list(workdir.iterdir()) == []

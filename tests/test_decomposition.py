@@ -17,7 +17,6 @@ from waring import (
     InvariantError,
     LinearForm,
     WaringDecomposition,
-    base_of_form,
     check_border,
     essential_rank,
     essential_reduce,
@@ -232,11 +231,13 @@ def test_normalize_idempotent():
 
 
 def test_base_of_form():
-    assert base_of_form(lf(EpsScalar.one(), eps(1))).coefs == (F(1), F(0))
-    assert base_of_form(lf(eps(1), EpsScalar.one())).coefs == (F(0), F(1))
-    assert base_of_form(lf(EpsScalar.from_rational(2), eps(1))).coefs == (F(1), F(0))
-    scaled = lf(esc((2, 3)), esc((2, 5)))
-    assert base_of_form(scaled).coefs == (F(1), F(5, 3))
+    def base(form):
+        return is_local(BorderDecomposition(2, 1, ((F(1), form),))).coefs
+
+    assert base(lf(EpsScalar.one(), eps(1))) == (F(1), F(0))
+    assert base(lf(eps(1), EpsScalar.one())) == (F(0), F(1))
+    assert base(lf(EpsScalar.from_rational(2), eps(1))) == (F(1), F(0))
+    assert base(lf(esc((2, 3)), esc((2, 5)))) == (F(1), F(5, 3))
 
 
 def test_is_local():
@@ -269,8 +270,9 @@ def test_essential_reduce_drops_unused_direction():
     # tangent certificate for u^2 v at u = x + z, v = y, inside 3 variables
     f, B = gen_tangent(3)
     rows = [[F(1), F(0), F(1)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    f3 = f.extend_vars(3).substitute_linear(rows)
-    B3 = B.extend_vars(3).substitute([[EpsScalar.from_rational(x) for x in r] for r in rows])
+    f3 = HomoPoly(3, 3, {m + (0,): c for m, c in f.items()}).substitute_linear(rows)
+    B3 = BorderDecomposition(3, 3, tuple((w, g.extend_vars(3)) for w, g in B.summands))
+    B3 = B3.substitute([[EpsScalar.from_rational(x) for x in r] for r in rows])
     assert check_border(B3, f3).ok
     f1, B1, T, N = essential_reduce(f3, B3)
     assert N == 2
@@ -533,8 +535,8 @@ def assert_held_as_cleared(C):
 
 def assert_steps_match_the_scalar_references(B, rows, kill):
     """expand, normalize_border, substitute, restrict_vars_zero and
-    take_vars/extend_vars on the rows B holds, each against its reference
-    on B's summands as EpsScalars."""
+    take_vars on the rows B holds, each against its reference on B's
+    summands as EpsScalars."""
     assert_held_as_cleared(B)
     assert_same_expansion(B)
     assert_normalizes_like_the_reference(B)
@@ -555,8 +557,8 @@ def assert_steps_match_the_scalar_references(B, rows, kill):
                             for w, form in B.summands) if any(v)]
     assert R.expand() == B.expand().restrict_zero(kill)
     assert_held_as_cleared(R)
-    E = B.extend_vars(B.nvars + 1)
-    assert [(w, list(g)) for w, g in E.summands] == [(w, list(f) + [0]) for w, f in B.summands]
+    E = BorderDecomposition(B.nvars + 1, B.degree,
+                            [(w, f.extend_vars(B.nvars + 1)) for w, f in B.summands])
     assert E.take_vars(B.nvars) == B
     with pytest.raises(ValueError):
         restrict_vars_zero(B, [B.nvars])

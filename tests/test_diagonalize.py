@@ -7,6 +7,7 @@ from waring import (
     BorderDecomposition,
     EpsPoly,
     EpsScalar,
+    HomoPoly,
     InvariantError,
     LinearForm,
     NoPivotError,
@@ -29,6 +30,7 @@ from conftest import (
     RefPivots,
     assert_staircase_invariants,
     eps,
+    eps_matrix,
     esc,
     field_rref,
     int_pivot,
@@ -95,8 +97,6 @@ def test_diagonalize_rejects_empty_or_mismatched():
 def test_diagonalize_cancelling_pair_still_finds_a_pivot():
     # two copies of the same form cancel in the expansion, but the first one
     # is a perfectly good pivot; against the zero target this verifies as exact
-    from waring import HomoPoly
-
     B = BorderDecomposition(
         2, 2, ((F(1), LinearForm.variable(2, 0)), (F(-1), LinearForm.variable(2, 0))),
     )
@@ -110,11 +110,22 @@ def test_diagonalize_rejects_a_transform_that_is_not_a_unit_at_zero(monkeypatch,
     # the inverted pivot frame gets an eps**-1 (a pole) or an eps (singular
     # at eps = 0) on its diagonal; the one elimination of A(0) must refuse it
     f, B = gen_tangent(3)
-    bad = EpsMatrix([[EpsScalar.one(), EpsScalar.zero()], [EpsScalar.zero(), eps(fault)]])
+    bad = eps_matrix([[EpsScalar.one(), EpsScalar.zero()], [EpsScalar.zero(), eps(fault)]])
     monkeypatch.setattr(EpsMatrix, "inverse", lambda self: bad)
     with pytest.raises(InvariantError, match="change of variables is not a unit at eps = 0") as info:
         diagonalize(B, f)
     assert isinstance(info.value.__cause__, cause)
+
+
+def test_a_repeated_pivot_lead_cannot_complete_the_frame(monkeypatch):
+    # x0^3 + x1^3 in three variables: two pivots, one standard vector short
+    # of a frame; with every lead read as x0's, the leads are dependent
+    B = BorderDecomposition(3, 3, tuple((F(1), LinearForm.variable(3, i)) for i in (0, 1)))
+    f = mono(3, (3, 0, 0)) + mono(3, (0, 3, 0))
+    assert diagonalize(B, f).p == 2
+    monkeypatch.setattr(diagonal.Pivot, "lead", property(lambda self: [1, 0, 0]))
+    with pytest.raises(InvariantError, match="could not complete the pivot frame to a basis"):
+        diagonalize(B, f)
 
 
 def test_diagonalize_random_corpus_invariants():
@@ -161,8 +172,8 @@ def test_derivative_zero_raises_typed_error():
 
 def test_derivative_absent_variable_is_a_zero_derivative():
     f, B = gen_tangent(3)
-    f3 = f.extend_vars(3)
-    B3 = B.extend_vars(3)
+    f3 = HomoPoly(3, 3, {m + (0,): c for m, c in f.items()})
+    B3 = BorderDecomposition(3, 3, tuple((w, g.extend_vars(3)) for w, g in B.summands))
     D = diagonalize(B3, f3)
     assert D.p == 2
     with pytest.raises(ZeroDerivativeError):

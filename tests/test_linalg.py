@@ -10,13 +10,22 @@ from hypothesis import assume, given, settings, strategies as st
 from waring import EpsScalar, PoleAtZero, SingularMatrixError
 from waring.linalg import (
     EpsMatrix,
+    _basis_completion,
     rat_inverse,
     rat_nullspace,
     rat_rank,
     rat_solve,
     solve_vandermonde,
 )
-from conftest import F, esc, field_rref, is_unit_at_zero
+from conftest import (
+    F,
+    eps_matrix,
+    eps_matrix_rows,
+    esc,
+    field_rref,
+    greedy_completion,
+    is_unit_at_zero,
+)
 
 
 # The Fraction Gauss-Jordan that the fraction-free kernel replaced is the
@@ -273,6 +282,23 @@ def test_nullspace_is_a_basis_of_the_kernel():
             assert rat_rank(ker) == len(ker)
 
 
+@settings(max_examples=80)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2)]),
+             min_size=n, max_size=n),
+    max_size=n + 1))))
+def test_basis_completion_picks_what_the_greedy_scan_picks(case):
+    n, vectors = case
+    if vectors and rat_rank(vectors) < len(vectors):
+        with pytest.raises(ValueError):
+            _basis_completion(vectors, n)
+        return
+    got = _basis_completion(vectors, n)
+    assert got == greedy_completion(vectors, n)
+    frame = vectors + [[F(1 if i == j else 0) for i in range(n)] for j in got]
+    assert len(frame) == rat_rank(frame) == n
+
+
 def test_solve_unique_and_underdetermined():
     A = [[F(2), F(1)], [F(1), F(3)]]
     b = [F(5), F(10)]
@@ -337,20 +363,20 @@ def test_vandermonde_rejects_repeated_nodes():
 def test_eps_matrix_inverse_over_the_field():
     one = EpsScalar.one()
     e = EpsScalar.eps()
-    M = EpsMatrix([[one, e], [EpsScalar.zero(), one]])
+    M = eps_matrix([[one, e], [EpsScalar.zero(), one]])
     assert is_unit_at_zero(M)
-    Minv = M.inverse()
+    Mr, Minv = eps_matrix_rows(M), eps_matrix_rows(M.inverse())
     zero = EpsScalar.zero()
     product = [
-        [sum((M.rows[i][k] * Minv.rows[k][j] for k in range(2)), zero) for j in range(2)]
+        [sum((Mr[i][k] * Minv[k][j] for k in range(2)), zero) for j in range(2)]
         for i in range(2)
     ]
     assert product == [[one, zero], [zero, one]]
-    assert Minv.rows[0][1] == -e
+    assert Minv[0][1] == -e
     # eps on the diagonal: invertible over Q(eps), but not a unit at zero
-    N = EpsMatrix([[e]])
+    N = eps_matrix([[e]])
     assert not is_unit_at_zero(N)
-    assert N.inverse().rows[0][0] == EpsScalar.eps(-1)
+    assert eps_matrix_rows(N.inverse())[0][0] == EpsScalar.eps(-1)
     with pytest.raises(PoleAtZero):
         N.inverse().at_zero()
 
@@ -409,9 +435,9 @@ def test_eps_matrix_inverse_matches_gauss_jordan_over_the_field(rows):
     want = ref_eps_inverse(rows)
     if want is None:
         with pytest.raises(SingularMatrixError):
-            EpsMatrix(rows).inverse()
+            eps_matrix(rows).inverse()
         return
-    got = EpsMatrix(rows).inverse().rows
+    got = eps_matrix_rows(eps_matrix(rows).inverse())
     assert [[eps_structure(x) for x in r] for r in got] == \
         [[eps_structure(x) for x in r] for r in want]
 
@@ -420,31 +446,31 @@ def test_eps_matrix_inverse_with_a_non_constant_determinant():
     one, e = EpsScalar.one(), EpsScalar.eps()
     quotient = one / esc((0, 1), (1, 1))  # 1 / (1 + eps)
     for rows in ([[e]], [[one, one], [one, one + e]], [[quotient, one], [e, quotient]]):
-        got = EpsMatrix(rows).inverse().rows
+        got = eps_matrix_rows(eps_matrix(rows).inverse())
         want = ref_eps_inverse(rows)
         assert [[eps_structure(x) for x in r] for r in got] == \
             [[eps_structure(x) for x in r] for r in want]
-    assert EpsMatrix([[e]]).inverse().rows[0][0] == EpsScalar.eps(-1)
+    assert eps_matrix_rows(eps_matrix([[e]]).inverse())[0][0] == EpsScalar.eps(-1)
 
 
 def test_eps_matrix_singular():
     one = EpsScalar.one()
-    M = EpsMatrix([[one, one], [one, one]])
+    M = eps_matrix([[one, one], [one, one]])
     with pytest.raises(SingularMatrixError):
         M.inverse()
 
 
 def test_eps_matrix_at_zero_and_lifting():
-    M = EpsMatrix([[1, F(1, 2)], [0, esc((0, 1), (1, 3))]])
+    M = eps_matrix([[1, F(1, 2)], [0, esc((0, 1), (1, 3))]])
     assert M.at_zero() == [[F(1), F(1, 2)], [F(0), F(1)]]
     assert is_unit_at_zero(M)
 
 
 def assert_at_zero_is_the_entrywise_limit(M):
-    """M.at_zero() against limit() of every entry of M.rows: equal, and
+    """M.at_zero() against limit() of every entry of M: equal, and
     PoleAtZero exactly when some entry has a pole."""
     try:
-        want = [[x.limit() for x in r] for r in M.rows]
+        want = [[x.limit() for x in r] for r in eps_matrix_rows(M)]
     except PoleAtZero:
         with pytest.raises(PoleAtZero):
             M.at_zero()
@@ -455,7 +481,7 @@ def assert_at_zero_is_the_entrywise_limit(M):
 @settings(max_examples=40)
 @given(eps_matrices())
 def test_eps_matrix_at_zero_is_the_entrywise_limit(rows):
-    M = EpsMatrix(rows)
+    M = eps_matrix(rows)
     assert_at_zero_is_the_entrywise_limit(M)
     try:
         Minv = M.inverse()
@@ -467,18 +493,18 @@ def test_eps_matrix_at_zero_is_the_entrywise_limit(rows):
 def test_eps_matrix_at_zero_over_a_denominator_of_positive_valuation():
     # I held as (eps I) / eps, and its inverse, held over the last pivot
     # eps**2: regular at zero although the denominator vanishes there
-    ident = EpsMatrix._cleared([[0, 1], [], [], [0, 1]], [0, 1])
+    ident = EpsMatrix([[0, 1], [], [], [0, 1]], [0, 1])
     for M in (ident, ident.inverse()):
         assert M.den[0] == 0
         assert_at_zero_is_the_entrywise_limit(M)
         assert M.at_zero() == [[F(1), F(0)], [F(0), F(1)]]
     # x0 / (eps (1 + eps)) is a pole, x1 / (eps (1 + eps)) with x1 = eps is not
-    M = EpsMatrix._cleared([[1], [0, 1], [], [0, 1, 1]], [0, 1, 1])
+    M = EpsMatrix([[1], [0, 1], [], [0, 1, 1]], [0, 1, 1])
     assert_at_zero_is_the_entrywise_limit(M)
     with pytest.raises(PoleAtZero) as info:
         M.at_zero()
     assert info.value.witness == (0, 0)
-    M = EpsMatrix._cleared([[0, 2], [0, 1], [], [0, 1, 1]], [0, 1, 1])
+    M = EpsMatrix([[0, 2], [0, 1], [], [0, 1, 1]], [0, 1, 1])
     assert_at_zero_is_the_entrywise_limit(M)
     assert M.at_zero() == [[F(2), F(1)], [F(0), F(1)]]
 
