@@ -41,6 +41,7 @@ from .oracle import (
 from .errors import (
     CertificateCheckError,
     DegenerateDecompositionError,
+    DrawsExhaustedError,
     InvariantError,
     NoPivotError,
     PoleAtZero,
@@ -121,6 +122,7 @@ __all__ = [
     "DeborderConfig",
     "DeborderReport",
     "DegenerateDecompositionError",
+    "DrawsExhaustedError",
     "DiagonalizedDecomposition",
     "EpsPoly",
     "EpsScalar",

@@ -1,7 +1,8 @@
 """Command-line pipeline: generate, deborder, verify, oracle, bound.
 
 Exit codes: 0 success / verified; 1 exact verification failed (a witness is
-printed); 2 malformed input or invalid parameters; 3 a runtime-checked
+printed); 2 malformed input or invalid parameters, including a random
+family whose draws all fail (``DrawsExhaustedError``); 3 a runtime-checked
 structural hypothesis failed, reported as a JSON line
 {"lemma": tag, "message": ..., "witness": ...} on standard error.
 
@@ -22,6 +23,7 @@ from .decomp import check_border
 from .errors import (
     CertificateCheckError,
     DegenerateDecompositionError,
+    DrawsExhaustedError,
     PoleAtZero,
     VerificationError,
 )
@@ -262,7 +264,7 @@ def main(argv=None) -> int:
         diag = {"lemma": exc.check, "message": str(exc), "witness": exc.witness}
         print(json.dumps(diag, sort_keys=True, default=str), file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, DrawsExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

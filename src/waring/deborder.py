@@ -65,6 +65,7 @@ from .diagonal import (
     derivative_decomposition,
     diagonalize,
 )
+from .epsilon import _int_rat_row
 from .errors import CertificateCheckError, InvariantError, VerificationError
 from .linalg import rat_inverse, rat_solve, solve_vandermonde
 from .poly import HomoPoly, LinearForm, monomials_of_degree
@@ -325,8 +326,8 @@ def dense_decompose(h: HomoPoly) -> WaringDecomposition:
         return WaringDecomposition(m, 1, ((Fraction(1), LinearForm(coefs)),))
     basis = monomials_of_degree(m, e)
     # a = mon[1:], so |a| = e - mon[0]
-    forms = [LinearForm((1,) + tuple(a + e - mon[0] for a in mon[1:])) for mon in basis]
-    powers = [form.power(e) for form in forms]
+    forms = [(1,) + tuple(a + e - mon[0] for a in mon[1:]) for mon in basis]
+    powers = [LinearForm(form).power(e) for form in forms]
     mults = [factorial(e) // math.prod(map(factorial, mon)) for mon in basis]
     rows = [[p.coeff(mon).numerator // k for p in powers] for mon, k in zip(basis, mults)]
     rhs = [(h.coeff(mon), k) for mon, k in zip(basis, mults)]
@@ -334,8 +335,14 @@ def dense_decompose(h: HomoPoly) -> WaringDecomposition:
     sol = rat_solve(rows, [c.numerator * (L // (c.denominator * k)) for c, k in rhs])
     if sol is None:
         raise InvariantError("the lattice system is inconsistent")
-    summands = tuple((w / L, form) for w, form in zip(sol, forms) if w)
-    return WaringDecomposition(m, e, summands)
+    # each form leads with 1, so it is in lowest terms over 1
+    out = []
+    for w, form in zip(sol, forms):
+        if w:
+            wd = w.denominator * L
+            g = math.gcd(w.numerator, wd)
+            out.append((w.numerator // g, wd // g, 1, *form))
+    return WaringDecomposition._of_rows(m, e, out)
 
 
 def _interpolation_nodes(count: int) -> List[Fraction]:
@@ -356,8 +363,11 @@ def multiply_by_power(W: WaringDecomposition, z: LinearForm, k: int) -> WaringDe
     power of z; otherwise l**e * z**k = sum_j c_j (l + t_j z)**(e+k) with
     nodes t_j = 0, 1, -1, 2, -2, ... and the c_j solving a transposed
     Vandermonde system whose right-hand side is delta_{s,k} / C(e+k, k).
-    Duplicate output forms are merged.  The identity is re-checked by exact
-    expansion.
+    The work is on W's rows: with z cleared to zc / zd and a node
+    t = tn / td, the form c / den + t z is (c zd td + tn zc den) over
+    den zd td, reduced by one gcd, and c is parallel to zc when the
+    cross-products c_i zc_p - zc_i c_p all vanish.  Duplicate output forms
+    are merged.  The identity is re-checked by exact expansion.
     """
     if k < 1:
         raise ValueError("power must be at least 1")
@@ -370,18 +380,34 @@ def multiply_by_power(W: WaringDecomposition, z: LinearForm, k: int) -> WaringDe
     rhs = [Fraction(0)] * (e + k + 1)
     rhs[k] = Fraction(1, comb(e + k, k))
     coeffs = solve_vandermonde(nodes, rhs)
+    terms = [(t.numerator, t.denominator, c.numerator, c.denominator)
+             for t, c in zip(nodes, coeffs) if c]
+    zc, zd = _int_rat_row(z)
+    zrow = (zd, *zc)
+    p = next(i for i, x in enumerate(zc) if x)
+    zp = zc[p]
     out = []
-    for w, form in W.summands:
-        if form.is_parallel(z):
-            s = next(a / b for a, b in zip(form.coefs, z.coefs) if b != 0)
-            out.append((w * s**e, z))
+    for row in W.rows:
+        wn, wd, den = row[:3]
+        cs = row[3:]
+        cp = cs[p]
+        if cp and all(c * zp == x * cp for c, x in zip(cs, zc)):
+            # l = s z with s = (cp / den) / (zp / zd)
+            sn, sd = cp * zd, den * zp
+            if sd < 0:
+                sn, sd = -sn, -sd
+            wn, wd = wn * sn**e, wd * sd**e
+            g = math.gcd(wn, wd)
+            out.append((wn // g, wd // g) + zrow)
             continue
-        for t, c in zip(nodes, coeffs):
-            if c == 0:
-                continue
-            shifted = LinearForm(tuple(a + t * b for a, b in zip(form.coefs, z.coefs)))
-            out.append((w * c, shifted))
-    res = WaringDecomposition(W.nvars, e + k, tuple(out)).merged()
+        for tn, td, cn, cd in terms:
+            fden = den * zd * td
+            form = [c * zd * td + tn * x * den for c, x in zip(cs, zc)]
+            g = math.gcd(fden, *form)
+            pn, pd = wn * cn, wd * cd
+            h = math.gcd(pn, pd)
+            out.append((pn // h, pd // h, fden // g, *[x // g for x in form]))
+    res = WaringDecomposition._of_rows(W.nvars, e + k, out).merged()
     if res.expand() != W.expand() * z.power(k):
         raise InvariantError("power multiplication changed the polynomial")
     return res

@@ -1,11 +1,14 @@
 """Weighted Waring decompositions, border decompositions, and their checks.
 
-A ``WaringDecomposition`` is a finite list of (rational weight, rational
-linear form) pairs representing sum w_i * l_i**d; a ``BorderDecomposition``
-is the same with weights and form coefficients in Q(eps).  Verification is
-always by exact expansion: a border decomposition certifies its limit
-polynomial iff every coefficient of the expanded sum has eps-valuation >= 0
-and the entrywise limit equals the target.
+A ``WaringDecomposition`` represents sum w_i * l_i**d over Q, holding each
+summand as one flat row of ints: the weight and the form, each cleared to
+integers over its denominator in lowest terms.  Every step reads and
+writes rows: ``expand``, ``merged``, ``substitute``, ``extend_vars`` and
+concatenation.  A ``BorderDecomposition`` is the same sum with weights and
+form coefficients in Q(eps).  Verification is always by exact expansion: a
+border decomposition certifies its limit polynomial iff every coefficient of
+the expanded sum has eps-valuation >= 0 and the entrywise limit equals the
+target.
 
 A border certificate holds each form as a row, cleared once to integer
 eps-lists over one denominator; every step here reads and writes rows:
@@ -28,69 +31,131 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import List, Optional, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row, _lowest, _reduce_row
+from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _lowest, _reduce_row
 from .errors import DegenerateDecompositionError, InvariantError
 from .linalg import _basis_completion, rat_nullspace, rat_rank
-from .poly import HomoPoly, LinearForm, Monomial, _int_poly_mul, power_sum, substitute_forms
-from .poly import _cleared_power_sum, _substitute_row
+from .poly import HomoPoly, LinearForm, Monomial, _int_poly_mul
+from .poly import _cleared_power_sum, _row_power_sum, _substitute_row
 
 
-@dataclass(frozen=True, slots=True)
 class WaringDecomposition:
-    """sum of weight * form**degree over the summands; exact over Q."""
+    """sum of weight * form**degree over the summands; exact over Q.
 
-    nvars: int
-    degree: int
-    summands: Tuple[Tuple[Fraction, LinearForm], ...]
+    Each summand is held as one flat row of ints,
+    (wn, wd, den, c_0, ..., c_(n-1)): the weight wn / wd and the form
+    c / den, each in lowest terms with a positive denominator, so equality
+    and hashing are by value.  ``summands`` builds the (Fraction,
+    LinearForm) pairs each time it is read.
+    """
 
-    def __post_init__(self):
-        if self.degree < 1:
+    __slots__ = ("nvars", "degree", "rows")
+
+    def __init__(self, nvars: int, degree: int, summands):
+        if degree < 1:
             raise ValueError("decomposition degree must be at least 1")
-        clean = []
-        for w, form in self.summands:
+        rows = []
+        for w, form in summands:
             if isinstance(w, int):
                 w = Fraction(w)
             if not isinstance(w, Fraction) or not form.is_rational:
                 raise TypeError("Waring decompositions are rational; use BorderDecomposition")
             if w == 0:
                 raise ValueError("zero weight in decomposition")
-            if form.nvars != self.nvars:
+            if form.nvars != nvars:
                 raise ValueError("form arity mismatch")
-            clean.append((w, form))
-        object.__setattr__(self, "summands", tuple(clean))
+            ints, den = _int_rat_row(form)
+            rows.append((w.numerator, w.denominator, den, *ints))
+        self.nvars, self.degree, self.rows = nvars, degree, tuple(rows)
+
+    @classmethod
+    def _of_rows(cls, nvars: int, degree: int, rows) -> "WaringDecomposition":
+        """The decomposition of rows already in lowest terms."""
+        out = cls.__new__(cls)
+        out.nvars, out.degree, out.rows = nvars, degree, tuple(rows)
+        return out
+
+    @property
+    def summands(self) -> Tuple[Tuple[Fraction, LinearForm], ...]:
+        return tuple((Fraction(row[0], row[1]),
+                      LinearForm([Fraction(c, row[2]) for c in row[3:]]))
+                     for row in self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WaringDecomposition):
+            return NotImplemented
+        return (self.nvars, self.degree, self.rows) == (other.nvars, other.degree, other.rows)
+
+    def __hash__(self):
+        return hash((self.nvars, self.degree, self.rows))
+
+    def __repr__(self) -> str:
+        return f"WaringDecomposition({self.nvars}, {self.degree}, {self.summands!r})"
 
     def rank(self) -> int:
-        return len(self.summands)
+        return len(self.rows)
 
     def expand(self) -> HomoPoly:
-        return power_sum(self.nvars, self.degree, self.summands)
+        return _row_power_sum(self.nvars, self.degree, self.rows)
 
     def __add__(self, other: "WaringDecomposition") -> "WaringDecomposition":
         if self.nvars != other.nvars or self.degree != other.degree:
             raise ValueError("cannot concatenate decompositions of different shape")
-        return WaringDecomposition(self.nvars, self.degree, self.summands + other.summands)
+        return WaringDecomposition._of_rows(self.nvars, self.degree, self.rows + other.rows)
 
     def merged(self) -> "WaringDecomposition":
-        """Combine summands with identical forms; drop cancelled ones."""
-        acc: dict[LinearForm, Fraction] = {}
-        for w, form in self.summands:
-            acc[form] = acc.get(form, 0) + w
-        kept = tuple((w, form) for form, w in acc.items() if w != 0)
-        return WaringDecomposition(self.nvars, self.degree, kept)
+        """Combine summands with identical forms, in order of first
+        appearance; drop cancelled ones."""
+        acc: dict = {}
+        for row in self.rows:
+            form = row[2:]
+            got = acc.get(form)
+            if got is None:
+                acc[form] = row[:2]
+                continue
+            (a, b), (c, d) = got, row[:2]
+            if b == d:
+                acc[form] = (a + c, b)
+            else:
+                m = b // gcd(b, d) * d
+                acc[form] = (a * (m // b) + c * (m // d), m)
+        out = []
+        for form, (a, b) in acc.items():
+            if a:
+                g = gcd(a, b)
+                out.append((a // g, b // g) + form)
+        return WaringDecomposition._of_rows(self.nvars, self.degree, out)
 
     def substitute(self, rows) -> "WaringDecomposition":
-        """Apply the change of variables x -> Mx to every form."""
-        forms = substitute_forms([f for _, f in self.summands], rows)
-        return WaringDecomposition(
-            self.nvars, self.degree, tuple(zip([w for w, _ in self.summands], forms))
-        )
+        """Apply the change of variables x -> Mx to every form: M, rational,
+        is cleared once, and each form c / den becomes (c . M) / den."""
+        n = self.nvars
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError("substitution matrix has wrong shape")
+        flat = [x for r in rows for x in r]
+        if not all(isinstance(x, (int, Fraction)) for x in flat):
+            raise TypeError("a Waring decomposition substitutes rational rows only")
+        M, S = _int_rat_row(flat)
+        cols = [M[j::n] for j in range(n)]
+        out = []
+        for row in self.rows:
+            cs = row[3:]
+            new = [sum(map(mul, cs, col)) for col in cols]
+            if not any(new):
+                raise ValueError("the zero vector is not a linear form")
+            den = row[2] * S
+            g = gcd(den, *new)
+            out.append((row[0], row[1], den // g, *[c // g for c in new]))
+        return WaringDecomposition._of_rows(n, self.degree, out)
 
     def extend_vars(self, nvars: int) -> "WaringDecomposition":
-        return WaringDecomposition(
-            nvars, self.degree, tuple((w, f.extend_vars(nvars)) for w, f in self.summands)
-        )
+        if nvars < self.nvars:
+            raise ValueError("extend_vars cannot shrink")
+        pad = (0,) * (nvars - self.nvars)
+        return WaringDecomposition._of_rows(nvars, self.degree, [row + pad for row in self.rows])
 
 
 class BorderDecomposition:

@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 from .decomp import BorderDecomposition, check_border
 from .epsilon import EpsPoly, EpsScalar
-from .errors import InvariantError
+from .errors import DrawsExhaustedError, InvariantError
 from .linalg import rat_nullspace, rat_rank
 from .poly import HomoPoly, LinearForm, falling_factorial, monomials_of_degree
 
@@ -177,7 +177,8 @@ def gen_random(
     Forms have eps-polynomial coefficients of degree <= 2 and height <= 9,
     weights are c * eps^v with v in [-2, 2].  Draws whose sum has a pole at
     eps = 0 or a zero limit are rejected, so every returned pair verifies by
-    construction.
+    construction.  When every draw is rejected it raises
+    DrawsExhaustedError.
     """
     if nvars < 1 or degree < 1 or rank < 1:
         raise ValueError("nvars, degree and rank must be at least 1")
@@ -201,7 +202,10 @@ def gen_random(
         if f.is_zero:
             continue
         return f, B
-    raise RuntimeError(f"no convergent random certificate in {_RANDOM_RETRIES} draws")
+    raise DrawsExhaustedError(
+        f"no convergent random certificate in {_RANDOM_RETRIES} draws "
+        f"(nvars {nvars}, degree {degree}, rank {rank}, seed {seed}); "
+        "try another seed or a lower rank")
 
 
 def gen_family(

@@ -7,16 +7,17 @@ stay distinguishable.  The canonical term order used for serialization and
 witnesses is graded lexicographic; since every stored polynomial is
 homogeneous that is plain descending tuple order on the exponents.
 
-``LinearForm`` is a coefficient vector, as a tuple, with the operations the
-decomposition machinery needs on rational forms: exact powers, composition
-with a linear change of variables, extension by unused variables.
+``LinearForm`` is a coefficient vector, as a tuple; over Q it has an exact
+power.
 
-The kernels run on Python ints.  The rational ones -- ``power_sum`` (every
-weighted sum of powers, and every single power), ``substitute_forms`` and
-``HomoPoly.substitute_linear`` -- scale each form or row to an integer
-vector over one denominator, sum integer contributions over the lcm of
-their denominators, and build one Fraction per output coefficient; each
-raises TypeError on anything over Q(eps).
+The kernels run on Python ints.  Over Q, ``_row_power_sum`` expands the
+rows a Waring decomposition holds (``decomp.WaringDecomposition``): each
+summand one flat tuple of ints, its weight and its form cleared to
+integers over their denominators.  ``LinearForm.power`` is the one-row
+case.  It and ``HomoPoly.substitute_linear`` scale each form or row to an
+integer vector over one denominator, sum integer contributions over the
+lcm of their denominators, and build one Fraction per output coefficient;
+each raises TypeError on anything over Q(eps).
 
 Over Q(eps) the kernels take the rows a border certificate holds
 (``decomp.BorderDecomposition``): forms cleared to dense integer eps-lists
@@ -49,19 +50,6 @@ def _is_scalar(c) -> bool:
 def _as_coeff(c):
     if isinstance(c, int):
         return Fraction(c)
-    return c
-
-
-# One shared Fraction per small integer.  Form coefficients are nearly always
-# small integers, so a stored decomposition holds references to these rather
-# than a Fraction object per coefficient.
-_SMALL_INTS = {i: Fraction(i) for i in range(-256, 257)}
-
-
-def _form_coeff(c):
-    c = _as_coeff(c)
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return _SMALL_INTS.get(c.numerator, c)
     return c
 
 
@@ -388,23 +376,21 @@ def _int_power_terms(vals, d: int, nvars: int, support, scale=1):
     return out
 
 
-def power_sum(nvars: int, degree: int, summands) -> HomoPoly:
-    """sum of w * form**degree over rational (w, form) summands, exactly.
+def _row_power_sum(nvars: int, degree: int, rows) -> HomoPoly:
+    """sum of (wn / wd) * (c / den)**degree over rational rows, exactly.
 
-    A form n / den contributes w.numerator * multinomial * prod n_i**a_i
-    over w.denominator * den**d, summed as ints over the lcm L of those
-    denominators; each monomial gets one Fraction(v, L).
+    Each row is one flat tuple of ints, (wn, wd, den, c_0, ..., c_(n-1)),
+    as ``decomp.WaringDecomposition`` holds its summands.  A row contributes
+    wn * multinomial * prod c_i**a_i over wd * den**d, summed as ints over
+    the lcm L of those denominators; each monomial gets one Fraction(v, L).
     """
-    if not all(isinstance(w, Fraction) and form.is_rational for w, form in summands):
-        raise TypeError("power_sum takes rational summands")
     parts = []
     L = 1
-    for w, form in summands:
-        ints, den = _int_rat_row(form)
-        support = [i for i, c in enumerate(ints) if c]
-        D = w.denominator * den**degree
+    for row in rows:
+        support = [i for i, c in enumerate(row[3:]) if c]
+        D = row[1] * row[2]**degree
         L = lcm(L, D)
-        parts.append((w.numerator, D, support, [ints[i] for i in support]))
+        parts.append((row[0], D, support, [row[3 + i] for i in support]))
     acc: dict = {}
     for wn, D, support, ints in parts:
         for m, t in _int_power_terms(ints, degree, nvars, support, wn * (L // D)):
@@ -572,40 +558,18 @@ def _substitute_row(cs, den, M, S) -> Tuple[List[List[int]], List[int]]:
     return _reduce_row(out, den)
 
 
-def substitute_forms(forms: Sequence["LinearForm"], rows) -> Tuple["LinearForm", ...]:
-    """Each rational form composed with x -> Mx, M rational (its coefficient
-    vector c becomes c . M); Q(eps) input raises TypeError, and a form that
-    becomes zero raises ValueError."""
-    n = len(rows)
-    if any(len(r) != n for r in rows) or any(len(f) != n for f in forms):
-        raise ValueError("substitution matrix has wrong shape")
-    if not all(isinstance(x, (int, Fraction)) for r in rows for x in r) or not all(
-        form.is_rational for form in forms
-    ):
-        raise TypeError("substitute_forms takes rational forms and rational rows")
-    M, S = _int_rat_row([x for r in rows for x in r])
-    out = []
-    for form in forms:
-        cs, den = _int_rat_row(form)
-        out.append(LinearForm([
-            Fraction(sum(c * x for c, x in zip(cs, M[j::n]) if c and x), den * S)
-            for j in range(n)]))
-    return tuple(out)
-
-
 class LinearForm(tuple):
     """Nonzero linear form given by its coefficient vector.
 
     A form is the tuple of its coefficients (``coefs`` is the form itself),
-    so equality and hashing are those of the tuple, and a stored
-    decomposition holds one object per form rather than a wrapper and a
-    tuple.
+    so equality and hashing are those of the tuple.  Decompositions hold
+    their forms as integer rows and build LinearForms only when read.
     """
 
     __slots__ = ()
 
     def __new__(cls, coefs: Sequence[object]):
-        coefs = tuple(_form_coeff(c) for c in coefs)
+        coefs = tuple(_as_coeff(c) for c in coefs)
         if not coefs:
             raise ValueError("empty coefficient vector")
         if not any(coefs):
@@ -635,33 +599,14 @@ class LinearForm(tuple):
         return cls(tuple(Fraction(1 if i == index else 0) for i in range(nvars)))
 
     def power(self, d: int) -> HomoPoly:
-        """(c . x)**d, a one-summand power sum with weight 1; rational only."""
+        """(c . x)**d, a one-row power sum with weight 1; rational only."""
         n = self.nvars
         if d == 0:
             return HomoPoly(n, 0, {(0,) * n: Fraction(1)})
-        return power_sum(n, d, ((Fraction(1), self),))
-
-    def extend_vars(self, nvars: int) -> "LinearForm":
-        if nvars < self.nvars:
-            raise ValueError("extend_vars cannot shrink")
-        return LinearForm(self.coefs + (Fraction(0),) * (nvars - self.nvars))
-
-    def is_parallel(self, other: "LinearForm") -> bool:
-        """True if the two forms are proportional."""
-        if self.nvars != other.nvars:
-            return False
-        ratio = None
-        for a, b in zip(self.coefs, other.coefs):
-            if a == 0 and b == 0:
-                continue
-            if a == 0 or b == 0:
-                return False
-            r = a / b
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-        return True
+        if not self.is_rational:
+            raise TypeError("LinearForm.power takes a rational form")
+        ints, den = _int_rat_row(self)
+        return _row_power_sum(n, d, ((1, 1, den, *ints),))
 
     def __repr__(self) -> str:
         bits = []

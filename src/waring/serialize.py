@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Dict, List, Tuple
 
 from .decomp import BorderDecomposition, WaringDecomposition
@@ -166,16 +166,23 @@ def poly_from_json(obj) -> HomoPoly:
         raise FormatError(str(exc)) from exc
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """``rational_to_str`` of n / d, d > 0, read off the ints."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
 def waring_to_json(W: WaringDecomposition) -> Dict:
+    """Written from W's rows, whose weights are already in lowest terms."""
     return {
         "nvars": W.nvars,
         "degree": W.degree,
         "summands": [
             {
-                "weight": rational_to_str(w),
-                "form": {"coefs": [rational_to_str(c) for c in form.coefs]},
+                "weight": f"{row[0]}/{row[1]}",
+                "form": {"coefs": [_ratio_str(c, row[2]) for c in row[3:]]},
             }
-            for w, form in W.summands
+            for row in W.rows
         ],
     }
 

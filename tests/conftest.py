@@ -3,6 +3,7 @@
 import os
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from hypothesis import settings
@@ -23,7 +24,7 @@ from waring import (
 )
 from waring.diagonal import Pivot
 from waring.epsilon import _eps_of, _int_eps_row
-from waring.linalg import EpsMatrix, rat_inverse, rat_rank
+from waring.linalg import EpsMatrix, rat_inverse, rat_rank, solve_vandermonde
 
 
 # property tests run the same examples every time, write no example
@@ -104,6 +105,85 @@ def ref_substitute(f, rows):
             piece = piece * repeated_product(row, e)
         total = total + piece.scale(c)
     return total
+
+
+def ref_substitute_form(coefs, rows):
+    """c . M, multiplying and adding one scalar at a time."""
+    out = [Fraction(0)] * len(rows)
+    for c, row in zip(coefs, rows):
+        for j, x in enumerate(row):
+            out[j] = out[j] + c * x
+    return out
+
+
+# -- Fraction / LinearForm references for WaringDecomposition's rows ---------
+# Each takes and returns (weight, LinearForm) pairs, one scalar at a time.
+
+
+def ref_is_parallel(a, b):
+    """True if the two forms are proportional, by one ratio per entry."""
+    if len(a) != len(b):
+        return False
+    ratio = None
+    for x, y in zip(a, b):
+        if x == 0 and y == 0:
+            continue
+        if x == 0 or y == 0:
+            return False
+        r = x / y
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return False
+    return True
+
+
+def ref_waring_expand(nvars, degree, summands):
+    """sum of w * l**degree, each power a repeated product."""
+    total = HomoPoly.zero(nvars, degree)
+    for w, form in summands:
+        total = total + repeated_product(form, degree).scale(w)
+    return total
+
+
+def ref_merged(summands):
+    """Weights of equal forms added, in order of first appearance; zero
+    sums dropped."""
+    acc = {}
+    for w, form in summands:
+        acc[form] = acc.get(form, 0) + w
+    return [(w, form) for form, w in acc.items() if w != 0]
+
+
+def ref_extend_summands(summands, nvars):
+    return [(w, LinearForm(tuple(form) + (Fraction(0),) * (nvars - len(form))))
+            for w, form in summands]
+
+
+def ref_multiply_by_power(summands, e, z, k):
+    """The summands of multiply_by_power(W, z, k), W of degree e, built with
+    Fraction and LinearForm arithmetic: a form parallel to z becomes z,
+    any other l becomes l + t z at every node t with a nonzero coefficient."""
+    n = e + k + 1
+    nodes = [Fraction(0)]
+    step = 1
+    while len(nodes) < n:
+        nodes += [Fraction(step), Fraction(-step)]
+        step += 1
+    nodes = nodes[:n]
+    rhs = [Fraction(0)] * n
+    rhs[k] = Fraction(1, comb(e + k, k))
+    coeffs = solve_vandermonde(nodes, rhs)
+    out = []
+    for w, form in summands:
+        if ref_is_parallel(form, z):
+            s = next(a / b for a, b in zip(form, z) if b != 0)
+            out.append((w * s**e, z))
+            continue
+        for t, c in zip(nodes, coeffs):
+            if c:
+                out.append((w * c, LinearForm([a + t * b for a, b in zip(form, z)])))
+    return ref_merged(out)
 
 
 def field_rref(rows):

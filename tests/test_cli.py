@@ -13,7 +13,14 @@ from math import comb
 
 import pytest
 
-from waring import CertificateCheckError, DeborderConfig, EpsScalar, LinearForm, paper_bound
+from waring import (
+    CertificateCheckError,
+    DeborderConfig,
+    DrawsExhaustedError,
+    EpsScalar,
+    LinearForm,
+    paper_bound,
+)
 from waring.cli import MAX_CATALECTICANT_ENTRIES, MAX_RANDOM_RANK, main
 from waring.decomp import BorderDecomposition
 from waring.serialize import (
@@ -361,6 +368,20 @@ def test_lemma_failure_maps_to_exit_three(workdir, monkeypatch):
     diag = json.loads(err.strip().splitlines()[-1])
     assert diag["lemma"] == "group-convergence"
     assert diag["witness"] == {"base": ["1/1", "0/1"]}
+
+
+def test_random_family_out_of_draws_exits_two_with_one_line(workdir, monkeypatch):
+    # a generator with no draws left rejects every shape at once
+    oracle = importlib.import_module("waring.oracle")
+    monkeypatch.setattr(oracle, "_RANDOM_RETRIES", 0)
+    with pytest.raises(DrawsExhaustedError):
+        oracle.gen_random(2, 4, 3, seed=1)
+    code, out, err = run_cli(
+        ["gen", "--family", "random", "--nvars", "2", "--rank", "3", "--d", "4", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: no convergent random certificate in 0 draws")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(workdir.iterdir()) == []
 
 
 def test_module_entry_point_roundtrip(tmp_path):

@@ -425,6 +425,21 @@ def test_multiply_by_power_validation():
 # -- the full recursion -----------------------------------------------------
 
 
+@pytest.mark.parametrize("gen", [lambda: gen_tangent(3), lambda: gen_multibase(5)],
+                         ids=["tangent3", "multibase5"])
+def test_deborder_outputs_hold_only_int_rows(gen):
+    # the smoke certificates of the families benchmark, at the default
+    # config and at the forced split: a result holds its shape and one
+    # tuple of ints per summand, and no Fraction or LinearForm
+    f, B = gen()
+    for cfg in (DeborderConfig(), DeborderConfig(y_size=1, base_threshold=1)):
+        W, _ = deborder(f, B, cfg)
+        held = [getattr(W, name) for name in type(W).__slots__]
+        assert [type(x) for x in held] == [int, int, tuple]
+        assert all(type(row) is tuple and len(row) == W.nvars + 3 for row in W.rows)
+        assert all(type(x) is int for row in W.rows for x in row)
+
+
 def test_deborder_tangent_cubic():
     f, B = gen_tangent(3)
     W, report = deborder(f, B)

@@ -4,6 +4,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from waring import (
     essential_rank,
     essential_reduce,
     is_local,
+    multiply_by_power,
     normalize_border,
     restrict_vars_zero,
     verify_waring,
@@ -35,13 +37,18 @@ from conftest import (
     esc,
     lf,
     mono,
+    ref_extend_summands,
+    ref_merged,
+    ref_multiply_by_power,
     ref_normalize_border,
     ref_substitute,
+    ref_substitute_form,
+    ref_waring_expand,
     repeated_product,
     unit_denominator_tangent,
 )
 from test_golden_documents import dense_certificate
-from test_poly import count_gcd_calls, ref_substitute_form
+from test_poly import count_gcd_calls
 
 
 def x_var(n, i):
@@ -100,6 +107,96 @@ def test_waring_extend_vars():
     W = WaringDecomposition(1, 2, ((F(1), lf(F(1))),)).extend_vars(3)
     assert W.nvars == 3
     assert W.expand() == mono(3, (2, 0, 0))
+
+
+# -- rows against the Fraction / LinearForm references ---------------------
+
+
+row_scalars = st.one_of(st.just(F(0)), st.fractions(-6, 6, max_denominator=5),
+                        st.fractions(-10**9, 10**9, max_denominator=10**6))
+row_weights = st.fractions(-6, 6, max_denominator=7).filter(bool)
+
+
+@st.composite
+def waring_cases(draw):
+    """(W, summands): 1-5 summands in 1-4 variables and degree 1-4, with
+    rational non-integer, zero and negative entries; some summands repeat
+    an earlier form, or a rational multiple of it, under another weight."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    coefs = st.lists(row_scalars, min_size=n, max_size=n).filter(any)
+    summands = []
+    for _ in range(draw(st.integers(1, 5))):
+        w = draw(row_weights)
+        if summands and draw(st.booleans()):
+            _, form = draw(st.sampled_from(summands))
+            scale = draw(st.sampled_from([F(1), F(-1), F(2, 3), F(-5, 2)]))
+            summands.append((w, LinearForm([c * scale for c in form])))
+        else:
+            summands.append((w, LinearForm(draw(coefs))))
+    return WaringDecomposition(n, d, tuple(summands)), summands
+
+
+def rows_in_lowest_terms(W):
+    for wn, wd, den, *cs in W.rows:
+        assert wn != 0 and wd > 0 and gcd(wn, wd) == 1
+        assert den > 0 and gcd(den, *cs) == 1 and any(cs)
+    return all(type(x) is int for row in W.rows for x in row)
+
+
+@settings(max_examples=120)
+@given(waring_cases())
+def test_waring_rows_rebuild_from_their_summands(case):
+    W, summands = case
+    assert rows_in_lowest_terms(W)
+    assert list(W.summands) == summands
+    again = WaringDecomposition(W.nvars, W.degree, W.summands)
+    assert again == W and hash(again) == hash(W)
+    assert again.rows == W.rows
+
+
+@settings(max_examples=120)
+@given(waring_cases(), st.data())
+def test_waring_row_steps_match_the_scalar_references(case, data):
+    W, summands = case
+    n, d = W.nvars, W.degree
+    assert W.expand() == ref_waring_expand(n, d, summands)
+    M = W.merged()
+    assert rows_in_lowest_terms(M)
+    assert list(M.summands) == ref_merged(summands)
+    both = W + M
+    assert list(both.summands) == summands + ref_merged(summands)
+    wide = W.extend_vars(n + data.draw(st.integers(0, 2)))
+    assert rows_in_lowest_terms(wide)
+    assert list(wide.summands) == ref_extend_summands(summands, wide.nvars)
+    rows = data.draw(st.lists(st.lists(row_scalars, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    want = [(w, ref_substitute_form(form, rows)) for w, form in summands]
+    if not all(any(form) for _, form in want):
+        with pytest.raises(ValueError):
+            W.substitute(rows)
+        return
+    got = W.substitute(rows)
+    assert rows_in_lowest_terms(got)
+    assert [(w, list(form)) for w, form in got.summands] == want
+
+
+@settings(max_examples=80)
+@given(waring_cases(), st.data())
+def test_multiply_by_power_rows_match_the_scalar_reference(case, data):
+    # z is a general rational form, or a rational multiple of one of W's
+    # forms, so the parallel branch runs too
+    W, summands = case
+    n = W.nvars
+    if data.draw(st.booleans()):
+        _, form = data.draw(st.sampled_from(summands))
+        z = LinearForm([c * data.draw(row_weights) for c in form])
+    else:
+        z = LinearForm(data.draw(st.lists(row_scalars, min_size=n, max_size=n).filter(any)))
+    k = data.draw(st.integers(1, 3))
+    out = multiply_by_power(W, z, k)
+    assert rows_in_lowest_terms(out)
+    assert list(out.summands) == ref_multiply_by_power(summands, W.degree, z, k)
 
 
 # -- check_border ----------------------------------------------------------
@@ -271,7 +368,7 @@ def test_essential_reduce_drops_unused_direction():
     f, B = gen_tangent(3)
     rows = [[F(1), F(0), F(1)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
     f3 = HomoPoly(3, 3, {m + (0,): c for m, c in f.items()}).substitute_linear(rows)
-    B3 = BorderDecomposition(3, 3, tuple((w, g.extend_vars(3)) for w, g in B.summands))
+    B3 = BorderDecomposition(3, 3, tuple((w, LinearForm(g + (F(0),))) for w, g in B.summands))
     B3 = B3.substitute([[EpsScalar.from_rational(x) for x in r] for r in rows])
     assert check_border(B3, f3).ok
     f1, B1, T, N = essential_reduce(f3, B3)
@@ -558,7 +655,7 @@ def assert_steps_match_the_scalar_references(B, rows, kill):
     assert R.expand() == B.expand().restrict_zero(kill)
     assert_held_as_cleared(R)
     E = BorderDecomposition(B.nvars + 1, B.degree,
-                            [(w, f.extend_vars(B.nvars + 1)) for w, f in B.summands])
+                            [(w, LinearForm(f + (F(0),))) for w, f in B.summands])
     assert E.take_vars(B.nvars) == B
     with pytest.raises(ValueError):
         restrict_vars_zero(B, [B.nvars])

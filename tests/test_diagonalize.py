@@ -173,7 +173,7 @@ def test_derivative_zero_raises_typed_error():
 def test_derivative_absent_variable_is_a_zero_derivative():
     f, B = gen_tangent(3)
     f3 = HomoPoly(3, 3, {m + (0,): c for m, c in f.items()})
-    B3 = BorderDecomposition(3, 3, tuple((w, g.extend_vars(3)) for w, g in B.summands))
+    B3 = BorderDecomposition(3, 3, tuple((w, LinearForm(g + (F(0),))) for w, g in B.summands))
     D = diagonalize(B3, f3)
     assert D.p == 2
     with pytest.raises(ZeroDerivativeError):

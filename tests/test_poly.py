@@ -18,12 +18,12 @@ from waring import (
     diagonalize,
     falling_factorial,
     monomials_of_degree,
+    multiply_by_power,
     normalize_border,
     poly,
     restrict_vars_zero,
 )
 from waring.linalg import rat_inverse
-from waring.poly import substitute_forms
 from test_golden_documents import dense_certificate
 from conftest import (
     F,
@@ -33,7 +33,9 @@ from conftest import (
     lf,
     mono,
     rand_poly,
+    ref_is_parallel,
     ref_substitute,
+    ref_substitute_form,
     repeated_product,
 )
 
@@ -171,9 +173,18 @@ def test_linearform_eps_power():
 
 
 def test_linearform_parallel_and_scale():
-    assert lf(F(2), F(4)).is_parallel(lf(F(1), F(2)))
-    assert not lf(F(1), F(1)).is_parallel(lf(F(1), F(2)))
-    assert not lf(F(1), F(0)).is_parallel(lf(F(0), F(1)))
+    # multiply_by_power's parallel test, by cross-multiplication on rows,
+    # against the scalar ratio test: a form parallel to z becomes one power
+    # of z, rescaled
+    for a, b, parallel in [((2, 4), (1, 2), True), ((1, 1), (1, 2), False),
+                           ((1, 0), (0, 1), False)]:
+        l, z = lf(*map(F, a)), lf(*map(F, b))
+        assert ref_is_parallel(l, z) is parallel
+        out = multiply_by_power(WaringDecomposition(2, 1, ((F(1), l),)), z, 1)
+        assert (out.rank() == 1 and out.summands[0][1] == z) is parallel
+    out = multiply_by_power(WaringDecomposition(2, 1, ((F(1), lf(F(2), F(4))),)),
+                            lf(F(-1, 3), F(-2, 3)), 2)
+    assert out.summands == ((F(-6), lf(F(-1, 3), F(-2, 3))),)
 
 
 def test_linearform_substitute_matches_poly_substitution():
@@ -181,7 +192,7 @@ def test_linearform_substitute_matches_poly_substitution():
     rows = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
     form = lf(F(1), F(-2), F(3))
     d = 3
-    lhs = substitute_forms([form], rows)[0].power(d)
+    lhs = WaringDecomposition(3, d, ((F(1), form),)).substitute(rows).expand()
     rhs = form.power(d).substitute_linear(rows)
     assert lhs == rhs
 
@@ -192,7 +203,8 @@ def test_linearform_restrict_and_windows():
     B = BorderDecomposition(3, 2, ((F(1), form),))
     assert restrict_vars_zero(B, [1]).summands[0][1] == (F(0), F(0), F(2))
     assert restrict_vars_zero(B, [1, 2]).rank() == 0
-    assert form.extend_vars(4).coefs == (F(0), F(1), F(2), F(0))
+    wide = WaringDecomposition(3, 2, ((F(1), form),)).extend_vars(4)
+    assert wide.summands[0][1].coefs == (F(0), F(1), F(2), F(0))
     pair = BorderDecomposition(2, 2, ((F(1), lf(F(1), F(0))),))
     assert pair.take_vars(1).summands[0][1] == (F(1),)
     with pytest.raises(ValueError):
@@ -458,16 +470,7 @@ def test_only_rational_rows_and_coefficients_take_the_integer_substitution(monke
     assert len(calls) == 1
 
 
-# -- substitute_forms against the scalar product c . M ---------------------------
-
-
-def ref_substitute_form(coefs, rows):
-    """c . M, multiplying and adding one scalar at a time."""
-    out = [F(0)] * len(rows)
-    for c, row in zip(coefs, rows):
-        for j, x in enumerate(row):
-            out[j] = out[j] + c * x
-    return out
+# -- a decomposition's substitute against the scalar product c . M -------------
 
 
 big_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
@@ -490,9 +493,15 @@ def form_substitutions(draw, entries):
     return [LinearForm(c) for c in forms], rows
 
 
+def waring_substitute(forms, rows):
+    """The forms as the summands of a weight-1 Waring decomposition, each
+    composed with x -> Mx."""
+    return WaringDecomposition(len(rows), 1, tuple((F(1), f) for f in forms)).substitute(rows)
+
+
 def assert_forms_match(forms, rows):
-    """substitute_forms over Q and a certificate's substitute over Q(eps)
-    against the scalar product; substitute_forms refuses Q(eps) input."""
+    """A Waring decomposition's substitute over Q and a certificate's over
+    Q(eps) against the scalar product; the Waring one refuses Q(eps) input."""
     want = [ref_substitute_form(f, rows) for f in forms]
     rational = all(isinstance(x, Fraction) for r in rows for x in r) and all(
         f.is_rational for f in forms)
@@ -502,16 +511,18 @@ def assert_forms_match(forms, rows):
             B.substitute(rows)
         if rational:
             with pytest.raises(ValueError):
-                substitute_forms(forms, rows)
+                waring_substitute(forms, rows)
         return
     got = [g for _, g in B.substitute(rows).summands]
     assert [list(g) for g in got] == want
     assert all(type(c) is EpsScalar for g in got for c in g)
     if not rational:
         with pytest.raises(TypeError):
-            substitute_forms(forms, rows)
+            waring_substitute(forms, rows)
         return
-    got = substitute_forms(forms, rows)
+    W = waring_substitute(forms, rows)
+    assert all(type(x) is int for row in W.rows for x in row)
+    got = [g for _, g in W.summands]
     assert len(got) == len(forms)
     for form, g, w in zip(forms, got, want):
         assert isinstance(g, LinearForm) and list(g) == w
