@@ -8,7 +8,8 @@ structural hypothesis failed, reported as a JSON line
 
 Only ``deborder`` and ``bound`` import the route modules (``waring.deborder``
 and, through it, ``waring.diagonal``), inside their commands, so ``gen``,
-``verify`` and ``oracle`` neither load nor compile them.
+``verify`` and ``oracle`` neither load nor compile them; nor do those three
+import ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from math import comb
 
 from .decomp import check_border
@@ -122,6 +122,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_deborder(args) -> int:
+    from dataclasses import asdict
+
     from .deborder import DeborderConfig, deborder
 
     _, B = read_document(args.border, "border")

@@ -48,6 +48,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
@@ -158,13 +159,15 @@ def bound_digits(d: int, r: int) -> int:
     return int(math.log10(d) + 10 * math.sqrt(r) * math.log10(r)) + 1
 
 
+@lru_cache(maxsize=256)
 def paper_bound(d: int, r: int) -> int:
     """Exact integer ceiling of d * r**(10 * sqrt(r)); d itself for r = 1.
 
     For a square r the value is an integer and is computed exactly.
     Otherwise it is irrational, and a certified bracket (``_bound_bracket``)
     is evaluated with the precision doubled until the ceilings of both of
-    its ends agree, which pins down the ceiling.
+    its ends agree, which pins down the ceiling.  A pure function of
+    (d, r), so the 256 pairs asked for most recently are kept.
     """
     if d < 1 or r < 1:
         raise ValueError("degree and rank must be at least 1")
@@ -205,7 +208,7 @@ def partition_into_local(
     total = HomoPoly.zero(f.nvars, f.degree)
     for key, rows in buckets.items():
         Bk = BorderDecomposition._of_rows(B.nvars, B.degree, rows)
-        S = Bk.expand()
+        S = Bk.expand(through=0)  # a pole and the limit sit at orders <= 0
         if S.is_zero:
             fk = HomoPoly.zero(f.nvars, f.degree)
         else:

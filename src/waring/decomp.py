@@ -29,11 +29,10 @@ by standard vectors read off one echelon (``linalg._basis_completion``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _lowest, _reduce_row
 from .errors import DegenerateDecompositionError, InvariantError
@@ -210,8 +209,11 @@ class BorderDecomposition:
     def rank(self) -> int:
         return len(self.cleared)
 
-    def expand(self) -> HomoPoly:
-        return _cleared_power_sum(self.nvars, self.degree, self.cleared)
+    def expand(self, through: Optional[int] = None) -> HomoPoly:
+        """The weighted sum, every coefficient exact through eps**through
+        and cut above it; in full when through is None.  Over a denominator
+        that is not a power of eps the sum is always in full."""
+        return _cleared_power_sum(self.nvars, self.degree, self.cleared, through)
 
     def scale_weights(self, s) -> "BorderDecomposition":
         s = EpsScalar.from_rational(s) if isinstance(s, (int, Fraction)) else s
@@ -238,14 +240,25 @@ class BorderDecomposition:
             (w, lists[:nvars], den) for w, lists, den in self.cleared])
 
 
-@dataclass(frozen=True)
-class BorderCheck:
+class BorderCheck(NamedTuple):
     """Outcome of an exact border verification."""
 
     ok: bool
     q: Optional[int]  # min valuation of (expansion - target); None when exact
     reason: str
     witness: Optional[Monomial]
+
+
+def _top_order(B: BorderDecomposition) -> Optional[int]:
+    """The highest eps-order B's expansion can reach, or None when some
+    denominator is not a power of eps (the expansion is then never cut)."""
+    top = None
+    for w, lists, den in B.cleared:
+        if any(den[:-1]) or w.den.valuation() < w.den.degree():
+            return None
+        t = w.num.degree() - w.den.degree() + B.degree * (max(map(len, lists)) - len(den))
+        top = t if top is None else max(top, t)
+    return top
 
 
 def check_border(B: BorderDecomposition, f: HomoPoly) -> BorderCheck:
@@ -259,38 +272,54 @@ def check_border(B: BorderDecomposition, f: HomoPoly) -> BorderCheck:
     pole sits or where the limit differs from f.  An expansion that is
     identically zero against a nonzero f raises
     DegenerateDecompositionError.
+
+    The verdict reads orders <= 0 of the expansion and q reads order 1, so
+    the expansion is cut at eps**t, t = 1 first.  t doubles while q is not
+    yet determined (the residual vanishes through eps**t, or the expansion
+    does) and the cut still drops orders.
     """
     if f.nvars != B.nvars or f.degree != B.degree:
         raise ValueError("target polynomial shape does not match the decomposition")
-    S = B.expand()
-    if S.is_zero:
-        if f.is_zero:
-            return BorderCheck(True, None, "exact (zero)", None)
-        raise DegenerateDecompositionError(
-            "expanded sum is identically zero against a nonzero target"
-        )
-    val, wit = S.min_valuation()
-    if val < 0:
-        return BorderCheck(False, None, f"pole of order {-val} at eps = 0", wit)
-    limit = S.limit_at_zero()
-    # q from each coefficient num / den of S: val(num - f_m den) - val(den),
-    # and 0 for a monomial of f that S lacks
-    q = None
-    hits = 0
-    for m, c in S.items():
-        fm = f.coeff(m)
-        hits += fm != 0
-        r = c.num - c.den * fm if fm else c.num
-        if r:
-            v = r.valuation() - c.den.valuation()
-            q = v if q is None else min(q, v)
-    if hits < len(f):
-        q = 0
-    if limit == f:
-        return BorderCheck(True, q, "ok", None)
-    bad = (limit - f)
-    wit = bad.monomials()[0]
-    return BorderCheck(False, q, "limit differs from target", wit)
+    top = _top_order(B)
+    t = 1
+    while True:
+        cut = t if top is not None and t < top else None
+        S = B.expand(through=cut)
+        if S.is_zero:
+            if cut is not None:
+                t *= 2
+                continue
+            if f.is_zero:
+                return BorderCheck(True, None, "exact (zero)", None)
+            raise DegenerateDecompositionError(
+                "expanded sum is identically zero against a nonzero target"
+            )
+        val, wit = S.min_valuation()
+        if val < 0:
+            return BorderCheck(False, None, f"pole of order {-val} at eps = 0", wit)
+        # q from each coefficient num / den of S: val(num - f_m den) - val(den),
+        # and 0 for a monomial of f that S lacks; a cut leaves every
+        # valuation up to t exact, and a residual that vanishes through t
+        # has none
+        q = None
+        hits = 0
+        for m, c in S.items():
+            fm = f.coeff(m)
+            hits += fm != 0
+            r = c.num - c.den * fm if fm else c.num
+            if r:
+                v = r.valuation() - c.den.valuation()
+                q = v if q is None else min(q, v)
+        if hits < len(f):
+            q = 0
+        if q is None and cut is not None:
+            t *= 2
+            continue
+        limit = S.limit_at_zero()
+        if limit == f:
+            return BorderCheck(True, q, "ok", None)
+        wit = (limit - f).monomials()[0]
+        return BorderCheck(False, q, "limit differs from target", wit)
 
 
 def verify_waring(W: WaringDecomposition, f: HomoPoly) -> bool:

@@ -43,6 +43,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleAtZero
 
+# the one default for a missing coefficient; Fractions are immutable
+_ZERO = Fraction(0)
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -108,7 +111,7 @@ class EpsPoly:
         return min(self._terms)
 
     def coeff(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+        return self._terms.get(exponent, _ZERO)
 
     def lowest(self) -> Tuple[int, Fraction]:
         """(valuation, coefficient at the valuation)."""
@@ -116,7 +119,7 @@ class EpsPoly:
         return v, self._terms[v]
 
     def at_zero(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return self._terms.get(0, _ZERO)
 
     def pairs(self) -> Tuple[Tuple[int, Fraction], ...]:
         """Terms as ((exponent, coefficient), ...) in ascending exponent order."""
@@ -130,7 +133,7 @@ class EpsPoly:
             return NotImplemented
         acc = dict(self._terms)
         for e, c in other._terms.items():
-            s = acc.get(e, Fraction(0)) + c
+            s = acc.get(e, _ZERO) + c
             if s:
                 acc[e] = s
             else:
@@ -162,7 +165,7 @@ class EpsPoly:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                s = acc.get(e, Fraction(0)) + c1 * c2
+                s = acc.get(e, _ZERO) + c1 * c2
                 if s:
                     acc[e] = s
                 else:
@@ -193,7 +196,7 @@ class EpsPoly:
         while not r.is_zero and r.degree() >= dB:
             shift = r.degree() - dB
             c = r.coeff(r.degree()) / lcB
-            q[shift] = q.get(shift, Fraction(0)) + c
+            q[shift] = q.get(shift, _ZERO) + c
             r = r - EpsPoly({shift: c}) * other
         return EpsPoly(q), r
 
@@ -369,12 +372,12 @@ class EpsScalar:
     def limit(self) -> Fraction:
         """Value at eps = 0; requires valuation >= 0."""
         if self.is_zero:
-            return Fraction(0)
+            return _ZERO
         v = self.valuation()
         if v < 0:
             raise PoleAtZero(f"pole of order {-v} at eps = 0", witness=self)
         if v > 0:
-            return Fraction(0)
+            return _ZERO
         # den is normalized with lowest coefficient 1 and has valuation 0 here
         return self.num.at_zero() / self.den.at_zero()
 

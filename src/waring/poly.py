@@ -25,19 +25,23 @@ over one denominator.  ``_cleared_power_sum`` expands them on integers
 over Z[eps] when every denominator is a monomial c*eps**k, and builds one
 canonical EpsScalar per monomial; any other denominator, such as 1 + eps,
 sends the whole sum to ``_scalar_power_sum`` (which says why that loop
-stays).  ``_substitute_row`` multiplies a row by a cleared matrix and
-returns a row.
+stays).  It can cut the expansion at an eps-order t: a certificate matters
+through its limit, so its checks read a few low orders only.  Terms whose
+valuation lies past t are skipped, and power tables and products stop at
+t; the scalar path is never cut.  ``_substitute_row`` multiplies a row by
+a cleared matrix and returns a row.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import factorial, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _reduce_row
+from .epsilon import _ZERO, EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _lowest, _reduce_row
 from .errors import PoleAtZero
 
 Monomial = Tuple[int, ...]
@@ -123,7 +127,7 @@ class HomoPoly:
         return tuple(sorted(self._terms, key=monomial_key))
 
     def coeff(self, m: Monomial):
-        return self._terms.get(tuple(m), Fraction(0))
+        return self._terms.get(m, _ZERO)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -140,7 +144,7 @@ class HomoPoly:
         self._require_same_shape(other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            s = acc.get(m, Fraction(0)) + c
+            s = acc.get(m, _ZERO) + c
             if s != 0:
                 acc[m] = s
             else:
@@ -168,7 +172,7 @@ class HomoPoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = acc.get(m, Fraction(0)) + c1 * c2
+                s = acc.get(m, _ZERO) + c1 * c2
                 if s != 0:
                     acc[m] = s
                 else:
@@ -210,7 +214,7 @@ class HomoPoly:
                 continue
             scale = falling_factorial(e, order)
             m2 = m[:var] + (e - order,) + m[var + 1 :]
-            acc[m2] = acc.get(m2, Fraction(0)) + c * scale
+            acc[m2] = acc.get(m2, _ZERO) + c * scale
         return HomoPoly(self.nvars, self.degree - order, acc)
 
     def substitute_linear(self, rows: Sequence[Sequence[object]]) -> "HomoPoly":
@@ -318,28 +322,25 @@ def monomials_of_degree(nvars: int, degree: int) -> Tuple[Monomial, ...]:
     return tuple(sorted(_compositions(degree, nvars), key=monomial_key))
 
 
-def _int_poly_mul(a: List[int], b: List[int]) -> List[int]:
-    """Product of two dense integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _int_poly_mul(a: List[int], b: List[int], n: int | None = None) -> List[int]:
+    """Product of two dense integer coefficient lists; only its first n
+    coefficients when n is given."""
+    size = len(a) + len(b) - 1
+    if n is not None and n < size:
+        size = n
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for j, y in enumerate(b[:size - i], i):
+                out[j] += x * y
     return out
-
-
-def _power_table(base, d: int, one, mul=operator.mul) -> list:
-    """[one, base, base**2, ..., base**d]."""
-    table = [one, base]
-    for _ in range(d - 1):
-        table.append(mul(table[-1], base))
-    return table
 
 
 @lru_cache(maxsize=1024)
 def _support_terms(d: int, nvars: int, support: Tuple[int, ...]):
-    """(monomial, alpha, d! / prod(alpha_i!)) for every composition alpha of
-    d spread over the variables in support."""
+    """(monomial, pairs, d! / prod(alpha_i!)) for every composition alpha of
+    d spread over the variables in support; pairs lists (i, alpha_i) for the
+    nonzero alpha_i, i indexing support."""
     fact = [factorial(i) for i in range(d + 1)]
     out = []
     for alpha in _compositions(d, len(support)):
@@ -348,30 +349,21 @@ def _support_terms(d: int, nvars: int, support: Tuple[int, ...]):
         for i, a in zip(support, alpha):
             exps[i] = a
             den *= fact[a]
-        out.append((tuple(exps), alpha, fact[d] // den))
+        pairs = tuple((i, a) for i, a in enumerate(alpha) if a)
+        out.append((tuple(exps), pairs, fact[d] // den))
     return tuple(out)
 
 
 def _int_power_terms(vals, d: int, nvars: int, support, scale=1):
-    """scale * (sum_i vals[i] * x_support[i])**d by the multinomial theorem.
-
-    Every value is an integer, or every value (scale included) is a dense
-    list of integer coefficients in ascending powers of eps.  Returns
-    [(monomial, coefficient)] over all compositions of d on the support,
-    with coefficients of the same kind; d >= 1.
-    """
-    poly = isinstance(scale, list)
-    if poly:
-        mul, one = _int_poly_mul, [1]
-    else:
-        mul, one = operator.mul, 1
-    tables = [_power_table(v, d, one, mul) for v in vals]
+    """scale * (sum_i vals[i] * x_support[i])**d by the multinomial theorem,
+    on ints: [(monomial, coefficient)] over all compositions of d on the
+    support; d >= 1."""
+    tables = [list(accumulate(repeat(v, d), mul, initial=1)) for v in vals]
     out = []
-    for key, alpha, mult in _support_terms(d, nvars, tuple(support)):
-        t = [mult * x for x in scale] if poly else mult * scale
-        for a, table in zip(alpha, tables):
-            if a:
-                t = mul(t, table[a])
+    for key, pairs, mult in _support_terms(d, nvars, tuple(support)):
+        t = mult * scale
+        for i, a in pairs:
+            t *= tables[i][a]
         out.append((key, t))
     return out
 
@@ -395,9 +387,9 @@ def _row_power_sum(nvars: int, degree: int, rows) -> HomoPoly:
     for wn, D, support, ints in parts:
         for m, t in _int_power_terms(ints, degree, nvars, support, wn * (L // D)):
             acc[m] = acc.get(m, 0) + t
-    return HomoPoly._make(
-        nvars, degree, {m: Fraction(v, L) for m, v in acc.items() if v}
-    )
+    if L == 1:
+        return HomoPoly._make(nvars, degree, {m: Fraction(v) for m, v in acc.items() if v})
+    return HomoPoly._make(nvars, degree, {m: Fraction(v, L) for m, v in acc.items() if v})
 
 
 def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
@@ -443,7 +435,7 @@ def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
                 if got is None:
                     _, support, ints = rows[i]
                     got = cache[i, e] = [
-                        (sum(map(operator.mul, k, weights)), v)
+                        (sum(map(mul, k, weights)), v)
                         for k, v in _int_power_terms(ints, e, n, support)]
                 prod: dict = {}
                 for k1, c1 in piece.items():
@@ -464,15 +456,20 @@ def _rational_substitute(p: HomoPoly, forms) -> HomoPoly:
     return HomoPoly._make(n, p.degree, out)
 
 
-def _cleared_power_sum(nvars: int, degree: int, cleared) -> HomoPoly:
-    """sum of w * (lists / den)**degree over a border certificate's rows.
+def _cleared_power_sum(nvars: int, degree: int, cleared, through=None) -> HomoPoly:
+    """sum of w * (lists / den)**degree over a border certificate's rows,
+    exact through eps**through; every order when through is None.
 
     Each weight is cleared by the codec.  A weight wl / (c * eps**k) and a
     form lists / (C * eps**K) make eps**(-k - K*d) times the integer
     expansion weighted by wl, over c * C**d; contributions are summed per
-    monomial on one dense eps-list over the lcm of those denominators.  Any
-    denominator that is not a monomial sends the whole sum through
-    ``_scalar_power_sum``, with the forms' coefficients built once.
+    monomial on one dense eps-list over the lcm of those denominators.  A
+    multinomial term's valuation is that shift, plus val(wl), plus
+    sum a_i * val(lists_i); a term past the cut is skipped, and the power
+    tables and products stop at it, so every coefficient keeps its orders
+    up to eps**through and loses the rest.  Any denominator that is not a
+    monomial sends the whole sum, uncut, through ``_scalar_power_sum``,
+    with the forms' coefficients built once.
     """
     parts = []
     L = 1
@@ -491,18 +488,47 @@ def _cleared_power_sum(nvars: int, degree: int, cleared) -> HomoPoly:
     base = min(0, min(p[0] for p in parts))
     width = max(shift - base + len(wl) + degree * (max(map(len, lists)) - 1)
                 for shift, _, _, lists, wl in parts)
+    if through is not None:
+        width = min(width, through - base + 1)
     acc: dict = {}
     for shift, D, support, lists, wl in parts:
-        s = L // D
-        for m, t in _int_power_terms(lists, degree, nvars, support, [s * x for x in wl]):
+        wv = _lowest([wl])[0]
+        room = width - (shift - base) - wv  # coefficients left from val(wl) on
+        ws = [L // D * x for x in wl[wv:wv + room]]
+        vals = [_lowest([x])[0] for x in lists]
+        tables = [_power_list(x[v:], v, degree, room) for x, v in zip(lists, vals)]
+        for m, pairs, mult in _support_terms(degree, nvars, tuple(support)):
+            v = 0
+            for i, a in pairs:
+                v += a * vals[i]
+            n = room - v
+            if n <= 0:
+                acc.setdefault(m, None)  # first-seen order, as uncut
+                continue
+            t = [mult * x for x in ws[:n]]
+            for i, a in pairs:
+                t = _int_poly_mul(t, tables[i][a], n)
             row = acc.get(m)
             if row is None:
                 row = acc[m] = [0] * width
-            for i, x in enumerate(t, shift - base):
-                row[i] += x
+            for j, x in enumerate(t, shift - base + wv + v):
+                row[j] += x
     den = [0] * -base + [L]
     return HomoPoly._make(nvars, degree, {m: _eps_of(row, den) for m, row in acc.items()
-                                          if any(row)})
+                                          if row is not None and any(row)})
+
+
+def _power_list(s: List[int], v: int, d: int, room: int) -> List[List[int]]:
+    """[1, s, s**2, ...] for the eps-list s of a coefficient of valuation v,
+    s shifted down by v: s**a only through its first room - a*v entries,
+    and no power past the one whose room runs out."""
+    table = [[1]]
+    for a in range(1, d + 1):
+        n = room - a * v
+        if n <= 0:
+            break
+        table.append(_int_poly_mul(table[-1], s, n))
+    return table
 
 
 def _scalar_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
@@ -519,12 +545,11 @@ def _scalar_power_sum(nvars: int, degree: int, summands) -> HomoPoly:
     acc: dict = {}
     for w, form in summands:
         support = [i for i, c in enumerate(form) if c]
-        tables = [_power_table(form[i], degree, None) for i in support]
-        for m, alpha, mult in _support_terms(degree, nvars, tuple(support)):
+        tables = [[None, *accumulate(repeat(form[i], degree), mul)] for i in support]
+        for m, pairs, mult in _support_terms(degree, nvars, tuple(support)):
             t = Fraction(mult)
-            for a, table in zip(alpha, tables):
-                if a:
-                    t = t * table[a]
+            for i, a in pairs:
+                t = t * tables[i][a]
             t = t * w
             prev = acc.get(m)
             if prev is not None:

@@ -10,7 +10,9 @@ from hypothesis import settings
 
 import waring
 from waring import (
+    BorderCheck,
     BorderDecomposition,
+    DegenerateDecompositionError,
     EpsPoly,
     EpsScalar,
     HomoPoly,
@@ -376,6 +378,27 @@ def unit_denominator_tangent():
         (-w, LinearForm((EpsScalar.one(), EpsScalar.zero()))),
     ))
     return HomoPoly.monomial(2, (2, 1)), B
+
+
+def ref_check_border(B, f):
+    """check_border read off B's full expansion: the verdict, q over every
+    coefficient of (expansion - f), the pole and limit witnesses."""
+    S = B.expand()
+    if S.is_zero:
+        if f.is_zero:
+            return BorderCheck(True, None, "exact (zero)", None)
+        raise DegenerateDecompositionError(
+            "expanded sum is identically zero against a nonzero target")
+    val, wit = S.min_valuation()
+    if val < 0:
+        return BorderCheck(False, None, f"pole of order {-val} at eps = 0", wit)
+    lifted = HomoPoly(f.nvars, f.degree, {m: EpsScalar.from_rational(c) for m, c in f.items()})
+    diff = S - lifted
+    q = None if diff.is_zero else diff.min_valuation()[0]
+    limit = S.limit_at_zero()
+    if limit == f:
+        return BorderCheck(True, q, "ok", None)
+    return BorderCheck(False, q, "limit differs from target", (limit - f).monomials()[0])
 
 
 def common_denominator(scalars):

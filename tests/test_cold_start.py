@@ -64,6 +64,8 @@ def test_only_deborder_loads_the_route_modules(pipeline, step):
     assert res.returncode == 0, res.stderr[-2000:]
     assert "waring.serialize" in imported  # the import log was read
     assert imported & ROUTE == (ROUTE if step == "deborder" else set())
+    # the steps that never deborder hold no dataclass
+    assert ("dataclasses" in imported) == (step == "deborder")
 
 
 CASES = {

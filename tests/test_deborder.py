@@ -50,7 +50,8 @@ from conftest import (
     mono,
     unit_denominator_tangent,
 )
-from test_golden_documents import dense_certificate
+from test_golden_documents import GENERATORS, dense_certificate
+from test_decomposition import check_cases, check_outcome
 
 
 # -- a-priori bound ---------------------------------------------------------
@@ -136,6 +137,34 @@ def test_partition_group_convergence_is_checked():
         partition_into_local(B, f)
     assert info.value.check == "group-convergence"
     assert "base" in info.value.witness
+
+
+def partition_outcome(B, f, full=False):
+    """partition_into_local(B, f) with each group limit's terms in order,
+    or what it raised; with full, every expansion it reads is uncut."""
+    with pytest.MonkeyPatch.context() as mp:
+        if full:
+            whole = BorderDecomposition.expand
+            mp.setattr(BorderDecomposition, "expand", lambda self, through=None: whole(self))
+        got = check_outcome(partition_into_local, B, f)
+    if isinstance(got, list):
+        return [(Bk, list(fk.items())) for Bk, fk in got]
+    return got
+
+
+@settings(max_examples=100)
+@given(check_cases())
+def test_partition_matches_the_full_expansion(case):
+    B, f = case
+    assert partition_outcome(B, f) == partition_outcome(B, f, full=True)
+
+
+def test_partition_matches_the_full_expansion_on_the_golden_inputs():
+    cases = [gen(*args) for gen, args in GENERATORS.values()]
+    cases += [dense_certificate(21, 4, 3, (1, 2), 4), dense_certificate(22, 5, 3, (2,), 3)]
+    for f, B in cases:
+        got = partition_outcome(B, f)
+        assert isinstance(got, list) and got == partition_outcome(B, f, full=True)
 
 
 def test_partition_rejects_empty_or_mismatched():

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from waring import (
+    BorderCheck,
     BorderDecomposition,
+    CertificateCheckError,
     DegenerateDecompositionError,
     EpsPoly,
     EpsScalar,
     HomoPoly,
     InvariantError,
     LinearForm,
+    PoleAtZero,
     WaringDecomposition,
     check_border,
     essential_rank,
@@ -40,6 +43,7 @@ from conftest import (
     ref_extend_summands,
     ref_merged,
     ref_multiply_by_power,
+    ref_check_border,
     ref_normalize_border,
     ref_substitute,
     ref_substitute_form,
@@ -47,7 +51,7 @@ from conftest import (
     repeated_product,
     unit_denominator_tangent,
 )
-from test_golden_documents import dense_certificate
+from test_golden_documents import GENERATORS, dense_certificate
 from test_poly import count_gcd_calls
 
 
@@ -539,6 +543,137 @@ def test_only_non_monomial_denominators_take_the_scalar_loop(monkeypatch):
     f, B = unit_denominator_tangent()
     assert check_border(B, f).ok
     assert calls == [1]
+
+
+# -- the eps-order cut and check_border against the full expansion ----------
+
+
+def laurent_orders(c):
+    """{order: coefficient} of a scalar over a power of eps."""
+    ((k, _),) = c.den.pairs()
+    return {e - k: a for e, a in c.num.pairs()}
+
+
+@PROPERTY
+@given(decompositions(laurent_weights, laurent_scalars, BorderDecomposition))
+def test_cut_expansion_is_the_full_one_through_the_cut(B):
+    for D in (B, normalize_border(B)):
+        full = D.expand()
+        for t in range(-2, 4):
+            cut = D.expand(through=t)
+            assert (cut.nvars, cut.degree) == (full.nvars, full.degree)
+            want = {m: {e: a for e, a in laurent_orders(c).items() if e <= t}
+                    for m, c in full.items()}
+            got = {m: laurent_orders(c) for m, c in cut.items()}
+            assert got == {m: orders for m, orders in want.items() if orders}
+            # a cut keeps the full expansion's monomial order
+            assert list(got) == [m for m, _ in full.items() if m in got]
+
+
+def test_cut_leaves_non_monomial_denominators_exact():
+    for f, B in (unit_denominator_tangent(), (None, compose_with_unit_denominators(
+            gen_tangent(3)[1]))):
+        for t in range(-2, 3):
+            assert B.expand(through=t) == B.expand()
+
+
+def check_outcome(check, B, f):
+    """check(B, f), or the type, message and witness of what it raised."""
+    try:
+        return check(B, f)
+    except (DegenerateDecompositionError, CertificateCheckError, InvariantError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def check_cases(draw):
+    """(B, f): a rational part R plus moving summands scaled by eps**s,
+    against R's expansion, B's limit, a target off it, or zero; or the
+    whole certificate cancelled against itself.  In one case in four the
+    moving forms carry non-monomial denominators."""
+    nvars = draw(st.integers(1, 3))
+    quotients = draw(st.integers(0, 3)) == 0
+    degree = draw(st.integers(1, 2 if quotients else 4))
+    coefs = quotient_scalars if quotients else st.one_of(poly_scalars, laurent_scalars)
+
+    def vectors(c):
+        return st.lists(c, min_size=nvars, max_size=nvars).filter(any)
+
+    fixed = [(w, LinearForm(v)) for w, v in draw(
+        st.lists(st.tuples(nonzero_fractions, vectors(fractions)), max_size=2))]
+    s = draw(st.integers(-1, 4))
+    moving = [(w * eps(s), LinearForm(v)) for w, v in draw(st.lists(
+        st.tuples(laurent_weights, vectors(coefs)),
+        min_size=0 if fixed and not quotients else 1, max_size=3))]
+    B = BorderDecomposition(nvars, degree, fixed + moving)
+    R = (WaringDecomposition(nvars, degree, fixed).expand() if fixed
+         else HomoPoly.zero(nvars, degree))
+    first = mono(nvars, (degree,) + (0,) * (nvars - 1))
+    kind = draw(st.sampled_from(["fixed", "limit", "off", "zero", "cancelled"]))
+    if kind == "cancelled":
+        return cancelled(B), draw(st.sampled_from([R, first, HomoPoly.zero(nvars, degree)]))
+    if kind == "limit":
+        try:
+            return B, B.expand().limit_at_zero()
+        except PoleAtZero:
+            return B, R
+    return B, {"fixed": R, "off": R + first, "zero": HomoPoly.zero(nvars, degree)}[kind]
+
+
+@settings(max_examples=100)
+@given(check_cases())
+def test_check_border_matches_the_full_expansion_reference(case):
+    B, f = case
+    assert check_outcome(check_border, B, f) == check_outcome(ref_check_border, B, f)
+
+
+def test_check_border_corpus_matches_the_full_expansion_reference():
+    exact = BorderDecomposition(2, 2, ((F(1, 4), lf(F(1), F(1))), (F(-1, 4), lf(F(1), F(-1)))))
+    xy = mono(2, (1, 1))
+
+    def late(k):  # x^2 plus eps^k y^2: residual at order k
+        return BorderDecomposition(2, 2, ((F(1), lf(F(1), F(0))), (eps(k), lf(F(0), F(1)))))
+
+    zero_sum = BorderDecomposition(2, 3, ((F(1), x_var(2, 0)), (F(-1), x_var(2, 0))))
+    vanishing = BorderDecomposition(2, 3, ((eps(3), x_var(2, 0)),))  # zero through eps^2
+    f3, tangent = gen_tangent(3)
+    fu, unit = unit_denominator_tangent()
+    x3, x2, zero3 = mono(2, (3, 0)), mono(2, (2, 0)), HomoPoly.zero(2, 3)
+    corpus = [
+        (exact, xy, (True, None, "ok", None)),
+        (exact, xy + x2, (False, 0, "limit differs from target", (2, 0))),
+        (tangent, f3, (True, 1, "ok", None)),
+        (late(2), x2, (True, 2, "ok", None)),
+        (late(5), x2, (True, 5, "ok", None)),
+        (BorderDecomposition(2, 3, ((eps(-1), x_var(2, 0)),)), x3,
+         (False, None, "pole of order 1 at eps = 0", (3, 0))),
+        (tangent, x3, (False, 0, "limit differs from target", (3, 0))),
+        (zero_sum, x3, DegenerateDecompositionError),
+        (zero_sum, zero3, (True, None, "exact (zero)", None)),
+        (vanishing, x3, (False, 0, "limit differs from target", (3, 0))),
+        (vanishing, zero3, (True, 3, "ok", None)),
+        (unit, fu, (True, 1, "ok", None)),
+        (unit, x3, (False, 0, "limit differs from target", (3, 0))),
+        (compose_with_unit_denominators(tangent), f3, (True, 1, "ok", None)),
+    ]
+    for B, f, want in corpus:
+        got = check_outcome(check_border, B, f)
+        assert got == check_outcome(ref_check_border, B, f)
+        if want is DegenerateDecompositionError:
+            assert got[0] is want
+        else:
+            assert type(got) is BorderCheck and got == want
+
+
+def test_check_border_matches_the_reference_on_the_golden_inputs():
+    cases = [gen(*args) for gen, args in GENERATORS.values()]
+    cases += [dense_certificate(21, 4, 3, (1, 2), 4), dense_certificate(22, 5, 3, (2,), 3)]
+    for f, B in cases:
+        first = mono(f.nvars, (f.degree,) + (0,) * (f.nvars - 1))
+        for target in (f, f + first, HomoPoly.zero(f.nvars, f.degree)):
+            got = check_border(B, target)
+            assert got == ref_check_border(B, target)
+        assert check_border(B, f).ok
 
 
 # -- normalization against the scalar reference -----------------------------
