@@ -49,6 +49,13 @@ MAX_CATALECTICANT_ENTRIES = 60_000
 # draws on 5 of 8 seeds at 3 variables, degree 4).
 MAX_RANDOM_RANK = 16
 
+# `bound` prints at most this many decimal digits, Python's default limit on
+# converting an int to a string, whatever limit the interpreter runs under
+# (none under PYTHONINTMAXSTRDIGITS=0 or before Python 3.10.7).  At d = 3
+# the first r past it is 11262; the last one inside it, 11261, took 5.3 s
+# to compute on a 2-vCPU host.
+MAX_BOUND_DIGITS = 4300
+
 
 def _out(obj) -> None:
     print(json.dumps(obj, sort_keys=True, default=str))
@@ -171,16 +178,12 @@ def cmd_oracle(args) -> int:
 def cmd_bound(args) -> int:
     from .deborder import bound_digits, paper_bound
 
-    # Python refuses to print an int longer than its string conversion
-    # limit (0: none; Python before 3.10.7 has none), so a ceiling past it
-    # is refused before it is computed
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and args.d >= 1 and args.r >= 1:
+    if args.d >= 1 and args.r >= 1:
         digits = bound_digits(args.d, args.r)
-        if digits > limit:
+        if digits > MAX_BOUND_DIGITS:
             print(
                 f"error: the ceiling for r = {args.r} has {digits} decimal digits, "
-                f"more than the {limit} Python converts to a string",
+                f"past the ceiling of {MAX_BOUND_DIGITS}",
                 file=sys.stderr,
             )
             return 2

@@ -7,29 +7,28 @@ f = sum w_i * l_i**degree, exactly verified, together with a report carrying
 the achieved rank, a certified a-priori ceiling, and a trace of which path
 each recursion step took.
 
-The recursion, per level:
+The recursion, per level (``_Level``; the route rule is in ``_Level._step``):
 
 1. rotate away inessential variables;
 2. if degree >= rank - 1, partition the summands by the direction their
-   forms degenerate to, and diagonalize each group (diagonal.py); a group
-   converges on its own and its limit is divisible by a power of its base
-   variable (both checked, not assumed); the cofactor has degree < rank, so
-   small ranks fall to a dense solve and large ones to the Y/Z split below;
-3. otherwise diagonalize the whole certificate once, then split the
-   variables into a Y block and a Z block: monomials supported on Y go to a
-   dense solve, and the cofactor of z_i**k (for the first Z variable
-   present) is handled recursively, with a certificate obtained by
-   differentiating the staircase summands k times in z_i and restricting
-   z_1..z_i to zero.  Differentiation keeps at most rank - (pivot index)
-   summands, so the branch rank drops strictly and the recursion
-   terminates;
+   forms degenerate to; each local group converges on its own, and once
+   diagonalized its limit is x0**(degree - rank + 1) * g (both checked, not
+   assumed); otherwise the whole certificate is one nonlocal group;
+3. one diagonalized step per group (diagonal.py): a local group of rank 1
+   is one power of x0, small ranks and few pivots go to a dense solve of g,
+   and the rest to the Y/Z split: monomials supported on the Y block go to
+   a dense solve, and the cofactor of z_i**k (for the first Z variable
+   present) is a new level, with a certificate obtained by differentiating
+   the staircase summands k times in z_i and restricting z_1..z_i to zero.
+   Differentiation keeps at most rank - (pivot index) summands, so the
+   branch rank drops strictly and the recursion terminates;
 4. pieces are reassembled with ``multiply_by_power``, which rewrites
    l**e * z**k as a sum of e + k + 1 powers through exact interpolation.
 
 Verification policy.  Each check sits where its object enters or leaves:
 the input certificate is verified by exact expansion in ``deborder``, and
-each derivative branch certificate in ``_split``, which opens the branch;
-``_split`` also verifies the decomposition the branch returns against the
+each derivative branch certificate in ``_Level._split``, which opens the
+branch; it also verifies the decomposition the branch returns against the
 branch target, and ``deborder`` verifies the final decomposition against f
 and holds it to the ceiling ``paper_bound``.  ``multiply_by_power`` still
 checks its own output as well (ROADMAP item 1 says when that check goes).
@@ -46,9 +45,10 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
@@ -76,19 +76,10 @@ from .poly import HomoPoly, LinearForm, monomials_of_degree
 class DeborderConfig:
     """Knobs for the debordering recursion.
 
-    y_size overrides the Y-block width, which must be at least 1.  The
-    dense solve itself has no setting: its forms are fixed by the target's
-    shape (``dense_decompose``).
-
-    The Y/Z split is the paper's route to its rank bound.  A certificate of
-    rank r with p pivots is solved densely when r <= base_threshold or
-    p <= the Y-block width, and split otherwise.  The default width
-    floor(10 * sqrt(r)) is at least r, hence at least p, for every r up to
-    100.  So base_threshold changes a route only together with an explicit
-    y_size (at a threshold of 2 or more), or at ranks above 100 with a
-    threshold above 100.  At the default settings every rank up to 100 is
-    solved densely, and only an explicit y_size (1 or 2, say) reaches the
-    split.
+    base_threshold and y_size (the Y-block width, at least 1) enter only the
+    route rule, stated in ``_Level._step`` with the settings that reach the
+    Y/Z split.  The dense solve itself has no setting: its forms are fixed by
+    the target's shape (``dense_decompose``).
     """
 
     base_threshold: int = 4
@@ -416,22 +407,6 @@ def multiply_by_power(W: WaringDecomposition, z: LinearForm, k: int) -> WaringDe
     return res
 
 
-class _Session:
-    """Mutable state threaded through one deborder run."""
-
-    def __init__(self, cfg: DeborderConfig):
-        self.cfg = cfg
-        self.trace: List[TraceRecord] = []
-
-    def y_size(self, rank: int) -> int:
-        if self.cfg.y_size is not None:
-            return self.cfg.y_size
-        return math.isqrt(100 * rank)
-
-    def record(self, case: str, rank: int, degree: int, bi: int, bk: int) -> None:
-        self.trace.append(TraceRecord(case, rank, degree, bi, bk))
-
-
 def deborder(
     f: HomoPoly, B: BorderDecomposition, config: Optional[DeborderConfig] = None
 ) -> Tuple[WaringDecomposition, DeborderReport]:
@@ -454,8 +429,8 @@ def deborder(
         raise VerificationError(
             f"input certificate fails verification: {chk.reason}", witness=chk.witness
         )
-    ses = _Session(cfg)
-    W = _rec(f, B, ses, 0, 0, B.rank() + 1).merged()
+    top = _Level(cfg, [], (0, 0), B.rank() + 1)
+    W = top.solve(f, B).merged()
     verified = verify_waring(W, f)
     if not verified:
         raise InvariantError("assembled decomposition does not expand to the target")
@@ -468,139 +443,125 @@ def deborder(
         achieved_rank=W.rank(),
         paper_bound=bound,
         verified=verified,
-        trace=tuple(ses.trace),
+        trace=tuple(top.trace),
     )
     return W, report
 
 
-def _rec(
-    f: HomoPoly, B: BorderDecomposition, ses: _Session, bi: int, bk: int, fuel: int
-) -> WaringDecomposition:
-    """One recursion level: essential variables, then the diagonalized solve."""
-    if fuel <= 0:
-        raise InvariantError("recursion did not terminate within the rank budget")
-    f1, B1, T, N = essential_reduce(f, B)
-    n = f.nvars
-    if N < n:
-        B1 = restrict_vars_zero(B1, range(N, n)).take_vars(N)
-        f1 = f1.take_vars(N)
-        W1 = _solve(f1, B1, ses, bi, bk, fuel)
-        return W1.extend_vars(n).substitute(rat_inverse(T))
-    return _solve(f, B, ses, bi, bk, fuel)
+def _concat(pieces: List[WaringDecomposition], empty: str) -> WaringDecomposition:
+    if not pieces:
+        raise InvariantError(empty)
+    return reduce(operator.add, pieces)
 
 
-def _solve(
-    f: HomoPoly, B: BorderDecomposition, ses: _Session, bi: int, bk: int, fuel: int
-) -> WaringDecomposition:
-    """Partition B as given (``_local`` diagonalizes each group) or, on the
-    nonlocal route, diagonalize B once; f uses all of its variables essentially."""
-    if f.degree >= B.rank() - 1:
-        W = None
-        for Bk, fk in partition_into_local(B, f):
-            if fk.is_zero:
+@dataclass
+class _Level:
+    """One recursion level of a deborder run.
+
+    It holds the derivative branch (i, k) that opened it, (0, 0) at the top,
+    and the rank budget left: each branch spends one unit, so a branch whose
+    rank failed to drop stops the run.  The config and the trace list are
+    the run's, shared by every level.
+    """
+
+    cfg: DeborderConfig
+    trace: List[TraceRecord]
+    branch: Tuple[int, int]
+    fuel: int
+
+    def record(self, case: str, rank: int, degree: int) -> None:
+        self.trace.append(TraceRecord(case, rank, degree, *self.branch))
+
+    def solve(self, f: HomoPoly, B: BorderDecomposition) -> WaringDecomposition:
+        """Rotate away inessential variables; then, when degree >= rank - 1,
+        take each local group with a nonzero limit through ``_step``, else
+        the whole certificate in one nonlocal ``_step``."""
+        if self.fuel <= 0:
+            raise InvariantError("recursion did not terminate within the rank budget")
+        n = f.nvars
+        f1, B1, T, N = essential_reduce(f, B)
+        if N < n:
+            f, B = f1.take_vars(N), restrict_vars_zero(B1, range(N, n)).take_vars(N)
+        if f.degree >= B.rank() - 1:
+            W = _concat(
+                [self._step(fk, Bk, local=True) for Bk, fk in partition_into_local(B, f)
+                 if not fk.is_zero],
+                "every group had zero limit against a nonzero target",
+            )
+        else:
+            W = self._step(f, B, local=False)
+        return W.extend_vars(n).substitute(rat_inverse(T)) if N < n else W
+
+    def _step(self, f: HomoPoly, B: BorderDecomposition, local: bool) -> WaringDecomposition:
+        """Diagonalize B against f, decompose the limit, and map it back.
+
+        A local group's limit is x0**epow * g with epow = degree - rank + 1
+        (``extract_local_cofactor``) and is recorded LOCAL; a nonlocal level
+        decomposes the limit itself (epow = 0), and every one of its
+        variables must be a pivot.  g lies in the p pivot variables.  The
+        route, for rank r and Y-block width y (cfg.y_size, by default
+        floor(10 * sqrt(r))):
+
+        - r = 1 (a local group only): one power of x0;
+        - r <= cfg.base_threshold or p <= y: a dense solve of g;
+        - otherwise the Y/Z split (``_split``), recorded NONLOCAL on a
+          nonlocal level.
+
+        Since p <= r, the default width holds every pivot for r up to 100.
+        So base_threshold changes a route only together with an explicit
+        y_size (at a threshold of 2 or more), or at ranks above 100 with a
+        threshold above 100; at the default settings every rank up to 100
+        is solved densely.
+        """
+        r, d, n = B.rank(), f.degree, f.nvars
+        D = diagonalize(B, f)
+        if local:
+            self.record("LOCAL", r, d)
+            g, epow = extract_local_cofactor(D.limit, r), d - r + 1
+        elif D.p != n:
+            raise InvariantError(f"{D.p} pivots for an essential target in {n} variables")
+        else:
+            g, epow = D.limit, 0
+        y = self.cfg.y_size if self.cfg.y_size is not None else math.isqrt(100 * r)
+        if r == 1:
+            W = WaringDecomposition(n, d, ((g.coeff((0,) * n), LinearForm.variable(n, 0)),))
+        elif r <= self.cfg.base_threshold or D.p <= y:
+            W = self._dense(g, D.p, epow, r)
+        else:
+            if not local:
+                self.record("NONLOCAL", r, d)
+            W = self._split(g, epow, D, r, y)
+        return W.substitute(D.base_change_inv)
+
+    def _dense(self, g: HomoPoly, p: int, epow: int, rank: int) -> WaringDecomposition:
+        """Dense solve of g on its first p variables, times x0**epow."""
+        self.record("BASE", rank, g.degree)
+        n = g.nvars
+        W = dense_decompose(g.take_vars(p)).extend_vars(n)
+        return multiply_by_power(W, LinearForm.variable(n, 0), epow) if epow else W
+
+    def _split(
+        self, g: HomoPoly, epow: int, D: DiagonalizedDecomposition, rank: int, y: int
+    ) -> WaringDecomposition:
+        """Decompose x0**epow * g by splitting g over a Y/Z variable block.
+
+        The Y part goes to the dense solver.  The cofactor of z_i**k recurses
+        on a certificate made by differentiating the staircase summands k
+        times in z_i, restricting z_1..z_i to zero and dividing the weights
+        by k!; the piece is reassembled by interpolation against z_i**k.
+        """
+        n = g.nvars
+        d = D.decomposition.degree
+        f0, parts = split_and_group(g, y)
+        pieces = [] if f0.is_zero else [self._dense(f0, y, epow, rank)]
+        for (i, k), h in parts.items():
+            zvar = y + i - 1
+            z = LinearForm.variable(n, zvar)
+            if epow:
+                h = HomoPoly.monomial(n, tuple(epow if j == 0 else 0 for j in range(n))) * h
+            if h.degree == 0:
+                pieces.append(WaringDecomposition(n, d, ((h.coeff((0,) * n), z),)))
                 continue
-            Wk = _local(fk, Bk, ses, bi, bk, fuel)
-            W = Wk if W is None else W + Wk
-        if W is None:
-            raise InvariantError("every group had zero limit against a nonzero target")
-        return W
-    D = diagonalize(B, f)
-    if D.p != f.nvars:
-        raise InvariantError(
-            f"{D.p} pivots for an essential target in {f.nvars} variables"
-        )
-    W = _dense_or_split(D.limit, 0, D, B.rank(), ses, bi, bk, fuel, "NONLOCAL")
-    return W.substitute(D.base_change_inv)
-
-
-def _local(
-    fk: HomoPoly, Bk: BorderDecomposition, ses: _Session, bi: int, bk: int, fuel: int
-) -> WaringDecomposition:
-    """Handle one group whose forms all degenerate to a common direction."""
-    rk = Bk.rank()
-    d = fk.degree
-    ses.record("LOCAL", rk, d, bi, bk)
-    Dk = diagonalize(Bk, fk)
-    g = extract_local_cofactor(Dk.limit, rk)
-    epow = d - rk + 1
-    if rk == 1:
-        n = fk.nvars
-        c = g.coeff((0,) * n)
-        W = WaringDecomposition(n, d, ((c, LinearForm.variable(n, 0)),))
-    else:
-        W = _dense_or_split(g, epow, Dk, rk, ses, bi, bk, fuel)
-    return W.substitute(Dk.base_change_inv)
-
-
-def _dense_or_split(
-    g: HomoPoly,
-    epow: int,
-    D: DiagonalizedDecomposition,
-    rr: int,
-    ses: _Session,
-    bi: int,
-    bk: int,
-    fuel: int,
-    split_case: Optional[str] = None,
-) -> WaringDecomposition:
-    """Decompose x0**epow * g, g a polynomial in the D.p pivot variables of D.
-
-    Small ranks, and Y blocks wide enough to hold every pivot, go to the
-    dense solve; the rest to the Y/Z split, recorded as split_case if given.
-    """
-    if rr <= ses.cfg.base_threshold or D.p <= ses.y_size(rr):
-        return _dense_base(g, D.p, epow, rr, ses, bi, bk)
-    if split_case is not None:
-        ses.record(split_case, rr, g.degree, bi, bk)
-    return _split(g, epow, D, rr, ses, bi, bk, fuel)
-
-
-def _dense_base(
-    g: HomoPoly, p: int, epow: int, rr: int, ses: _Session, bi: int, bk: int
-) -> WaringDecomposition:
-    """Dense solve of g on its first p variables, times x0**epow."""
-    ses.record("BASE", rr, g.degree, bi, bk)
-    n = g.nvars
-    W = dense_decompose(g.take_vars(p)).extend_vars(n)
-    return multiply_by_power(W, LinearForm.variable(n, 0), epow) if epow else W
-
-
-def _split(
-    g: HomoPoly,
-    epow: int,
-    D: DiagonalizedDecomposition,
-    rr: int,
-    ses: _Session,
-    bi: int,
-    bk: int,
-    fuel: int,
-) -> WaringDecomposition:
-    """Decompose x0**epow * g by splitting g over a Y/Z variable block.
-
-    The Y part goes to the dense solver.  The cofactor of z_i**k recurses on
-    a certificate made by differentiating the staircase summands k times in
-    z_i, restricting z_1..z_i to zero and dividing the weights by k!; the
-    piece is reassembled by interpolation against z_i**k.
-    """
-    n = g.nvars
-    y = ses.y_size(rr)
-    d = D.decomposition.degree
-    f0, parts = split_and_group(g, y)
-    total: Optional[WaringDecomposition] = None
-    if not f0.is_zero:
-        total = _dense_base(f0, y, epow, rr, ses, bi, bk)
-    for (i, k), gik in parts.items():
-        zvar = y + i - 1
-        z = LinearForm.variable(n, zvar)
-        if epow:
-            xp = tuple(epow if j == 0 else 0 for j in range(n))
-            h = HomoPoly.monomial(n, xp) * gik
-        else:
-            h = gik
-        if h.degree == 0:
-            c = h.coeff((0,) * n)
-            piece = WaringDecomposition(n, d, ((c, z),))
-        else:
             Bik = derivative_decomposition(D, zvar, k)
             Bik = restrict_vars_zero(Bik, range(y, zvar + 1))
             Bik = Bik.scale_weights(Fraction(1, factorial(k)))
@@ -609,16 +570,13 @@ def _split(
                 raise InvariantError(
                     f"branch certificate (z_{i}, order {k}) fails: {res.reason}"
                 )
-            Wh = _rec(h, Bik, ses, i, k, fuel - 1)
+            Wh = _Level(self.cfg, self.trace, (i, k), self.fuel - 1).solve(h, Bik)
             if not verify_waring(Wh, h):
                 raise InvariantError(
                     f"branch result (z_{i}, order {k}) does not expand to its target"
                 )
-            piece = multiply_by_power(Wh, z, k)
-        total = piece if total is None else total + piece
-    if total is None:
-        raise InvariantError("Y/Z split produced no pieces for a nonzero polynomial")
-    return total
+            pieces.append(multiply_by_power(Wh, z, k))
+        return _concat(pieces, "Y/Z split produced no pieces for a nonzero polynomial")
 
 
 __all__ = [

@@ -12,6 +12,7 @@ from dataclasses import asdict
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from waring import (
     CertificateCheckError,
@@ -21,11 +22,12 @@ from waring import (
     LinearForm,
     paper_bound,
 )
-from waring.cli import MAX_CATALECTICANT_ENTRIES, MAX_RANDOM_RANK, main
+from waring.cli import MAX_BOUND_DIGITS, MAX_CATALECTICANT_ENTRIES, MAX_RANDOM_RANK, main
 from waring.decomp import BorderDecomposition
 from waring.serialize import (
     MAX_DEGREE,
     MAX_EPS_EXPONENT,
+    MAX_NVARS,
     parse_document,
     read_document,
     write_document,
@@ -350,6 +352,31 @@ def test_bound_refuses_a_ceiling_past_the_printable_digits(str_digits_4300):
         assert f"r = {r}" in err and f"{digits} decimal digits" in err
 
 
+@pytest.fixture
+def no_str_digits_limit():
+    """Ints of any length convert to strings, as under PYTHONINTMAXSTRDIGITS=0
+    or on Python before 3.10.7, which has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_bound_ceiling_does_not_depend_on_the_interpreter(no_str_digits_limit):
+    # the ceiling is refused from its digit count alone, before it is computed
+    past = MAX_BOUND_DIGITS + 1
+    for d, r, digits in (("3", "11262", past), ("3", "12100", 4492),
+                         (str(10**MAX_BOUND_DIGITS), "1", past)):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["bound", "--d", d, "--r", r])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"r = {r} has {digits} decimal digits" in err
+
+
 def test_lemma_failure_maps_to_exit_three(workdir, monkeypatch):
     run_cli(["gen", "--family", "tangent", "--d", "3"])
 
@@ -405,3 +432,134 @@ def test_installed_entry_point_roundtrip():
     )
     assert res.returncode == 0
     assert res.stdout.strip() == "54242"
+
+
+# -- every subcommand on bad parameters and documents --------------------------
+
+
+def _gen(*argv):
+    return ["gen", *argv, "--out-poly", "p_out.json", "--out-border", "b_out.json"]
+
+
+def _bad_parameters():
+    """(argv, expected exit): zero, negative and one past each ceiling."""
+    bad = ("0", "-1")
+    grid = []
+    for family in ("tangent", "multibase"):
+        grid += [(_gen("--family", family, "--d", d), 2) for d in bad + (str(MAX_DEGREE + 1),)]
+    # j runs from 1 to d - 1
+    grid += [(_gen("--family", "osculating", "--d", "6", "--j", j), 2) for j in bad + ("6",)]
+    grid += [(_gen("--family", "osculating", "--d", d, "--j", "1"), 2)
+             for d in bad + (str(MAX_DEGREE + 1),)]
+    # the random family with one flag bad at a time
+    good = {"--nvars": "3", "--d": "3", "--rank": "2"}
+    past = {"--nvars": MAX_NVARS + 1, "--d": MAX_DEGREE + 1, "--rank": MAX_RANDOM_RANK + 1}
+    for flag, over in past.items():
+        for value in bad + (str(over),):
+            args = {**good, flag: value}
+            grid.append((_gen("--family", "random", *[x for kv in args.items() for x in kv]), 2))
+    debord = ["deborder", "--border", "b.json", "--poly", "p.json"]
+    grid += [(debord + ["--y-size", y], 2) for y in bad]
+    # neither knob has a ceiling: a Y block wider than the variables, or any
+    # threshold, leaves the tangent certificate on its dense route
+    grid += [(debord + ["--y-size", str(10**6)], 0)]
+    grid += [(debord + ["--base-threshold", t], 0) for t in bad + (str(10**6),)]
+    grid += [(["bound", "--d", d, "--r", "2"], 2) for d in bad]
+    grid += [(["bound", "--d", "3", "--r", r], 2) for r in bad + ("11262",)]
+    return grid
+
+
+def _assert_clean_exit(argv, expected=None):
+    code, out, err = run_cli(argv)
+    assert 0 <= code <= 3 and "Traceback" not in err, (argv, code, err)
+    if expected is not None:
+        assert code == expected, (argv, code, err)
+    if code == 2:
+        assert err.strip(), argv
+
+
+@pytest.fixture
+def documents(workdir):
+    """p.json, b.json and w.json: the tangent d = 3 pipeline's documents."""
+    run_cli(["gen", "--family", "tangent", "--d", "3", "--out-poly", "p.json",
+             "--out-border", "b.json"])
+    run_cli(["deborder", "--border", "b.json", "--poly", "p.json", "--out", "w.json"])
+    return workdir
+
+
+def _id(argv):
+    return " ".join(a for a in argv if not a.endswith(".json")
+                    and a not in ("--out-poly", "--out-border", "--border", "--poly"))
+
+
+@pytest.mark.parametrize("argv,expected",
+                         [pytest.param(a, e, id=_id(a)) for a, e in _bad_parameters()])
+def test_bad_parameters_exit_cleanly(documents, argv, expected):
+    _assert_clean_exit(argv, expected)
+
+
+def _readers(path):
+    """Every subcommand run with ``path`` in each document slot."""
+    return [
+        ["verify", "--type", "waring", path, "p.json"],
+        ["verify", "--type", "waring", "w.json", path],
+        ["verify", "--type", "border", path, "p.json"],
+        ["deborder", "--border", path, "--poly", "p.json"],
+        ["deborder", "--border", "b.json", "--poly", path],
+        ["oracle", path],
+        ["oracle", "--binary", path],
+    ]
+
+
+BROKEN_DOCUMENTS = {
+    "missing.json": None,
+    "empty.json": "",
+    "not_json.json": "{ not json",
+    "list.json": "[]",
+    "no_kind.json": json.dumps({"version": 1, "payload": {}}),
+    "bad_version.json": json.dumps({"kind": "polynomial", "version": 99, "payload": {}}),
+    "no_payload.json": json.dumps({"kind": "polynomial", "version": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_DOCUMENTS) + ["."])
+def test_missing_and_malformed_documents_exit_two(documents, name):
+    if BROKEN_DOCUMENTS.get(name) is not None:
+        (documents / name).write_text(BROKEN_DOCUMENTS[name], encoding="utf-8")
+    for argv in _readers(name):
+        _assert_clean_exit(argv, 2)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+JUNK = st.sampled_from([
+    None, True, 0, -1, 1.5, 2**70, MAX_DEGREE + 1, MAX_EPS_EXPONENT + 1, "", "x", "1/0",
+    "-3/2", "9" * 5000, [], {}, [[0, "1/1"]], [[-1, "1/1"]], {"num": [], "den": []},
+])
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(documents, data):
+    # one node of one valid document replaced by junk, or deleted
+    name = data.draw(st.sampled_from(["p.json", "b.json", "w.json"]))
+    doc = json.loads((documents / name).read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JUNK)
+    (documents / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+    for argv in _readers("m.json"):
+        _assert_clean_exit(argv)

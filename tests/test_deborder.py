@@ -626,9 +626,9 @@ def test_fault_in_diagonalized_weights_is_caught_by_the_branch_check(monkeypatch
 
 
 @pytest.mark.parametrize("make,cfg", [
-    # the local cofactor times a power of x0, in ``_dense_base``
+    # the local cofactor times a power of x0, in ``_Level._dense``
     pytest.param(lambda: gen_tangent(5), DeborderConfig(), id="tangent5-default"),
-    # the branch (z_1, order 3) times z_1**3, in ``_split``'s reassembly; the
+    # the branch (z_1, order 3) times z_1**3, in ``_Level._split``'s reassembly; the
     # branch's own product is x0 times x0, which takes the parallel shortcut
     pytest.param(lambda: gen_osculating(6, 3), DeborderConfig(y_size=1, base_threshold=1),
                  id="osculating63-split"),

@@ -13,6 +13,11 @@ The expansion digests pin ``B.expand()`` of border certificates and
 ``W.expand()`` of their Waring decompositions, coefficient by coefficient;
 they were recorded on the per-term scalar loop, before expansion moved onto
 integers.
+The trace pins hold each deborder run's full recursion trace, (case, rank,
+degree, branch_i, branch_k) per step; they were recorded before the route
+functions were folded into one per-level unit.  The two random certificates
+are the only golden inputs that take the nonlocal route (random5_3_5_s8 at
+y_size 1) or hold a top-level local group of rank 1 (random4_5_5_s21).
 """
 
 import hashlib
@@ -35,6 +40,7 @@ from waring import (
     dense_decompose,
     gen_multibase,
     gen_osculating,
+    gen_random,
     gen_tangent,
 )
 from waring.linalg import rat_inverse
@@ -45,11 +51,15 @@ from conftest import unit_denominator_tangent
 CONFIGS = {
     "default": DeborderConfig(),
     "split": DeborderConfig(y_size=1, base_threshold=1),
+    "y1": DeborderConfig(y_size=1),
+    "y2": DeborderConfig(y_size=2),
 }
 
 GENERATORS = {f"tangent{d}": (gen_tangent, (d,)) for d in range(3, 9)}
 GENERATORS["osculating6_2"] = (gen_osculating, (6, 2))
 GENERATORS["multibase5"] = (gen_multibase, (5,))
+GENERATORS["random5_3_5_s8"] = (gen_random, (5, 3, 5, 8))
+GENERATORS["random4_5_5_s21"] = (gen_random, (4, 5, 5, 21))
 
 SHA256 = {
     ("tangent3", "default"): "ee37282d48af9a5d630dc3bc58de99fdd3f6b4a6d8f9aeaa59f620ed9bcd14b7",
@@ -68,16 +78,44 @@ SHA256 = {
     ("osculating6_2", "split"): "58aaede229ed0cf8546ab91d2d2f9428d85442a09d1dcda79e573b939867fe07",
     ("multibase5", "default"): "032689c0d5705422b832d53fce379377db116d4432f77ec028dfb1311b6b9a63",
     ("multibase5", "split"): "155daa0149ee7aa0d015cdbd1742ba7f5ed66b2f04a0cb38eab6d1d5dac16cdf",
+    ("random5_3_5_s8", "y1"): "64afaf01b1cce8ae3ce3f8a6e63da19dd09d2dd440104725eed6cc474f3ca333",
+    ("random4_5_5_s21", "y2"): "0d3c5f03c1d3dcee9ee2adb762c0f75584bfa848dc91037ac323c5ffa4205336",
 }
+
+# (case, rank, degree, branch_i, branch_k) of every recursion step
+TRACES = {
+    ("multibase5", "default"): [
+        ("LOCAL", 2, 5, 0, 0), ("BASE", 2, 1, 0, 0), ("LOCAL", 2, 5, 0, 0), ("BASE", 2, 1, 0, 0),
+    ],
+    ("multibase5", "split"): [
+        ("LOCAL", 2, 5, 0, 0), ("LOCAL", 1, 4, 1, 1), ("LOCAL", 2, 5, 0, 0), ("LOCAL", 1, 4, 1, 1),
+    ],
+    ("osculating6_2", "default"): [("LOCAL", 3, 6, 0, 0), ("BASE", 3, 2, 0, 0)],
+    ("osculating6_2", "split"): [
+        ("LOCAL", 3, 6, 0, 0), ("LOCAL", 2, 4, 1, 2), ("BASE", 2, 1, 1, 2),
+    ],
+    ("random4_5_5_s21", "y2"): [
+        ("LOCAL", 2, 5, 0, 0), ("BASE", 2, 1, 0, 0), ("LOCAL", 1, 5, 0, 0),
+    ],
+    ("random5_3_5_s8", "y1"): [
+        ("NONLOCAL", 5, 3, 0, 0), ("BASE", 5, 3, 0, 0), ("LOCAL", 1, 2, 1, 1),
+        ("LOCAL", 1, 1, 1, 2), ("LOCAL", 1, 2, 2, 1), ("LOCAL", 1, 1, 2, 2),
+    ],
+}
+for _d in range(3, 9):
+    TRACES[f"tangent{_d}", "default"] = [("LOCAL", 2, _d, 0, 0), ("BASE", 2, 1, 0, 0)]
+    TRACES[f"tangent{_d}", "split"] = [("LOCAL", 2, _d, 0, 0), ("LOCAL", 1, _d - 1, 1, 1)]
 
 
 @pytest.mark.parametrize("name,config", sorted(SHA256))
 def test_waring_document_bytes_are_unchanged(name, config):
     gen, args = GENERATORS[name]
     f, B = gen(*args)
-    W, _ = deborder(f, B, CONFIGS[config])
+    W, report = deborder(f, B, CONFIGS[config])
     digest = hashlib.sha256(dumps_document("waring", W).encode()).hexdigest()
     assert digest == SHA256[name, config]
+    trace = [(t.case, t.rank, t.degree, t.branch_i, t.branch_k) for t in report.trace]
+    assert trace == TRACES[name, config]
 
 
 def seeded_cubic(nvars, seed, rational):
