@@ -13,7 +13,8 @@ The recursion, per level (``_Level``; the route rule is in ``_Level._step``):
 2. if degree >= rank - 1, partition the summands by the direction their
    forms degenerate to; each local group converges on its own, and once
    diagonalized its limit is x0**(degree - rank + 1) * g (both checked, not
-   assumed); otherwise the whole certificate is one nonlocal group;
+   assumed); summands that all share one direction are one group, the
+   level itself; otherwise the whole certificate is one nonlocal group;
 3. one diagonalized step per group (diagonal.py): a local group of rank 1
    is one power of x0, small ranks and few pivots go to a dense solve of g,
    and the rest to the Y/Z split: monomials supported on the Y block go to
@@ -35,6 +36,13 @@ checks its own output as well (ROADMAP item 1 says when that check goes).
 The structural hypotheses the paper's lemmas rest on (group convergence,
 divisibility of a local limit by a power of its base variable, the
 staircase, the derivative summand cap) are checked wherever they are used.
+Group convergence is checked by ``partition_into_local``, which expands
+each group through eps**0; the recursion calls it only at a local level
+whose summands degenerate to two or more directions.  A level whose
+summands share one direction is its own group and is not re-expanded: its
+convergence and limit are those of the certificate verified where it
+entered (the input or a branch), and the exact rotation and restriction
+in between keep both.
 Steps between these points (the diagonalization of a group or of a
 nonlocal level, differentiation, restriction, the dense solve, the Y/Z
 split) are not re-expanded: a fault in one surfaces at the next check, at
@@ -58,6 +66,7 @@ from .decomp import (
     _base_of_row,
     check_border,
     essential_reduce,
+    is_local,
     restrict_vars_zero,
     verify_waring,
 )
@@ -339,13 +348,13 @@ def dense_decompose(h: HomoPoly) -> WaringDecomposition:
     return WaringDecomposition._of_rows(m, e, out)
 
 
-def _interpolation_nodes(count: int) -> List[Fraction]:
-    out = [Fraction(0)]
+def _interpolation_nodes(count: int) -> List[int]:
+    out = [0]
     step = 1
     while len(out) < count:
-        out.append(Fraction(step))
+        out.append(step)
         if len(out) < count:
-            out.append(Fraction(-step))
+            out.append(-step)
         step += 1
     return out
 
@@ -357,11 +366,11 @@ def multiply_by_power(W: WaringDecomposition, z: LinearForm, k: int) -> WaringDe
     power of z; otherwise l**e * z**k = sum_j c_j (l + t_j z)**(e+k) with
     nodes t_j = 0, 1, -1, 2, -2, ... and the c_j solving a transposed
     Vandermonde system whose right-hand side is delta_{s,k} / C(e+k, k).
-    The work is on W's rows: with z cleared to zc / zd and a node
-    t = tn / td, the form c / den + t z is (c zd td + tn zc den) over
-    den zd td, reduced by one gcd, and c is parallel to zc when the
-    cross-products c_i zc_p - zc_i c_p all vanish.  Duplicate output forms
-    are merged.  The identity is re-checked by exact expansion.
+    The work is on W's rows: with z cleared to zc / zd and an integer
+    node t, the form c / den + t z is (c zd + t zc den) over den zd,
+    reduced by one gcd, and c is parallel to zc when the cross-products
+    c_i zc_p - zc_i c_p all vanish.  Duplicate output forms are merged.
+    The identity is re-checked by exact expansion.
     """
     if k < 1:
         raise ValueError("power must be at least 1")
@@ -374,8 +383,7 @@ def multiply_by_power(W: WaringDecomposition, z: LinearForm, k: int) -> WaringDe
     rhs = [Fraction(0)] * (e + k + 1)
     rhs[k] = Fraction(1, comb(e + k, k))
     coeffs = solve_vandermonde(nodes, rhs)
-    terms = [(t.numerator, t.denominator, c.numerator, c.denominator)
-             for t, c in zip(nodes, coeffs) if c]
+    terms = [(t, c.numerator, c.denominator) for t, c in zip(nodes, coeffs) if c]
     zc, zd = _int_rat_row(z)
     zrow = (zd, *zc)
     p = next(i for i, x in enumerate(zc) if x)
@@ -394,9 +402,9 @@ def multiply_by_power(W: WaringDecomposition, z: LinearForm, k: int) -> WaringDe
             g = math.gcd(wn, wd)
             out.append((wn // g, wd // g) + zrow)
             continue
-        for tn, td, cn, cd in terms:
-            fden = den * zd * td
-            form = [c * zd * td + tn * x * den for c, x in zip(cs, zc)]
+        for t, cn, cd in terms:
+            fden = den * zd
+            form = [c * zd + t * x * den for c, x in zip(cs, zc)]
             g = math.gcd(fden, *form)
             pn, pd = wn * cn, wd * cd
             h = math.gcd(pn, pd)
@@ -475,7 +483,8 @@ class _Level:
     def solve(self, f: HomoPoly, B: BorderDecomposition) -> WaringDecomposition:
         """Rotate away inessential variables; then, when degree >= rank - 1,
         take each local group with a nonzero limit through ``_step``, else
-        the whole certificate in one nonlocal ``_step``."""
+        the whole certificate in one nonlocal ``_step``.  Summands of one
+        base direction are the one group (B, f), with no partition."""
         if self.fuel <= 0:
             raise InvariantError("recursion did not terminate within the rank budget")
         n = f.nvars
@@ -483,9 +492,9 @@ class _Level:
         if N < n:
             f, B = f1.take_vars(N), restrict_vars_zero(B1, range(N, n)).take_vars(N)
         if f.degree >= B.rank() - 1:
+            groups = [(B, f)] if is_local(B) is not None else partition_into_local(B, f)
             W = _concat(
-                [self._step(fk, Bk, local=True) for Bk, fk in partition_into_local(B, f)
-                 if not fk.is_zero],
+                [self._step(fk, Bk, local=True) for Bk, fk in groups if not fk.is_zero],
                 "every group had zero limit against a nonzero target",
             )
         else:

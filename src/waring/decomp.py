@@ -34,7 +34,8 @@ from math import gcd
 from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
-from .epsilon import EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _lowest, _reduce_row
+from .epsilon import _ZERO, EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _lowest
+from .epsilon import _reduce_row, _residual_order
 from .errors import DegenerateDecompositionError, InvariantError
 from .linalg import _basis_completion, rat_nullspace, rat_rank
 from .poly import HomoPoly, LinearForm, Monomial, _int_poly_mul
@@ -306,9 +307,8 @@ def check_border(B: BorderDecomposition, f: HomoPoly) -> BorderCheck:
         for m, c in S.items():
             fm = f.coeff(m)
             hits += fm != 0
-            r = c.num - c.den * fm if fm else c.num
-            if r:
-                v = r.valuation() - c.den.valuation()
+            v = _residual_order(c, fm)
+            if v is not None:
                 q = v if q is None else min(q, v)
         if hits < len(f):
             q = 0
@@ -372,10 +372,17 @@ def is_local(B: BorderDecomposition) -> Optional[LinearForm]:
 
 
 def _partial_coefficient_rows(f: HomoPoly) -> List[List[Fraction]]:
-    """Rows = coefficient vectors of the first partials in a fixed monomial basis."""
-    partials = [f.differentiate(i) for i in range(f.nvars)]
-    basis = sorted({m for p in partials for m, _ in p.items()})
-    return [[p.coeff(m) for m in basis] for p in partials]
+    """Rows = coefficient vectors of the first partials in a fixed monomial
+    basis, the sorted monomials they use.  Each term c * x**m of f puts
+    m_i * c at m - e_i in partial i; distinct m give distinct m - e_i, so
+    nothing accumulates."""
+    partials = [{} for _ in range(f.nvars)]
+    for m, c in f.items():
+        for i, e in enumerate(m):
+            if e:
+                partials[i][m[:i] + (e - 1,) + m[i + 1:]] = e * c
+    basis = sorted({m for p in partials for m in p})
+    return [[p.get(m, _ZERO) for m in basis] for p in partials]
 
 
 def essential_rank(f: HomoPoly) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleAtZero
 
@@ -486,6 +486,20 @@ class EpsScalar:
 
 
 _EPS_ZERO = EpsScalar.zero()
+
+
+def _residual_order(x: EpsScalar, c: Fraction) -> Optional[int]:
+    """val(x - c) for a rational c, None when x equals c: with x = num / den,
+    the least exponent at which num and c * den differ, less val(den), read
+    off the two term dicts without building the difference."""
+    num, den = x.num._terms, x.den._terms
+    if not c:
+        return min(num) - min(den) if num else None
+    for e in sorted(num.keys() | den.keys()):
+        d = den.get(e)
+        if num.get(e) != (c * d if d is not None else None):
+            return e - min(den)
+    return None
 
 
 # -- the Z[eps] row codec ----------------------------------------------------

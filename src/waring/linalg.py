@@ -16,13 +16,13 @@ integer lists of eps-coefficients over one denominator.
 those lists, and exact division by the previous pivot keeps every entry a
 polynomial (a minor).  Over the field Q(eps) instead, every update would
 reduce an EpsScalar by a gcd.  Vandermonde systems are solved through the
-Lagrange basis in O(n^2).
+Lagrange basis in O(n^2), on integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .epsilon import _int_rat_row
@@ -200,24 +200,31 @@ def solve_vandermonde(nodes: Sequence[Fraction], rhs: Sequence[Fraction]) -> Lis
     is P deflated by (x - t_j) through synthetic division, and L_j is that
     quotient evaluated at t_j, both in O(n).  O(n^2) in all.  Duplicate
     nodes are rejected before any division.
+    The work is on integers: with D the lcm of the nodes' denominators, the
+    nodes D t_j and the right-hand side D**s rhs[s] give the same c_j, and
+    that right-hand side is cleared once over the lcm R of its
+    denominators, so each c_j is one Fraction, sum_s lambda_{j,s} b_s over
+    R L_j.  Integral nodes have D = 1.
     """
     n = len(nodes)
     if len(rhs) != n:
         raise ValueError("rhs length must match node count")
     if len(set(nodes)) != n:
         raise ValueError("duplicate interpolation nodes")
-    # integral nodes as plain ints, so that integer nodes build no Fraction
-    nodes = [t.numerator if t.denominator == 1 else t for t in nodes]
-    terms = [(s, b) for s, b in enumerate(rhs) if b]
+    D = lcm(*(t.denominator for t in nodes))
+    ts = [t.numerator * (D // t.denominator) for t in nodes]
+    scaled = [Fraction(b) * D**s for s, b in enumerate(rhs)] if D > 1 else rhs
+    R = lcm(*(b.denominator for b in scaled))
+    terms = [(s, b.numerator * (R // b.denominator)) for s, b in enumerate(scaled) if b]
     # master polynomial, low-to-high coefficients; master[n] = 1
     master = [1]
-    for t in nodes:
+    for t in ts:
         new = [0] + master
         for s, c in enumerate(master):
             new[s] -= t * c
         master = new
     out: List[Fraction] = []
-    for tj in nodes:
+    for tj in ts:
         # quotient P(x) / (x - tj), high to low: q_{s-1} = p_s + tj * q_s
         q = [0] * n
         acc = master[n]
@@ -227,8 +234,7 @@ def solve_vandermonde(nodes: Sequence[Fraction], rhs: Sequence[Fraction]) -> Lis
         denom = 0
         for c in reversed(q):
             denom = denom * tj + c
-        num = sum(q[s] * Fraction(b) for s, b in terms)
-        out.append(Fraction(num) / denom)
+        out.append(Fraction(sum(q[s] * b for s, b in terms), denom * R))
     return out
 
 

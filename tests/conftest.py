@@ -162,6 +162,14 @@ def ref_extend_summands(summands, nvars):
             for w, form in summands]
 
 
+def ref_partial_rows(f):
+    """The coefficient vectors of f's first partials over the sorted
+    monomials they use, built through ``HomoPoly.differentiate``."""
+    partials = [f.differentiate(i) for i in range(f.nvars)]
+    basis = sorted({m for p in partials for m, _ in p.items()})
+    return [[p.coeff(m) for m in basis] for p in partials]
+
+
 def ref_multiply_by_power(summands, e, z, k):
     """The summands of multiply_by_power(W, z, k), W of degree e, built with
     Fraction and LinearForm arithmetic: a form parallel to z becomes z,

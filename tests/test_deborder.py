@@ -39,8 +39,10 @@ from waring.oracle import (
     gen_tangent,
     sylvester_rank,
 )
+from waring.decomp import _base_of_row
 from waring.linalg import rat_solve
 from waring.poly import monomials_of_degree
+from waring.serialize import dumps_document
 from conftest import (
     F,
     assert_staircase_invariants,
@@ -173,6 +175,80 @@ def test_partition_rejects_empty_or_mismatched():
         partition_into_local(BorderDecomposition(2, 3, ()), f)
     with pytest.raises(ValueError):
         partition_into_local(B, mono(2, (4, 0)))
+
+
+# -- the partition inside the recursion ---------------------------------------
+#
+# A local level whose summands share one base direction is its own group:
+# the recursion hands it to the diagonalized step as it stands and calls the
+# partition only at two or more bases.
+
+
+def recursion_cases():
+    """(name, f, B, cfg): the golden inputs at their configs, and the
+    benchmark's families and dense inputs at seeds 1 and 7, each at the
+    default config and at the forced split."""
+    import waring
+    from test_diagonalize import load_bench_workloads
+    from test_golden_documents import CONFIGS
+
+    workloads = load_bench_workloads()
+    cases = [(f"{name}/{cname}", *gen(*args), cfg)
+             for name, (gen, args) in GENERATORS.items() for cname, cfg in CONFIGS.items()]
+    configs = {"default": DeborderConfig(), "forced": DeborderConfig(y_size=1, base_threshold=1)}
+    for seed in (1, 7):
+        for build in (workloads.build_families, workloads.build_dense):
+            for label, f, B, _ in build(waring, seed, False).inputs:
+                cases += [(f"{seed}/{label}/{cname}", f, B, cfg) for cname, cfg in configs.items()]
+    return cases
+
+
+def test_one_base_levels_skip_the_partition_without_changing_the_output(monkeypatch):
+    # the same runs with every local level sent through the partition, as
+    # when the recursion held no one-base shortcut: identical documents and
+    # full traces, and the shortcut is taken on these inputs
+    calls = []
+    real = _DEBORDER.partition_into_local
+
+    def counted(B, f):
+        calls.append(B)
+        return real(B, f)
+
+    monkeypatch.setattr(_DEBORDER, "partition_into_local", counted)
+    cases = recursion_cases()
+    runs = [deborder(f, B, cfg) for _, f, B, cfg in cases]
+    skipping = len(calls)
+    with monkeypatch.context() as mp:
+        mp.setattr(_DEBORDER, "is_local", lambda B: None)  # every level partitions
+        for (name, f, B, cfg), (W, report) in zip(cases, runs):
+            W2, report2 = deborder(f, B, cfg)
+            assert dumps_document("waring", W2) == dumps_document("waring", W), name
+            assert report2 == report, name
+    assert skipping < len(calls) - skipping
+
+
+@pytest.mark.parametrize("make,two_base_levels", [
+    *[pytest.param(lambda d=d: gen_tangent(d), 0, id=f"tangent{d}") for d in (3, 5, 8)],
+    *[pytest.param(lambda d=d: gen_multibase(d), 1, id=f"multibase{d}") for d in (5, 8)],
+])
+@pytest.mark.parametrize("cfg", [DeborderConfig(), DeborderConfig(y_size=1, base_threshold=1)],
+                         ids=["default", "forced"])
+def test_partition_runs_once_per_two_base_level(monkeypatch, make, two_base_levels, cfg):
+    # a tangent certificate degenerates to one direction at every level; a
+    # multibase one to two at the top, and each branch of its forced split
+    # to one
+    calls = []
+    real = _DEBORDER.partition_into_local
+
+    def counted(B, f):
+        calls.append(B)
+        return real(B, f)
+
+    monkeypatch.setattr(_DEBORDER, "partition_into_local", counted)
+    f, B = make()
+    deborder(f, B, cfg)
+    assert len(calls) == two_base_levels
+    assert all(len({_base_of_row(lists) for _, lists, _ in Bk.cleared}) == 2 for Bk in calls)
 
 
 # -- local cofactor ---------------------------------------------------------

@@ -31,6 +31,7 @@ from waring import (
     verify_waring,
 )
 from waring import poly
+from waring.decomp import _partial_coefficient_rows
 from waring.linalg import rat_inverse
 from waring.oracle import gen_random, gen_tangent, gen_multibase
 from conftest import (
@@ -45,6 +46,7 @@ from conftest import (
     ref_multiply_by_power,
     ref_check_border,
     ref_normalize_border,
+    ref_partial_rows,
     ref_substitute,
     ref_substitute_form,
     ref_waring_expand,
@@ -359,6 +361,26 @@ def test_essential_rank_values():
     assert essential_rank(mono(3, (2, 1, 0))) == 2
     assert essential_rank(mono(3, (3, 0, 0)) + mono(3, (0, 3, 0)) + mono(3, (0, 0, 3))) == 3
     assert essential_rank(HomoPoly.zero(2, 2)) == 0
+
+
+@st.composite
+def rational_forms(draw):
+    """Nonzero forms in 1 to 4 variables of degree 0 to 4, with every
+    monomial or only a few of them present."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 4))
+    basis = poly.monomials_of_degree(n, d)
+    if draw(st.booleans()):
+        basis = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    coefs = st.fractions(-20, 20, max_denominator=9).filter(bool)
+    return HomoPoly(n, d, {m: draw(coefs) for m in basis})
+
+
+@given(rational_forms())
+def test_partial_rows_match_the_differentiated_reference(f):
+    got = _partial_coefficient_rows(f)
+    assert got == ref_partial_rows(f)
+    assert all(type(c) is Fraction for row in got for c in row)
 
 
 def test_essential_reduce_identity_when_full_rank():

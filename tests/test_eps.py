@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from waring import EpsPoly, EpsScalar, LinearForm, PoleAtZero
+from waring.epsilon import _residual_order
 from conftest import F, epoly, esc
 
 
@@ -247,3 +248,16 @@ def test_escalar_canonical_form_matches_reference(num, den):
     want_num, want_den = ref_canonical(num, den)
     assert s.num.pairs() == want_num.pairs()
     assert s.den.pairs() == want_den.pairs()
+
+
+@PROPERTY
+@given(any_polys, st.one_of(general_polys, monomials, constants).filter(bool),
+       st.one_of(st.just(F(0)), small_fractions), st.booleans())
+def test_residual_order_is_the_valuation_of_the_difference(num, den, c, shift):
+    # val(x - c) read off x's term dicts, against the built difference; x is
+    # num / den or c + num / den, so x == c is reached whenever num is zero
+    x = EpsScalar(num, den)
+    if shift:
+        x = x + c
+    r = x - c
+    assert _residual_order(x, c) == (None if r.is_zero else r.valuation())

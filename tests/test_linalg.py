@@ -524,3 +524,50 @@ def test_vandermonde_matches_dense_solve(case):
     nodes, rhs = case
     rows = [[t**s for t in nodes] for s in range(len(nodes))]
     assert solve_vandermonde(nodes, rhs) == rat_solve(rows, rhs)
+
+
+vandermonde_nodes = st.one_of(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=20, unique=True),
+    st.lists(st.fractions(-12, 12, max_denominator=8), min_size=1, max_size=20, unique=True),
+)
+
+
+@st.composite
+def vandermonde_rhs(draw, n):
+    """Dense, sparse (one or two nonzero entries) or all-zero right-hand sides."""
+    values = st.fractions(-9, 9, max_denominator=7)
+    kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    rhs = [F(0)] * n
+    if kind == "dense":
+        rhs = draw(st.lists(values, min_size=n, max_size=n))
+    elif kind == "sparse":
+        for s in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            rhs[s] = draw(values.filter(bool))
+    return rhs
+
+
+@settings(max_examples=150)
+@given(vandermonde_nodes.flatmap(lambda nodes: st.tuples(st.just(nodes),
+                                                         vandermonde_rhs(len(nodes)))))
+def test_vandermonde_matches_the_transposed_system(case):
+    # integral nodes as ints or as Fractions, and non-integral nodes, give
+    # the Fractions rat_solve gives on sum_j c_j t_j**s = rhs[s]
+    nodes, rhs = case
+    rows = [[F(t) ** s for t in nodes] for s in range(len(nodes))]
+    want = rat_solve(rows, rhs)
+    for given_nodes in (nodes, [F(t) for t in nodes]):
+        got = solve_vandermonde(given_nodes, rhs)
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+    if not any(rhs):
+        assert want == [F(0)] * len(nodes)
+
+
+@given(vandermonde_nodes, st.data())
+def test_vandermonde_rejects_duplicate_nodes(nodes, data):
+    t = data.draw(st.sampled_from(nodes))
+    twin = F(t) if isinstance(t, int) else t
+    at = data.draw(st.integers(0, len(nodes)))
+    nodes = nodes[:at] + [twin] + nodes[at:]
+    with pytest.raises(ValueError, match="duplicate"):
+        solve_vandermonde(nodes, [F(1)] * len(nodes))
