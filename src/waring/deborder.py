@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 from .decomp import (
     BorderDecomposition,
     WaringDecomposition,
-    _base_of_row,
+    _group_by_base,
     check_border,
     essential_reduce,
     is_local,
@@ -201,12 +201,9 @@ def partition_into_local(
         raise ValueError("cannot partition an empty decomposition")
     if f.nvars != B.nvars or f.degree != B.degree:
         raise ValueError("target polynomial shape does not match the decomposition")
-    buckets: Dict[Tuple[Fraction, ...], List] = {}
-    for row in B.cleared:
-        buckets.setdefault(_base_of_row(row[1]), []).append(row)
     out: List[Tuple[BorderDecomposition, HomoPoly]] = []
     total = HomoPoly.zero(f.nvars, f.degree)
-    for key, rows in buckets.items():
+    for rows in _group_by_base(B).values():
         Bk = BorderDecomposition._of_rows(B.nvars, B.degree, rows)
         S = Bk.expand(through=0)  # a pole and the limit sit at orders <= 0
         if S.is_zero:
@@ -214,11 +211,11 @@ def partition_into_local(
         else:
             val, wit = S.min_valuation()
             if val < 0:
+                base = is_local(Bk)
                 raise CertificateCheckError(
                     "group-convergence",
-                    f"the group based at {LinearForm(key)!r} has a pole of order "
-                    f"{-val} at eps = 0",
-                    witness={"base": [str(c) for c in key], "monomial": list(wit)},
+                    f"the group based at {base!r} has a pole of order {-val} at eps = 0",
+                    witness={"base": [str(c) for c in base], "monomial": list(wit)},
                 )
             fk = S.limit_at_zero()
         total = total + fk

@@ -10,11 +10,11 @@ border decomposition certifies its limit polynomial iff every coefficient of
 the expanded sum has eps-valuation >= 0 and the entrywise limit equals the
 target.
 
-A border certificate holds each form as a row, cleared once to integer
-eps-lists over one denominator; every step here reads and writes rows:
-``expand``, ``substitute``, ``restrict_vars_zero``, ``take_vars``,
-``normalize_border``, and the base directions that ``is_local`` and the
-partition read (``_base_of_row``).
+A border certificate holds each summand as one row: its weight and its
+form, each cleared once to integer eps-lists over one denominator.  Every
+step here reads and writes rows: ``expand``, ``scale_weights``,
+``substitute``, ``restrict_vars_zero``, ``take_vars``, ``normalize_border``
+and the integer base keys that group them (``_group_by_base``).
 
 ``normalize_border`` brings a border certificate to the working shape the
 diagonalization step expects: per summand, the eps-content of the form is
@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .epsilon import _ZERO, EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _lowest
 from .epsilon import _reduce_row, _residual_order
@@ -161,11 +161,11 @@ class WaringDecomposition:
 class BorderDecomposition:
     """sum of weight * form**degree with scalars in Q(eps).
 
-    Each summand is held as (w, lists, den): its EpsScalar weight, and its
-    form as the codec clears it (``epsilon._int_eps_row``) once, when the
-    certificate is built.  Every step keeps rows in that clearing
-    (``epsilon._reduce_row``), so equality and hashing are by value.
-    ``summands`` builds the (weight, LinearForm) pairs each time it is read.
+    Each summand is held as one row of ints, (wl, wden, lists, den): its
+    weight and its form as the codec clears them (``epsilon._int_eps_row``)
+    once, when the certificate is built.  Every step keeps rows in that
+    clearing (``epsilon._reduce_row``), so equality and hashing are by
+    value.  ``summands`` builds the EpsScalar pairs each time it is read.
     """
 
     __slots__ = ("nvars", "degree", "cleared")
@@ -175,13 +175,12 @@ class BorderDecomposition:
             raise ValueError("decomposition degree must be at least 1")
         cleared = []
         for w, form in summands:
-            if isinstance(w, (int, Fraction)):
-                w = EpsScalar.from_rational(w)
-            if w.is_zero:
+            if not w:
                 raise ValueError("zero weight in border decomposition")
             if form.nvars != nvars:
                 raise ValueError("form arity mismatch")
-            cleared.append((w, *_int_eps_row(form)))
+            (wl,), wden = _int_eps_row((w,))
+            cleared.append((wl, wden, *_int_eps_row(form)))
         self.nvars, self.degree, self.cleared = nvars, degree, tuple(cleared)
 
     @classmethod
@@ -193,8 +192,8 @@ class BorderDecomposition:
 
     @property
     def summands(self) -> Tuple[Tuple[EpsScalar, LinearForm], ...]:
-        return tuple((w, LinearForm([_eps_of(x, den) for x in lists]))
-                     for w, lists, den in self.cleared)
+        return tuple((_eps_of(wl, wden), LinearForm([_eps_of(x, den) for x in lists]))
+                     for wl, wden, lists, den in self.cleared)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BorderDecomposition):
@@ -202,7 +201,7 @@ class BorderDecomposition:
         return (self.nvars, self.degree, self.cleared) == (other.nvars, other.degree, other.cleared)
 
     def __hash__(self):
-        return hash((self.nvars, self.degree, tuple(w for w, _, _ in self.cleared)))
+        return hash((self.nvars, self.degree, tuple(tuple(row[0]) for row in self.cleared)))
 
     def __repr__(self) -> str:
         return f"BorderDecomposition({self.nvars}, {self.degree}, {self.summands!r})"
@@ -217,11 +216,17 @@ class BorderDecomposition:
         return _cleared_power_sum(self.nvars, self.degree, self.cleared, through)
 
     def scale_weights(self, s) -> "BorderDecomposition":
-        s = EpsScalar.from_rational(s) if isinstance(s, (int, Fraction)) else s
-        if s.is_zero:
+        """Each weight wl / wden times s = a / b, cleared: (a*wl) / (b*wden) over its gcd."""
+        if not isinstance(s, (int, Fraction)):
+            raise TypeError("scale_weights takes a rational factor")
+        if not s:
             raise ValueError("scaling weights by zero")
-        return BorderDecomposition._of_rows(
-            self.nvars, self.degree, [(w * s, lists, den) for w, lists, den in self.cleared])
+        a, b = s.numerator, s.denominator
+        out = []
+        for wl, wden, lists, den in self.cleared:
+            g = gcd(*(a * x for x in wl), *(b * x for x in wden))
+            out.append(([a * x // g for x in wl], [b * x // g for x in wden], lists, den))
+        return BorderDecomposition._of_rows(self.nvars, self.degree, out)
 
     def substitute(self, rows) -> "BorderDecomposition":
         """Apply the change of variables x -> Mx to every form; the matrix,
@@ -231,14 +236,14 @@ class BorderDecomposition:
             raise ValueError("substitution matrix has wrong shape")
         M, S = _int_eps_row([x for r in rows for x in r])
         return BorderDecomposition._of_rows(n, self.degree, [
-            (w, *_substitute_row(lists, den, M, S)) for w, lists, den in self.cleared])
+            (*row[:2], *_substitute_row(*row[2:], M, S)) for row in self.cleared])
 
     def take_vars(self, nvars: int) -> "BorderDecomposition":
         """Drop trailing variables, which no form may use."""
-        if nvars > self.nvars or any(any(lists[nvars:]) for _, lists, _ in self.cleared):
+        if nvars > self.nvars or any(any(row[2][nvars:]) for row in self.cleared):
             raise ValueError("take_vars cannot grow or drop a variable a form uses")
         return BorderDecomposition._of_rows(nvars, self.degree, [
-            (w, lists[:nvars], den) for w, lists, den in self.cleared])
+            (wl, wden, lists[:nvars], den) for wl, wden, lists, den in self.cleared])
 
 
 class BorderCheck(NamedTuple):
@@ -254,10 +259,10 @@ def _top_order(B: BorderDecomposition) -> Optional[int]:
     """The highest eps-order B's expansion can reach, or None when some
     denominator is not a power of eps (the expansion is then never cut)."""
     top = None
-    for w, lists, den in B.cleared:
-        if any(den[:-1]) or w.den.valuation() < w.den.degree():
+    for wl, wden, lists, den in B.cleared:
+        if any(den[:-1]) or any(wden[:-1]):
             return None
-        t = w.num.degree() - w.den.degree() + B.degree * (max(map(len, lists)) - len(den))
+        t = len(wl) - len(wden) + B.degree * (max(map(len, lists)) - len(den))
         top = t if top is None else max(top, t)
     return top
 
@@ -343,32 +348,39 @@ def normalize_border(B: BorderDecomposition) -> BorderDecomposition:
     """
     d = B.degree
     out = []
-    for w, lists, den in B.cleared:
+    for wl, wden, lists, den in B.cleared:
         v, _ = _lowest(lists)
         _, (c,) = _lowest([den])
         if v or len(den) > 1:
-            (wl,), wden = _int_eps_row((w,))
             for _ in range(d):
                 wden = _int_poly_mul(wden, den)
-            cd = c**d
-            w = _eps_of([0] * (v * d) + [x * cd for x in wl], wden)
-        t = max(0, -w.valuation())
-        out.append((w, *_reduce_row([x[v:v + t + 1] for x in lists], [c])))
+            (wl,), wden = _reduce_row([[0] * (v * d) + [x * c**d for x in wl]], wden)
+        t = max(0, _lowest([wden])[0] - _lowest([wl])[0])
+        out.append((wl, wden, *_reduce_row([x[v:v + t + 1] for x in lists], [c])))
     return BorderDecomposition._of_rows(B.nvars, d, out)
 
 
-def _base_of_row(lists) -> Tuple[Fraction, ...]:
-    """The base direction of a form cleared to lists: the leads of the lists
-    at their common valuation, divided by the first nonzero lead."""
+def _base_of_row(lists) -> Tuple[int, ...]:
+    """The base direction of a form cleared to lists: its leads at their
+    common valuation, as a primitive integer key led by a positive entry."""
     _, leads = _lowest(lists)
-    first = next(x for x in leads if x)
-    return tuple(Fraction(x, first) for x in leads)
+    g = gcd(*leads) * (1 if next(x for x in leads if x) > 0 else -1)
+    return tuple(x // g for x in leads)
+
+
+def _group_by_base(B: BorderDecomposition) -> Dict[Tuple[int, ...], List]:
+    """B's rows by base direction (``_base_of_row``), in first-seen order."""
+    groups: Dict[Tuple[int, ...], List] = {}
+    for row in B.cleared:
+        groups.setdefault(_base_of_row(row[2]), []).append(row)
+    return groups
 
 
 def is_local(B: BorderDecomposition) -> Optional[LinearForm]:
     """The common base if all summands degenerate to one direction, else None."""
-    bases = {_base_of_row(lists) for _, lists, _ in B.cleared}
-    return LinearForm(bases.pop()) if len(bases) == 1 else None
+    keys = list(_group_by_base(B))
+    first = next(x for x in keys[0] if x)
+    return LinearForm([Fraction(x, first) for x in keys[0]]) if len(keys) == 1 else None
 
 
 def _partial_coefficient_rows(f: HomoPoly) -> List[List[Fraction]]:
@@ -440,11 +452,11 @@ def restrict_vars_zero(B: BorderDecomposition, vars_to_zero) -> BorderDecomposit
         if not 0 <= i < B.nvars:
             raise ValueError(f"variable index {i} out of range")
     out = []
-    for w, lists, den in B.cleared:
+    for wl, wden, lists, den in B.cleared:
         if any(lists[i] for i in kill):
             lists = [[] if i in kill else x for i, x in enumerate(lists)]
             if not any(lists):
                 continue
             lists, den = _reduce_row(lists, den)
-        out.append((w, lists, den))
+        out.append((wl, wden, lists, den))
     return BorderDecomposition._of_rows(B.nvars, B.degree, out)

@@ -20,16 +20,17 @@ lcm of their denominators, and build one Fraction per output coefficient;
 each raises TypeError on anything over Q(eps).
 
 Over Q(eps) the kernels take the rows a border certificate holds
-(``decomp.BorderDecomposition``): forms cleared to dense integer eps-lists
-over one denominator.  ``_cleared_power_sum`` expands them on integers
-over Z[eps] when every denominator is a monomial c*eps**k, and builds one
-canonical EpsScalar per monomial; any other denominator, such as 1 + eps,
-sends the whole sum to ``_scalar_power_sum`` (which says why that loop
-stays).  It can cut the expansion at an eps-order t: a certificate matters
+(``decomp.BorderDecomposition``): each summand's weight and form cleared to
+dense integer eps-lists over one denominator each.  ``_cleared_power_sum``
+expands them on integers over Z[eps] when every denominator is a monomial
+c*eps**k, and builds one canonical EpsScalar per monomial; any other
+denominator, such as 1 + eps, sends the whole sum to ``_scalar_power_sum``
+(which says why that loop stays), the one place weights and forms become
+scalars.  It can cut the expansion at an eps-order t: a certificate matters
 through its limit, so its checks read a few low orders only.  Terms whose
-valuation lies past t are skipped, and power tables and products stop at
-t; the scalar path is never cut.  ``_substitute_row`` multiplies a row by
-a cleared matrix and returns a row.
+valuation lies past t are skipped, and power tables and products stop at t;
+the scalar path is never cut.  ``_substitute_row`` multiplies a row by a
+cleared matrix into a row.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .epsilon import _ZERO, EpsScalar, _eps_of, _int_eps_row, _int_rat_row, _lowest, _reduce_row
+from .epsilon import _ZERO, EpsScalar, _eps_of, _int_rat_row, _lowest, _reduce_row
 from .errors import PoleAtZero
 
 Monomial = Tuple[int, ...]
@@ -460,24 +461,24 @@ def _cleared_power_sum(nvars: int, degree: int, cleared, through=None) -> HomoPo
     """sum of w * (lists / den)**degree over a border certificate's rows,
     exact through eps**through; every order when through is None.
 
-    Each weight is cleared by the codec.  A weight wl / (c * eps**k) and a
-    form lists / (C * eps**K) make eps**(-k - K*d) times the integer
-    expansion weighted by wl, over c * C**d; contributions are summed per
-    monomial on one dense eps-list over the lcm of those denominators.  A
-    multinomial term's valuation is that shift, plus val(wl), plus
-    sum a_i * val(lists_i); a term past the cut is skipped, and the power
-    tables and products stop at it, so every coefficient keeps its orders
-    up to eps**through and loses the rest.  Any denominator that is not a
-    monomial sends the whole sum, uncut, through ``_scalar_power_sum``,
-    with the forms' coefficients built once.
+    Each row holds w cleared, wl / wden, and is read as it stands.  A weight
+    wl / (c * eps**k) and a form lists / (C * eps**K) make eps**(-k - K*d)
+    times the integer expansion weighted by wl, over c * C**d; contributions
+    are summed per monomial on one dense eps-list over the lcm of those
+    denominators.  A multinomial term's valuation is that shift, plus
+    val(wl), plus sum a_i * val(lists_i); a term past the cut is skipped,
+    and the power tables and products stop at it, so every coefficient keeps
+    its orders up to eps**through and loses the rest.  Any denominator that
+    is not a monomial sends the whole sum, uncut, through
+    ``_scalar_power_sum``, with each scalar built once.
     """
     parts = []
     L = 1
-    for w, lists, den in cleared:
-        (wl,), wden = _int_eps_row((w,))
+    for wl, wden, lists, den in cleared:
         if any(wden[:-1]) or any(den[:-1]):
             return _scalar_power_sum(nvars, degree, [
-                (w, [_eps_of(x, den) for x in lists]) for w, lists, den in cleared])
+                (_eps_of(wl, wden), [_eps_of(x, den) for x in lists])
+                for wl, wden, lists, den in cleared])
         support = [i for i, x in enumerate(lists) if x]
         D = wden[-1] * den[-1] ** degree
         L = lcm(L, D)

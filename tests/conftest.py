@@ -342,6 +342,40 @@ def ref_normalize_border(B):
     return BorderDecomposition(B.nvars, d, tuple(out))
 
 
+def ref_scale_weights(B, s):
+    """Every weight multiplied by s as an EpsScalar, the certificate then
+    cleared again from its summands: the reference ``scale_weights`` is
+    checked against."""
+    s = EpsScalar.from_rational(s) if isinstance(s, (int, Fraction)) else s
+    if s.is_zero:
+        raise ValueError("scaling weights by zero")
+    return BorderDecomposition(B.nvars, B.degree, [(w * s, form) for w, form in B.summands])
+
+
+def ref_top_order(B):
+    """The highest eps-order B's expansion can reach, read off EpsScalar
+    weights and their EpsPoly degrees, or None when some denominator is not
+    a power of eps: the reference ``decomp._top_order`` is checked against."""
+    top = None
+    for w, form in B.summands:
+        lists, den = _int_eps_row(form)
+        if any(den[:-1]) or w.den.valuation() < w.den.degree():
+            return None
+        t = w.num.degree() - w.den.degree() + B.degree * (max(map(len, lists)) - len(den))
+        top = t if top is None else max(top, t)
+    return top
+
+
+def ref_base_of_row(lists):
+    """The base direction of a form cleared to lists, as Fractions: the
+    leads at the lists' common valuation over the first nonzero lead.  The
+    reference ``decomp._base_of_row``'s integer keys are checked against."""
+    v = min(next(i for i, c in enumerate(x) if c) for x in lists if x)
+    leads = [x[v] if len(x) > v else 0 for x in lists]
+    first = next(x for x in leads if x)
+    return tuple(Fraction(x, first) for x in leads)
+
+
 def greedy_completion(vectors, n):
     """The standard vectors' indices that complete the independent vectors
     to a basis of Q^n, one rank per try: the scan that

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from math import comb, isqrt, log10, sqrt
@@ -27,6 +28,7 @@ from waring import (
     diagonalize,
     extract_local_cofactor,
     multiply_by_power,
+    normalize_border,
     paper_bound,
     partition_into_local,
     split_and_group,
@@ -138,7 +140,30 @@ def test_partition_group_convergence_is_checked():
     with pytest.raises(CertificateCheckError) as info:
         partition_into_local(B, f)
     assert info.value.check == "group-convergence"
-    assert "base" in info.value.witness
+    assert info.value.witness == {"base": ["1", "0"], "monomial": [1, 1]}
+    assert str(info.value) == (
+        "the group based at (Fraction(1, 1))*x0 has a pole of order 1 at eps = 0")
+
+
+def test_group_convergence_names_the_base_over_its_first_entry():
+    # the same cancellation between the bases a = 2x - 3y and b = 5y: the
+    # groups (a + eps b)^2 - a^2 and b^2 - (b + eps a)^2, over eps^2, each
+    # have a pole of order 1; the witness names a over its first entry
+    def form(p, q, moving):
+        return lf(*[EpsScalar.from_rational(x) + (y * eps(1) if moving else 0)
+                    for x, y in zip(p, q)])
+
+    a, b = (2, -3), (0, 5)
+    w = eps(-2)
+    B = BorderDecomposition(2, 2, ((w, form(a, b, True)), (-w, form(a, b, False)),
+                                   (-w, form(b, a, True)), (w, form(b, a, False))))
+    f = mono(2, (0, 2), 16) + mono(2, (1, 1), 12) - mono(2, (2, 0), 4)
+    assert check_border(B, f).ok
+    with pytest.raises(CertificateCheckError) as info:
+        partition_into_local(B, f)
+    assert info.value.witness == {"base": ["1", "-3/2"], "monomial": [1, 1]}
+    assert str(info.value) == ("the group based at (Fraction(1, 1))*x0 + "
+                               "(Fraction(-3, 2))*x1 has a pole of order 1 at eps = 0")
 
 
 def partition_outcome(B, f, full=False):
@@ -248,7 +273,7 @@ def test_partition_runs_once_per_two_base_level(monkeypatch, make, two_base_leve
     f, B = make()
     deborder(f, B, cfg)
     assert len(calls) == two_base_levels
-    assert all(len({_base_of_row(lists) for _, lists, _ in Bk.cleared}) == 2 for Bk in calls)
+    assert all(len({_base_of_row(lists) for _, _, lists, _ in Bk.cleared}) == 2 for Bk in calls)
 
 
 # -- local cofactor ---------------------------------------------------------
@@ -884,8 +909,8 @@ def test_a_held_laurent_certificate_is_never_cleared_again_or_rebuilt(monkeypatc
 
 
 def test_the_forced_split_still_builds_weight_scalars(monkeypatch):
-    # the derivative certificates' weights and the branch scaling stay
-    # EpsScalar arithmetic, which the bench's families layer records
+    # the derivative certificates' weights stay EpsScalar arithmetic, which
+    # the bench's families layer records; the branch scaling is on integers
     f, B = gen_multibase(5)
     cleared, rebuilt, built, gcds = count_clearing_and_scalars(monkeypatch)
     W, report = deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))
@@ -893,3 +918,25 @@ def test_the_forced_split_still_builds_weight_scalars(monkeypatch):
     assert any(t.branch_k for t in report.trace)  # derivative branches ran
     assert (cleared, rebuilt) == ([], [])
     assert built and gcds
+
+
+def test_expanding_and_normalizing_clear_no_weight_again(monkeypatch):
+    # each weight is cleared once, when the certificate is built: expansions
+    # at every cut and normalization read the rows as they stand
+    import waring
+    from test_diagonalize import load_bench_workloads
+
+    inputs = load_bench_workloads().build_families(waring, 7, False).inputs
+    calls = []
+    for info in pkgutil.iter_modules(waring.__path__):
+        mod = importlib.import_module(f"waring.{info.name}")
+        real = getattr(mod, "_int_eps_row", None)
+        if real is not None:
+            monkeypatch.setattr(mod, "_int_eps_row",
+                                lambda row, real=real: calls.append(row) or real(row))
+    for _, _, B, _ in inputs:
+        for C in (B, normalize_border(B)):
+            for t in (0, 1, None):
+                C.expand(through=t)
+    monkeypatch.undo()
+    assert calls == []

@@ -31,7 +31,7 @@ from waring import (
     verify_waring,
 )
 from waring import poly
-from waring.decomp import _partial_coefficient_rows
+from waring.decomp import _base_of_row, _partial_coefficient_rows, _top_order
 from waring.linalg import rat_inverse
 from waring.oracle import gen_random, gen_tangent, gen_multibase
 from conftest import (
@@ -46,9 +46,12 @@ from conftest import (
     ref_multiply_by_power,
     ref_check_border,
     ref_normalize_border,
+    ref_base_of_row,
     ref_partial_rows,
+    ref_scale_weights,
     ref_substitute,
     ref_substitute_form,
+    ref_top_order,
     ref_waring_expand,
     repeated_product,
     unit_denominator_tangent,
@@ -790,8 +793,10 @@ def assert_held_as_cleared(C):
 def assert_steps_match_the_scalar_references(B, rows, kill):
     """expand, normalize_border, substitute, restrict_vars_zero and
     take_vars on the rows B holds, each against its reference on B's
-    summands as EpsScalars."""
+    summands as EpsScalars, and B's weight rows
+    (``assert_weights_held_as_rows``)."""
     assert_held_as_cleared(B)
+    assert_weights_held_as_rows(B)
     assert_same_expansion(B)
     assert_normalizes_like_the_reference(B)
     assert_held_as_cleared(normalize_border(B))
@@ -862,3 +867,75 @@ def test_row_steps_on_the_corpus_match_the_scalar_references(make):
     assert_steps_match_the_scalar_references(B, rows, {0})
     assert_steps_match_the_scalar_references(B, [[eps(i - j) if i >= j else F(0) for j in range(n)]
                                                  for i in range(n)], {n - 1})
+
+
+# -- weights held as rows, base directions as integer keys --------------------
+
+
+def assert_weights_held_as_rows(B):
+    """B holds only ints and int lists, rebuilds from its summands with the
+    same hash, and scale_weights and _top_order agree with their EpsScalar
+    references; scale_weights takes rationals only."""
+    for wl, wden, lists, den in B.cleared:
+        assert all(type(c) is int for x in (wl, wden, den, *lists) for c in x)
+    assert_held_as_cleared(B)
+    assert _top_order(B) == ref_top_order(B)
+    for s in (1, -2, F(3, 4), F(-5, 6)):
+        S, R = B.scale_weights(s), ref_scale_weights(B, s)
+        assert S == R and hash(S) == hash(R)
+        assert [w for w, _ in S.summands] == [w for w, _ in R.summands]
+    for s in (eps(1), EpsScalar.from_rational(2)):
+        with pytest.raises(TypeError):
+            B.scale_weights(s)
+    with pytest.raises(ValueError):
+        B.scale_weights(0)
+
+
+@settings(max_examples=100)
+@given(check_cases())
+def test_weight_rows_match_the_scalar_references(case):
+    B, _ = case
+    for C in (B, normalize_border(B), compose_with_unit_denominators(B)):
+        assert_weights_held_as_rows(C)
+
+
+@st.composite
+def lead_lists(draw, leads):
+    """Integer eps-lists whose leads at their common valuation are leads:
+    a valuation of 0 to 3, tails of any sign, a zero lead's list empty or of
+    higher valuation; no trailing zeros."""
+    v = draw(st.integers(0, 3))
+    out = []
+    for a in leads:
+        x = [0] * v + [a] + draw(st.lists(st.integers(-9, 9), max_size=2))
+        while x and not x[-1]:
+            x.pop()
+        out.append(x)
+    return out
+
+
+@st.composite
+def base_row_pairs(draw):
+    """Two forms' lists in the same number of variables; the second's leads
+    are often the first's times a nonzero integer of either sign."""
+    n = draw(st.integers(1, 4))
+    leads = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any))
+    if draw(st.booleans()):
+        k = draw(st.integers(-4, 4).filter(bool))
+        other = [k * a for a in leads]
+    else:
+        other = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any))
+    return draw(lead_lists(leads)), draw(lead_lists(other))
+
+
+@settings(max_examples=200)
+@given(base_row_pairs())
+def test_base_keys_match_the_fraction_reference(pair):
+    a, b = pair
+    keys = [_base_of_row(x) for x in pair]
+    assert (keys[0] == keys[1]) == (ref_base_of_row(a) == ref_base_of_row(b))
+    for key, lists in zip(keys, pair):
+        assert all(type(c) is int for c in key)
+        first = next(c for c in key if c)
+        assert first > 0 and gcd(*key) == 1
+        assert tuple(F(c, first) for c in key) == ref_base_of_row(lists)

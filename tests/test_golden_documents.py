@@ -18,6 +18,11 @@ degree, branch_i, branch_k) per step; they were recorded before the route
 functions were folded into one per-level unit.  The two random certificates
 are the only golden inputs that take the nonlocal route (random5_3_5_s8 at
 y_size 1) or hold a top-level local group of rank 1 (random4_5_5_s21).
+The pins of osculating6_3, unit_denominator and composed_dense_n4_r9 were
+recorded before border certificates held their weights as cleared rows:
+osculating6_3 at the forced split runs a dense solve of degree 2 inside a
+derivative branch, and the other two carry the non-monomial denominator
+1 + eps through the local route and through nonlocal splits.
 """
 
 import hashlib
@@ -46,7 +51,7 @@ from waring import (
 from waring.linalg import rat_inverse
 from waring.poly import falling_factorial, monomials_of_degree
 from waring.serialize import dumps_document, eps_scalar_to_json, rational_to_str
-from conftest import unit_denominator_tangent
+from conftest import compose_with_unit_denominators, unit_denominator_tangent
 
 CONFIGS = {
     "default": DeborderConfig(),
@@ -57,9 +62,12 @@ CONFIGS = {
 
 GENERATORS = {f"tangent{d}": (gen_tangent, (d,)) for d in range(3, 9)}
 GENERATORS["osculating6_2"] = (gen_osculating, (6, 2))
+GENERATORS["osculating6_3"] = (gen_osculating, (6, 3))
 GENERATORS["multibase5"] = (gen_multibase, (5,))
 GENERATORS["random5_3_5_s8"] = (gen_random, (5, 3, 5, 8))
 GENERATORS["random4_5_5_s21"] = (gen_random, (4, 5, 5, 21))
+GENERATORS["unit_denominator"] = (unit_denominator_tangent, ())
+GENERATORS["composed_dense_n4_r9"] = (lambda: composed_dense_certificate(21, 4, 3, (1, 2), 4), ())
 
 SHA256 = {
     ("tangent3", "default"): "ee37282d48af9a5d630dc3bc58de99fdd3f6b4a6d8f9aeaa59f620ed9bcd14b7",
@@ -80,6 +88,10 @@ SHA256 = {
     ("multibase5", "split"): "155daa0149ee7aa0d015cdbd1742ba7f5ed66b2f04a0cb38eab6d1d5dac16cdf",
     ("random5_3_5_s8", "y1"): "64afaf01b1cce8ae3ce3f8a6e63da19dd09d2dd440104725eed6cc474f3ca333",
     ("random4_5_5_s21", "y2"): "0d3c5f03c1d3dcee9ee2adb762c0f75584bfa848dc91037ac323c5ffa4205336",
+    ("osculating6_3", "split"): "b2e76ac0372ee2c0dfa10d424c07b9dc16b456fe348166691f306ffd0e078d46",
+    ("unit_denominator", "default"): "ee37282d48af9a5d630dc3bc58de99fdd3f6b4a6d8f9aeaa59f620ed9bcd14b7",
+    ("unit_denominator", "split"): "ecf0a36526da840644eb02122a13256b56a5e7701cbefbbf2c06f0a814127f03",
+    ("composed_dense_n4_r9", "split"): "0f373246a687bbbfd557439137da15c648578b91c2439585697a0cc18586f4b0",
 }
 
 # (case, rank, degree, branch_i, branch_k) of every recursion step
@@ -100,6 +112,20 @@ TRACES = {
     ("random5_3_5_s8", "y1"): [
         ("NONLOCAL", 5, 3, 0, 0), ("BASE", 5, 3, 0, 0), ("LOCAL", 1, 2, 1, 1),
         ("LOCAL", 1, 1, 1, 2), ("LOCAL", 1, 2, 2, 1), ("LOCAL", 1, 1, 2, 2),
+    ],
+    ("osculating6_3", "split"): [
+        ("LOCAL", 4, 6, 0, 0), ("LOCAL", 3, 3, 1, 3), ("BASE", 3, 2, 1, 3),
+    ],
+    ("unit_denominator", "default"): [("LOCAL", 2, 3, 0, 0), ("BASE", 2, 1, 0, 0)],
+    ("unit_denominator", "split"): [
+        ("LOCAL", 2, 3, 0, 0), ("BASE", 2, 1, 0, 0), ("LOCAL", 1, 2, 1, 1),
+    ],
+    ("composed_dense_n4_r9", "split"): [
+        ("NONLOCAL", 9, 3, 0, 0), ("BASE", 9, 3, 0, 0), ("NONLOCAL", 5, 2, 1, 1),
+        ("BASE", 5, 2, 1, 1), ("LOCAL", 1, 1, 1, 1), ("LOCAL", 1, 1, 2, 1),
+        ("BASE", 4, 1, 1, 2), ("NONLOCAL", 5, 2, 2, 1), ("BASE", 5, 2, 2, 1),
+        ("LOCAL", 1, 1, 1, 1), ("BASE", 4, 1, 2, 2), ("BASE", 4, 2, 3, 1),
+        ("BASE", 3, 1, 3, 2),
     ],
 }
 for _d in range(3, 9):
@@ -209,6 +235,13 @@ def dense_certificate(seed, n, d, orders, plain):
             continue
         break
     return f.substitute_linear(A), BorderDecomposition(n, d, tuple(summands)).substitute(A)
+
+
+def composed_dense_certificate(*args):
+    """A dense certificate composed with I + eps/(1+eps) N: its forms carry
+    the denominator 1 + eps, and its limit is unchanged."""
+    f, B = dense_certificate(*args)
+    return f, compose_with_unit_denominators(B)
 
 
 EXPANSION_INPUTS = {
