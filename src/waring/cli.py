@@ -49,12 +49,11 @@ MAX_CATALECTICANT_ENTRIES = 60_000
 # draws on 5 of 8 seeds at 3 variables, degree 4).
 MAX_RANDOM_RANK = 16
 
-# `bound` prints at most this many decimal digits, Python's default limit on
-# converting an int to a string, whatever limit the interpreter runs under
-# (none under PYTHONINTMAXSTRDIGITS=0 or before Python 3.10.7).  At d = 3
-# the first r past it is 11262; the last one inside it, 11261, took 5.3 s
-# to compute on a 2-vCPU host.
-MAX_BOUND_DIGITS = 4300
+# `bound` prints at most this many decimal digits, whatever limit the
+# interpreter puts on converting an int to a string.  At d = 3 the last r
+# inside it, 4645, took 0.93 s to compute (median of 3, 2-vCPU host); at
+# 4,300 digits, Python's default limit, r = 11261 took 4.7 s.
+MAX_BOUND_DIGITS = 2500
 
 
 def _out(obj) -> None:

@@ -9,7 +9,8 @@ each recursion step took.
 
 The recursion, per level (``_Level``; the route rule is in ``_Level._step``):
 
-1. rotate away inessential variables;
+1. restrict f and the certificate to the essential variables of f, exactly,
+   since f is constant along the kernel of its first partials;
 2. if degree >= rank - 1, partition the summands by the direction their
    forms degenerate to; each local group converges on its own, and once
    diagonalized its limit is x0**(degree - rank + 1) * g (both checked, not
@@ -41,8 +42,8 @@ each group through eps**0; the recursion calls it only at a local level
 whose summands degenerate to two or more directions.  A level whose
 summands share one direction is its own group and is not re-expanded: its
 convergence and limit are those of the certificate verified where it
-entered (the input or a branch), and the exact rotation and restriction
-in between keep both.
+entered (the input or a branch), and the exact restrictions in between
+keep both.
 Steps between these points (the diagonalization of a group or of a
 nonlocal level, differentiation, restriction, the dense solve, the Y/Z
 split) are not re-expanded: a fault in one surfaces at the next check, at
@@ -478,16 +479,15 @@ class _Level:
         self.trace.append(TraceRecord(case, rank, degree, *self.branch))
 
     def solve(self, f: HomoPoly, B: BorderDecomposition) -> WaringDecomposition:
-        """Rotate away inessential variables; then, when degree >= rank - 1,
-        take each local group with a nonzero limit through ``_step``, else
-        the whole certificate in one nonlocal ``_step``.  Summands of one
-        base direction are the one group (B, f), with no partition."""
+        """Restrict f and B to the essential variables of f; then, when
+        degree >= rank - 1, take each local group with a nonzero limit
+        through ``_step``, else the whole certificate in one nonlocal
+        ``_step``; map the result back through T**-1.  Summands of one base
+        direction are the one group (B, f), with no partition."""
         if self.fuel <= 0:
             raise InvariantError("recursion did not terminate within the rank budget")
         n = f.nvars
-        f1, B1, T, N = essential_reduce(f, B)
-        if N < n:
-            f, B = f1.take_vars(N), restrict_vars_zero(B1, range(N, n)).take_vars(N)
+        f, B, T, N = essential_reduce(f, B)
         if f.degree >= B.rank() - 1:
             groups = [(B, f)] if is_local(B) is not None else partition_into_local(B, f)
             W = _concat(

@@ -22,9 +22,9 @@ moved into the weight, denominators are cleared from the form (a unit at 0,
 absorbed by the weight), and form tails that provably cannot affect the limit
 are cut.  ``check_border`` reads the residual order off each expanded
 coefficient's numerator and denominator, without building the difference.
-``essential_reduce`` rotates away variables the target polynomial does not
-genuinely use; its frame is the kernel of f's partials, completed to a basis
-by standard vectors read off one echelon (``linalg._basis_completion``).
+``essential_reduce`` restricts f and its certificate to the variables f
+genuinely uses, exactly, as f is constant along the kernel of its partials;
+the kept variables complete that kernel to a basis (``_basis_completion``).
 """
 
 from __future__ import annotations
@@ -407,12 +407,13 @@ def essential_rank(f: HomoPoly) -> int:
 def essential_reduce(
     f: HomoPoly, B: BorderDecomposition
 ) -> Tuple[HomoPoly, BorderDecomposition, List[List[Fraction]], int]:
-    """Rotate coordinates so f uses only its essential variables.
+    """Restrict f and B to the essential variables of f.
 
-    Returns (f', B', T, N) with f' = f(Tx) supported on the first N variables,
-    B' the certificate composed with the same T, and T exactly invertible over
-    Q.  N is the rank of the span of first partials of f.  A valid certificate
-    always satisfies N <= B.rank(); violation raises InvariantError.
+    Returns (f', B', T, N).  N is the rank of the span of f's first partials;
+    T = [e_J | K] is exactly invertible over Q, K spanning the directions f
+    is constant along.  f', B' are f, B in the N variables of J, ascending,
+    the others set to zero: exactly f(Tx), B(Tx) on their first N variables,
+    as f(e_J a + K b) = f(e_J a).  N > B.rank() raises InvariantError.
     """
     if f.is_zero:
         raise ValueError("essential_reduce of the zero polynomial")
@@ -430,15 +431,15 @@ def essential_reduce(
     if N == n:
         T = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         return f, B, T, N
-    # columns: the standard vectors completing the kernel to a basis, then the kernel
-    cols = [[Fraction(1 if i == j else 0) for i in range(n)]
-            for j in _basis_completion(kernel, n)] + kernel
+    # columns: the standard vectors e_J completing the kernel to a basis, then the kernel
+    J = _basis_completion(kernel, n)
+    cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in J] + kernel
     T = [[cols[j][i] for j in range(n)] for i in range(n)]  # vectors as columns
-    f2 = f.substitute_linear(T)
-    if any(any(m[N:]) for m, _ in f2.items()):
-        raise InvariantError("essential reduction left a trailing variable in use")
-    B2 = B.substitute(T)
-    return f2, B2, T, N
+    drop = set(range(n)).difference(J)
+    f1 = {tuple(m[j] for j in J): c for m, c in f.restrict_zero(drop).items()}
+    B1 = [(wl, wden, [x[j] for j in J], den)
+          for wl, wden, x, den in restrict_vars_zero(B, drop).cleared]
+    return HomoPoly(N, f.degree, f1), BorderDecomposition._of_rows(N, B.degree, B1), T, N
 
 
 def restrict_vars_zero(B: BorderDecomposition, vars_to_zero) -> BorderDecomposition:

@@ -16,17 +16,21 @@ from waring import (
     EpsPoly,
     EpsScalar,
     HomoPoly,
+    InvariantError,
     LinearForm,
     PoleAtZero,
     check_border,
     diagonalize,
     is_local,
     normalize_border,
+    restrict_vars_zero,
     staircase_check,
 )
+from waring.decomp import _partial_coefficient_rows
 from waring.diagonal import Pivot
 from waring.epsilon import _eps_of, _int_eps_row
-from waring.linalg import EpsMatrix, rat_inverse, rat_rank, solve_vandermonde
+from waring.linalg import EpsMatrix, _basis_completion, rat_inverse, rat_nullspace, rat_rank
+from waring.linalg import solve_vandermonde
 
 
 # property tests run the same examples every time, write no example
@@ -420,6 +424,54 @@ def unit_denominator_tangent():
         (-w, LinearForm((EpsScalar.one(), EpsScalar.zero()))),
     ))
     return HomoPoly.monomial(2, (2, 1)), B
+
+
+def embed_certificate(f, B, rows):
+    """f and B padded with unused variables to len(rows), then composed with
+    the change of variables that replaces variable i by the form rows[i]."""
+    n = len(rows)
+    pad = (0,) * (n - f.nvars)
+    fn = HomoPoly(n, f.degree, {m + pad: c for m, c in f.items()}).substitute_linear(rows)
+    Bn = BorderDecomposition(n, B.degree, tuple(
+        (w, LinearForm(g + (F(0),) * len(pad))) for w, g in B.summands))
+    return fn, Bn.substitute([[EpsScalar.from_rational(x) for x in r] for r in rows])
+
+
+# inputs whose top level is inessential, as (x, y) -> (x - y, z) inside three
+# variables (kernel (1, 1, 0), kept coordinates 0 and 2), or, for the four
+# variables of gen_multibase, x0 -> x0 + x4 and x3 -> x3 - x4 inside five
+# (kernel (-1, 0, 0, 1, 1), which has entries on the kept coordinates 0..3)
+SHEAR_IN_3 = [[F(1), F(-1), F(0)], [F(0), F(0), F(1)], [F(0), F(1), F(0)]]
+SHEAR_IN_5 = [[F(x) for x in row] for row in [
+    [1, 0, 0, 0, 1],
+    [0, 1, 0, 0, 0],
+    [0, 0, 1, 0, 0],
+    [0, 0, 0, 1, -1],
+    [0, 0, 0, 0, 1],
+]]
+
+
+def ref_essential_reduce(f, B):
+    """essential_reduce by rotation: f(Tx) and B(Tx) for T = [e_J | K], K
+    the kernel of f's partials and e_J its completion, then restricted to
+    the first N variables, where they live."""
+    n = f.nvars
+    rows = _partial_coefficient_rows(f)
+    kernel = rat_nullspace([[rows[i][j] for i in range(n)] for j in range(len(rows[0]))])
+    N = n - len(kernel)
+    if N > B.rank():
+        raise InvariantError(
+            f"target has {N} essential variables but the certificate has rank {B.rank()}")
+    if N == n:
+        return f, B, [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)], N
+    cols = [[Fraction(1 if i == j else 0) for i in range(n)]
+            for j in _basis_completion(kernel, n)] + kernel
+    T = [[cols[j][i] for j in range(n)] for i in range(n)]
+    f2 = f.substitute_linear(T)
+    if any(any(m[N:]) for m, _ in f2.items()):
+        raise InvariantError("essential reduction left a trailing variable in use")
+    B2 = B.substitute(T)
+    return f2.take_vars(N), restrict_vars_zero(B2, range(N, n)).take_vars(N), T, N
 
 
 def ref_check_border(B, f):

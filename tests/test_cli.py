@@ -327,6 +327,8 @@ def test_bound_prints_the_frozen_ceiling():
 
 @pytest.fixture
 def str_digits_4300():
+    """Python's default limit on converting an int to a string, which every
+    ceiling `bound` prints fits under."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no integer string conversion limit")
     old = sys.get_int_max_str_digits()
@@ -336,15 +338,15 @@ def str_digits_4300():
 
 
 def test_bound_refuses_a_ceiling_past_the_printable_digits(str_digits_4300):
-    # at d = 2,000,000 the last printable r is the square 106**2 = 11236,
-    # whose ceiling is exact and has exactly 4300 digits
-    code, out, _ = run_cli(["bound", "--d", "2000000", "--r", "11236"])
+    # at d = 61,359,063 the last printable r is the square 68**2 = 4624,
+    # whose ceiling is exact and has exactly MAX_BOUND_DIGITS = 2500 digits
+    code, out, _ = run_cli(["bound", "--d", "61359063", "--r", "4624"])
     assert code == 0
-    assert out.strip() == str(paper_bound(2_000_000, 11236))
-    assert len(out.strip()) == 4300
+    assert out.strip() == str(paper_bound(61_359_063, 4624))
+    assert len(out.strip()) == MAX_BOUND_DIGITS == 2500
     # the next r, and the first r past the limit at d = 3, are refused
-    # before the ceiling is computed (which would take seconds)
-    for d, r, digits in (("2000000", "11237", 4301), ("3", "11262", 4301), ("3", "12100", 4492)):
+    # before the ceiling is computed (which would take about a second)
+    for d, r, digits in (("61359063", "4625", 2501), ("3", "4646", 2501), ("3", "12100", 4492)):
         t0 = time.perf_counter()
         code, out, err = run_cli(["bound", "--d", d, "--r", r])
         assert time.perf_counter() - t0 < 1.0
@@ -368,7 +370,7 @@ def no_str_digits_limit():
 def test_bound_ceiling_does_not_depend_on_the_interpreter(no_str_digits_limit):
     # the ceiling is refused from its digit count alone, before it is computed
     past = MAX_BOUND_DIGITS + 1
-    for d, r, digits in (("3", "11262", past), ("3", "12100", 4492),
+    for d, r, digits in (("3", "4646", past), ("3", "12100", 4492),
                          (str(10**MAX_BOUND_DIGITS), "1", past)):
         t0 = time.perf_counter()
         code, out, err = run_cli(["bound", "--d", d, "--r", r])

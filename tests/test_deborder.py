@@ -26,6 +26,8 @@ from waring import (
     deborder,
     dense_decompose,
     diagonalize,
+    essential_rank,
+    essential_reduce,
     extract_local_cofactor,
     multiply_by_power,
     normalize_border,
@@ -42,16 +44,19 @@ from waring.oracle import (
     sylvester_rank,
 )
 from waring.decomp import _base_of_row
-from waring.linalg import rat_solve
+from waring.linalg import rat_rank, rat_solve
 from waring.poly import monomials_of_degree
 from waring.serialize import dumps_document
 from conftest import (
     F,
+    SHEAR_IN_3,
     assert_staircase_invariants,
     compose_with_unit_denominators,
+    embed_certificate,
     eps,
     lf,
     mono,
+    ref_essential_reduce,
     unit_denominator_tangent,
 )
 from test_golden_documents import GENERATORS, dense_certificate
@@ -709,6 +714,7 @@ def test_deborder_achieved_ranks_bounded_by_input_data():
 # the run.
 
 _DEBORDER = importlib.import_module("waring.deborder")
+_DECOMP = importlib.import_module("waring.decomp")
 
 
 def test_fault_in_diagonalized_weights_is_caught_by_the_branch_check(monkeypatch):
@@ -770,6 +776,26 @@ def test_fault_in_diagonalized_limit_is_caught_by_the_result_check(monkeypatch):
     # result is then checked against f itself
     with pytest.raises(InvariantError, match="does not expand to"):
         deborder(f, B)
+
+
+@pytest.mark.parametrize("cfg", [DeborderConfig(), DeborderConfig(y_size=1, base_threshold=1)],
+                         ids=["default", "split"])
+def test_fault_in_the_essential_kernel_is_caught_by_the_result_check(monkeypatch, cfg):
+    real = _DECOMP.rat_nullspace
+
+    def shifted(rows):
+        kernel = real(rows)
+        if kernel:
+            kernel[0][1] += 1
+        return kernel
+
+    # (x - y)^4 z in three variables: the kernel (1, 1, 0) becomes (1, 2, 0),
+    # whose completion is still e_0, e_2, so the restricted pair is the true
+    # one and only the way back through T is wrong
+    f, B = embed_certificate(*gen_tangent(5), SHEAR_IN_3)
+    monkeypatch.setattr(_DECOMP, "rat_nullspace", shifted)
+    with pytest.raises(InvariantError, match="assembled decomposition does not expand to the target"):
+        deborder(f, B, cfg)
 
 
 def test_fault_in_a_derivative_certificate_is_caught_by_the_branch_check(monkeypatch):
@@ -857,6 +883,86 @@ def test_split_run_verifies_each_branch_once_each_way(monkeypatch):
     targets = [args[1] for args in borders[1:]]
     assert all(any(h == t for t in targets) for _, h in results[:-1])
     assert results[-1][1] == f
+
+
+# -- inessential variables are restricted away, not rotated ----------------
+
+
+@st.composite
+def essential_cases(draw):
+    """A families or gen_random certificate, perhaps composed with unit
+    denominators, and perhaps embedded by a random invertible rational matrix
+    into one or two more variables, which makes its top level inessential."""
+    kind = draw(st.sampled_from(["tangent", "osculating", "multibase", "random"]))
+    if kind == "tangent":
+        f, B = gen_tangent(draw(st.integers(3, 5)))
+    elif kind == "osculating":
+        d = draw(st.integers(3, 5))
+        f, B = gen_osculating(d, draw(st.integers(2, d - 1)))
+    elif kind == "multibase":
+        f, B = gen_multibase(draw(st.integers(3, 4)))
+    else:
+        shape = draw(st.sampled_from([(2, 3, 3), (2, 4, 3), (3, 2, 3)]))
+        f, B = gen_random(*shape, seed=draw(st.integers(0, 11)))
+    if draw(st.booleans()):
+        B = compose_with_unit_denominators(B)
+    extra = draw(st.integers(0, 2))
+    if extra:
+        n = f.nvars + extra
+        entry = st.fractions(-1, 1, max_denominator=2)
+        M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+                 .filter(lambda M: rat_rank(M) == n))
+        f, B = embed_certificate(f, B, M)
+    return f, B
+
+
+@settings(max_examples=20)
+@given(essential_cases())
+def test_restriction_matches_the_rotation_reference(case):
+    f, B = case
+    f1, B1, T, N = essential_reduce(f, B)
+    g1, C1, U, M = ref_essential_reduce(f, B)
+    assert (T, N) == (U, M)
+    assert (f1.nvars, list(f1.items())) == (g1.nvars, list(g1.items()))
+    assert (B1.nvars, B1.cleared) == (C1.nvars, C1.cleared)
+    for cfg in (DeborderConfig(), DeborderConfig(y_size=1, base_threshold=1)):
+        W, report = deborder(f, B, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DEBORDER, "essential_reduce", ref_essential_reduce)
+            W2, report2 = deborder(f, B, cfg)
+        assert dumps_document("waring", W2) == dumps_document("waring", W)
+        assert report2 == report
+
+
+def _count_method_calls(monkeypatch, cls, name):
+    real = getattr(cls, name)
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_families_substitute_only_for_the_diagonalized_limit(monkeypatch):
+    # restriction builds no f(Tx) and no B(Tx): the one substitution left on
+    # the way down is each diagonalize call's limit f(Ax)
+    import waring
+    from test_diagonalize import load_bench_workloads
+
+    inputs = load_bench_workloads().build_families(waring, 1, False).inputs
+    border_subs = _count_method_calls(monkeypatch, BorderDecomposition, "substitute")
+    poly_subs = _count_method_calls(monkeypatch, HomoPoly, "substitute_linear")
+    staircases = _count_calls(monkeypatch, "diagonalize")
+    levels = _count_calls(monkeypatch, "essential_reduce")
+    for _, f, B, cfg in inputs:
+        deborder(f, B, cfg)
+    monkeypatch.undo()
+    assert {cfg.y_size for *_, cfg in inputs} == {None, 1}  # the default and the forced split
+    assert any(essential_rank(f) < f.nvars for f, _ in levels)  # some level is inessential
+    assert border_subs == [] and len(poly_subs) == len(staircases)
 
 
 # -- a held certificate is cleared once ----------------------------------------

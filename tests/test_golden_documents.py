@@ -23,6 +23,14 @@ recorded before border certificates held their weights as cleared rows:
 osculating6_3 at the forced split runs a dense solve of degree 2 inside a
 derivative branch, and the other two carry the non-monomial denominator
 1 + eps through the local route and through nonlocal splits.
+The pins of tangent5_in3, osculating6_3_in3, multibase5_in5 and
+unit_multibase5_in5 were recorded while inessential variables were still
+rotated away (f and B composed with T = [e_J | K], then restricted) rather
+than restricted away.  They are the only golden inputs whose top level is
+inessential: tangent5 and osculating6_3 under (x, y) -> (x - y, z) keep the
+coordinates 0 and 2, not a prefix, and multibase5 in five variables has a
+kernel (-1, 0, 0, 1, 1) with entries on the kept coordinates;
+unit_multibase5_in5 carries the denominator 1 + eps through that restriction.
 """
 
 import hashlib
@@ -51,7 +59,13 @@ from waring import (
 from waring.linalg import rat_inverse
 from waring.poly import falling_factorial, monomials_of_degree
 from waring.serialize import dumps_document, eps_scalar_to_json, rational_to_str
-from conftest import compose_with_unit_denominators, unit_denominator_tangent
+from conftest import (
+    SHEAR_IN_3,
+    SHEAR_IN_5,
+    compose_with_unit_denominators,
+    embed_certificate,
+    unit_denominator_tangent,
+)
 
 CONFIGS = {
     "default": DeborderConfig(),
@@ -68,6 +82,10 @@ GENERATORS["random5_3_5_s8"] = (gen_random, (5, 3, 5, 8))
 GENERATORS["random4_5_5_s21"] = (gen_random, (4, 5, 5, 21))
 GENERATORS["unit_denominator"] = (unit_denominator_tangent, ())
 GENERATORS["composed_dense_n4_r9"] = (lambda: composed_dense_certificate(21, 4, 3, (1, 2), 4), ())
+GENERATORS["tangent5_in3"] = (lambda: embed_certificate(*gen_tangent(5), SHEAR_IN_3), ())
+GENERATORS["osculating6_3_in3"] = (lambda: embed_certificate(*gen_osculating(6, 3), SHEAR_IN_3), ())
+GENERATORS["multibase5_in5"] = (lambda: embed_certificate(*gen_multibase(5), SHEAR_IN_5), ())
+GENERATORS["unit_multibase5_in5"] = (lambda: unit_multibase5_in5(), ())
 
 SHA256 = {
     ("tangent3", "default"): "ee37282d48af9a5d630dc3bc58de99fdd3f6b4a6d8f9aeaa59f620ed9bcd14b7",
@@ -92,6 +110,13 @@ SHA256 = {
     ("unit_denominator", "default"): "ee37282d48af9a5d630dc3bc58de99fdd3f6b4a6d8f9aeaa59f620ed9bcd14b7",
     ("unit_denominator", "split"): "ecf0a36526da840644eb02122a13256b56a5e7701cbefbbf2c06f0a814127f03",
     ("composed_dense_n4_r9", "split"): "0f373246a687bbbfd557439137da15c648578b91c2439585697a0cc18586f4b0",
+    ("tangent5_in3", "default"): "083ad31057372ae1db74312dd2c9804e37bed436ca5cfb6c8a6d041e3c9ddd2d",
+    ("tangent5_in3", "split"): "090222c5b0c066ebcd41446d7962d9268cc78b748aa6208ede1bf237d36f1d2b",
+    ("osculating6_3_in3", "default"): "32b6cf403871bfb5f5d410f18f1c62b5886eaa47e3616b3209440de98f107c40",
+    ("osculating6_3_in3", "split"): "e6bed004276f5656b1ce6e3d0a85ae08701e18f2fa2a9a4d534b33cca40128c5",
+    ("multibase5_in5", "default"): "de6411c1360870bcebd31df6d277cd4c22ed49964ff76b04aaef9bfda9ed2cc9",
+    ("multibase5_in5", "split"): "9aefaf70e47d0d977a19ba317b9655abdb4bcb30c5c2b8ad75274846ededf739",
+    ("unit_multibase5_in5", "split"): "9aefaf70e47d0d977a19ba317b9655abdb4bcb30c5c2b8ad75274846ededf739",
 }
 
 # (case, rank, degree, branch_i, branch_k) of every recursion step
@@ -131,6 +156,13 @@ TRACES = {
 for _d in range(3, 9):
     TRACES[f"tangent{_d}", "default"] = [("LOCAL", 2, _d, 0, 0), ("BASE", 2, 1, 0, 0)]
     TRACES[f"tangent{_d}", "split"] = [("LOCAL", 2, _d, 0, 0), ("LOCAL", 1, _d - 1, 1, 1)]
+TRACES["tangent5_in3", "default"] = TRACES["tangent5", "default"]
+TRACES["tangent5_in3", "split"] = TRACES["tangent5", "split"]
+TRACES["osculating6_3_in3", "default"] = [("LOCAL", 4, 6, 0, 0), ("BASE", 4, 3, 0, 0)]
+TRACES["osculating6_3_in3", "split"] = TRACES["osculating6_3", "split"]
+TRACES["multibase5_in5", "default"] = TRACES["multibase5", "default"]
+TRACES["multibase5_in5", "split"] = TRACES["multibase5", "split"]
+TRACES["unit_multibase5_in5", "split"] = TRACES["multibase5", "split"]
 
 
 @pytest.mark.parametrize("name,config", sorted(SHA256))
@@ -241,6 +273,11 @@ def composed_dense_certificate(*args):
     """A dense certificate composed with I + eps/(1+eps) N: its forms carry
     the denominator 1 + eps, and its limit is unchanged."""
     f, B = dense_certificate(*args)
+    return f, compose_with_unit_denominators(B)
+
+
+def unit_multibase5_in5():
+    f, B = embed_certificate(*gen_multibase(5), SHEAR_IN_5)
     return f, compose_with_unit_denominators(B)
 
 
