@@ -513,6 +513,9 @@ class _Level:
         - otherwise the Y/Z split (``_split``), recorded NONLOCAL on a
           nonlocal level.
 
+        The result is mapped back to the level's coordinates through
+        A(0)**-1, a step skipped when the staircase frame is the identity.
+
         Since p <= r, the default width holds every pivot for r up to 100.
         So base_threshold changes a route only together with an explicit
         y_size (at a threshold of 2 or more), or at ranks above 100 with a
@@ -537,7 +540,10 @@ class _Level:
             if not local:
                 self.record("NONLOCAL", r, d)
             W = self._split(g, epow, D, r, y)
-        return W.substitute(D.base_change_inv)
+        inv = D.base_change_inv
+        if any(x != int(i == j) for i, row in enumerate(inv) for j, x in enumerate(row)):
+            W = W.substitute(inv)
+        return W
 
     def _dense(self, g: HomoPoly, p: int, epow: int, rank: int) -> WaringDecomposition:
         """Dense solve of g on its first p variables, times x0**epow."""

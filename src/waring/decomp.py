@@ -13,8 +13,8 @@ target.
 A border certificate holds each summand as one row: its weight and its
 form, each cleared once to integer eps-lists over one denominator.  Every
 step here reads and writes rows: ``expand``, ``scale_weights``,
-``substitute``, ``restrict_vars_zero``, ``take_vars``, ``normalize_border``
-and the integer base keys that group them (``_group_by_base``).
+``substitute``, ``restrict_vars_zero``, ``normalize_border`` and the
+integer base keys that group them (``_group_by_base``).
 
 ``normalize_border`` brings a border certificate to the working shape the
 diagonalization step expects: per summand, the eps-content of the form is
@@ -237,13 +237,6 @@ class BorderDecomposition:
         M, S = _int_eps_row([x for r in rows for x in r])
         return BorderDecomposition._of_rows(n, self.degree, [
             (*row[:2], *_substitute_row(*row[2:], M, S)) for row in self.cleared])
-
-    def take_vars(self, nvars: int) -> "BorderDecomposition":
-        """Drop trailing variables, which no form may use."""
-        if nvars > self.nvars or any(any(row[2][nvars:]) for row in self.cleared):
-            raise ValueError("take_vars cannot grow or drop a variable a form uses")
-        return BorderDecomposition._of_rows(nvars, self.degree, [
-            (wl, wden, lists[:nvars], den) for wl, wden, lists, den in self.cleared])
 
 
 class BorderCheck(NamedTuple):

@@ -50,12 +50,20 @@ multiplies its form by A's lists; its weight is carried unchanged.
 one scalar arithmetic left here is the derivative certificate's weight,
 w * (d)_order * c**order, cleared into its row; the families benchmark
 counts its scalars.
+
+When G is S times the identity, every reduced pivot, shifted by its
+valuation and rescaled, is already a standard vector and the padding is the
+rest of them in order, so A = A(0) = I.  Nothing then moves: no inverse is
+taken, the rows are the normalized ones in pivot order, the limit is f and
+the local check reuses the input's grouping.  The staircase is still
+asserted.  Tangent and osculating certificates take this route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -85,9 +93,10 @@ class Pivot:
     lists: List[List[int]]
     den: int
 
-    @property
+    @cached_property
     def lead(self) -> List[int]:
-        """den times the eps**valuation coefficients of the reduced vector."""
+        """den times the eps**valuation coefficients of the reduced vector,
+        computed on the first read and kept."""
         return _lowest(self.lists)[1]
 
 
@@ -229,9 +238,10 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     """Echelon-reduce and change variables into the staircase shape.
 
     The input is normalized first (idempotent), so callers may pass any
-    certificate that verifies against f.  All structural postconditions are
-    asserted; a failure raises InvariantError rather than returning a
-    malformed object.
+    certificate that verifies against f.  A frame G = S*I is the identity
+    change of variables, returned without inverting G or A(0), moving a row
+    or substituting f.  All structural postconditions are asserted; a
+    failure raises InvariantError rather than returning a malformed object.
     """
     if B.rank() == 0:
         raise ValueError("cannot diagonalize an empty decomposition")
@@ -239,7 +249,8 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         raise ValueError("target polynomial shape does not match the decomposition")
     Bn = normalize_border(B)
     n = Bn.nvars
-    local = len(_group_by_base(Bn)) == 1
+    groups = _group_by_base(Bn)
+    local = len(groups) == 1
 
     # normalized rows are over a positive integer: (lists, den[0])
     rows = [(lists, den[0]) for _, _, lists, den in Bn.cleared]
@@ -265,16 +276,23 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
             raise InvariantError("could not complete the pivot frame to a basis") from exc
         grows += [[[S] if i == j else [] for i in range(n)] for j in pad]
 
-    A = EpsMatrix([x for r in grows for x in r], [S]).inverse()
-    try:
-        A0 = A.at_zero()
-        A0_inv = rat_inverse(A0)
-    except (PoleAtZero, SingularMatrixError) as exc:
-        raise InvariantError("change of variables is not a unit at eps = 0") from exc
-
+    G = [x for r in grows for x in r]
     order = [pv.original_index for pv in pivots] + remaining
-    summands = [(*Bn.cleared[i][:2], *_substitute_row(rows[i][0], [rows[i][1]], A.lists, A.den))
-                for i in order]
+    moved = G != [[S] if i == j else [] for i in range(n) for j in range(n)]
+    if moved:
+        A = EpsMatrix(G, [S]).inverse()
+        try:
+            A0 = A.at_zero()
+            A0_inv = rat_inverse(A0)
+        except (PoleAtZero, SingularMatrixError) as exc:
+            raise InvariantError("change of variables is not a unit at eps = 0") from exc
+        summands = [(*Bn.cleared[i][:2], *_substitute_row(*Bn.cleared[i][2:], A.lists, A.den))
+                    for i in order]
+        limit = f.substitute_linear(A0)
+    else:
+        # G = S*I, so A = A(0) = I: the normalized rows are the staircase
+        A, A0 = EpsMatrix(G, [S]), [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        A0_inv, summands, limit = A0, [Bn.cleared[i] for i in order], f
     D = DiagonalizedDecomposition(
         decomposition=BorderDecomposition._of_rows(n, Bn.degree, summands),
         transform=A,
@@ -282,10 +300,11 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         base_change_inv=tuple(tuple(r) for r in A0_inv),
         pivots=tuple((k, pv.valuation) for k, pv in enumerate(pivots)),
         perm=tuple(order),
-        limit=f.substitute_linear(A0),
+        limit=limit,
     )
     staircase_check(D)
-    if local and list(_group_by_base(D.decomposition)) != [(1,) + (0,) * (n - 1)]:
+    if local and list(_group_by_base(D.decomposition) if moved else groups) != [
+            (1,) + (0,) * (n - 1)]:
         raise InvariantError("local input did not stay based at x0")
     return D
 

@@ -36,11 +36,12 @@ def _int_echelon(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], L
     pivot (1 at rank 0), and row k of the integer matrix m is the k-th
     echelon row from column pivots[k] on; entries left of that are stale.
     Each row is first scaled by the lcm of its denominators, which changes
-    neither the row space nor the pivots.  A step with pivot a replaces each
-    row r below it by (a*r - c*pivot_row) // prev, right of the pivot
-    column, with c the entry of r in that column and prev the previous
-    pivot; every entry is then a minor of the scaled matrix (Sylvester's
-    identity), so the division is exact.  Pivot columns and row swaps are
+    neither the row space nor the pivots; a row of ints is taken as it
+    stands.  A step with pivot a replaces each row r below it by
+    (a*r - c*pivot_row) // prev, right of the pivot column, with c the
+    entry of r in that column and prev the previous pivot; every entry is
+    then a minor of the scaled matrix (Sylvester's identity), so the
+    division is exact.  Pivot columns and row swaps are
     those of Gauss-Jordan.  Raises ValueError on rows of unequal length and
     TypeError on an entry that is not an int or a Fraction.
     """
@@ -49,6 +50,9 @@ def _int_echelon(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], L
     for r in rows:
         if len(r) != ncols:
             raise ValueError("matrix rows have unequal lengths")
+        if all(type(x) is int for x in r):
+            m.append(list(r))
+            continue
         for x in r:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"matrix entry {x!r} is not rational")

@@ -3,7 +3,7 @@
 import os
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 from hypothesis import settings
@@ -18,6 +18,7 @@ from waring import (
     HomoPoly,
     InvariantError,
     LinearForm,
+    NoPivotError,
     PoleAtZero,
     check_border,
     diagonalize,
@@ -27,10 +28,12 @@ from waring import (
     staircase_check,
 )
 from waring.decomp import _partial_coefficient_rows
-from waring.diagonal import Pivot
-from waring.epsilon import _eps_of, _int_eps_row
+from waring import diagonal
+from waring.diagonal import DiagonalizedDecomposition, Pivot
+from waring.epsilon import _eps_of, _int_eps_row, _lowest
 from waring.linalg import EpsMatrix, _basis_completion, rat_inverse, rat_nullspace, rat_rank
 from waring.linalg import solve_vandermonde
+from waring.poly import _substitute_row
 
 
 # property tests run the same examples every time, write no example
@@ -470,8 +473,59 @@ def ref_essential_reduce(f, B):
     f2 = f.substitute_linear(T)
     if any(any(m[N:]) for m, _ in f2.items()):
         raise InvariantError("essential reduction left a trailing variable in use")
-    B2 = B.substitute(T)
-    return f2.take_vars(N), restrict_vars_zero(B2, range(N, n)).take_vars(N), T, N
+    B2 = restrict_vars_zero(B.substitute(T), range(N, n))
+    return f2.take_vars(N), BorderDecomposition(N, B.degree, tuple(
+        (w, LinearForm(form[:N])) for w, form in B2.summands)), T, N
+
+
+def ref_diagonalize(B, f):
+    """diagonalize with every pivot frame G inverted: A = G**-1 by
+    ``EpsMatrix.inverse``, each row moved by ``_substitute_row`` and the
+    limit built as f(A(0) x), also when G = S*I.  The reference the
+    identity-frame route of ``diagonalize`` is checked against."""
+    Bn = normalize_border(B)
+    n = Bn.nvars
+    rows = [(lists, den[0]) for _, _, lists, den in Bn.cleared]
+    pivots = diagonal._Pivots()
+    remaining = list(range(len(rows)))
+    while remaining and len(pivots) < n:
+        try:
+            j, val, lists, den = diagonal._select_pivot([rows[i] for i in remaining], pivots)
+        except NoPivotError:
+            break
+        pivots.append(Pivot(remaining.pop(j), val, lists, den))
+    S = lcm(*(pv.den for pv in pivots))
+    grows = [[[c * (S // pv.den) for c in x[pv.valuation:]] for x in pv.lists] for pv in pivots]
+    if len(grows) < n:
+        pad = _basis_completion([_lowest(pv.lists)[1] for pv in pivots], n)
+        grows += [[[S] if i == j else [] for i in range(n)] for j in pad]
+    A = EpsMatrix([x for r in grows for x in r], [S]).inverse()
+    A0 = A.at_zero()
+    order = [pv.original_index for pv in pivots] + remaining
+    summands = [(*Bn.cleared[i][:2], *_substitute_row(*Bn.cleared[i][2:], A.lists, A.den))
+                for i in order]
+    return DiagonalizedDecomposition(
+        decomposition=BorderDecomposition._of_rows(n, Bn.degree, summands),
+        transform=A,
+        base_change=tuple(tuple(r) for r in A0),
+        base_change_inv=tuple(tuple(r) for r in rat_inverse(A0)),
+        pivots=tuple((k, pv.valuation) for k, pv in enumerate(pivots)),
+        perm=tuple(order),
+        limit=f.substitute_linear(A0),
+    )
+
+
+def assert_matches_ref_diagonalize(B, f):
+    """diagonalize(B, f) equals ref_diagonalize(B, f) field by field: the
+    rows, the transform's entries over Q(eps), both base changes, pivots,
+    perm and the limit's terms in order.  Returns the result."""
+    D, R = diagonalize(B, f), ref_diagonalize(B, f)
+    assert D.decomposition.cleared == R.decomposition.cleared
+    assert eps_matrix_rows(D.transform) == eps_matrix_rows(R.transform)
+    assert (D.base_change, D.base_change_inv) == (R.base_change, R.base_change_inv)
+    assert (D.pivots, D.perm) == (R.pivots, R.perm)
+    assert list(D.limit.items()) == list(R.limit.items())
+    return D
 
 
 def ref_check_border(B, f):

@@ -788,8 +788,8 @@ def assert_held_as_cleared(C):
 
 
 def assert_steps_match_the_scalar_references(B, rows, kill):
-    """expand, normalize_border, substitute, restrict_vars_zero and
-    take_vars on the rows B holds, each against its reference on B's
+    """expand, normalize_border, substitute and restrict_vars_zero on the
+    rows B holds, each against its reference on B's
     summands as EpsScalars, and B's weight rows
     (``assert_weights_held_as_rows``)."""
     assert_held_as_cleared(B)
@@ -813,14 +813,8 @@ def assert_steps_match_the_scalar_references(B, rows, kill):
                             for w, form in B.summands) if any(v)]
     assert R.expand() == B.expand().restrict_zero(kill)
     assert_held_as_cleared(R)
-    E = BorderDecomposition(B.nvars + 1, B.degree,
-                            [(w, LinearForm(f + (F(0),))) for w, f in B.summands])
-    assert E.take_vars(B.nvars) == B
     with pytest.raises(ValueError):
         restrict_vars_zero(B, [B.nvars])
-    if any(form[-1] for _, form in B.summands):
-        with pytest.raises(ValueError):
-            B.take_vars(B.nvars - 1)
 
 
 @st.composite

@@ -23,14 +23,20 @@ from waring import (
 from waring import diagonal
 from waring.epsilon import _eps_of
 from waring.linalg import EpsMatrix
-from waring.oracle import gen_multibase, gen_random, gen_tangent
+from waring.oracle import gen_multibase, gen_osculating, gen_random, gen_tangent
 from conftest import (
     F,
     RefPivot,
     RefPivots,
+    SHEAR_IN_3,
+    SHEAR_IN_5,
+    assert_matches_ref_diagonalize,
     assert_staircase_invariants,
+    compose_with_unit_denominators,
+    embed_certificate,
     eps,
     eps_matrix,
+    eps_matrix_rows,
     esc,
     field_rref,
     int_pivot,
@@ -38,6 +44,7 @@ from conftest import (
     mono,
     ref_reduce_vector,
 )
+from waring.epsilon import _lowest
 
 
 def kept_pivots(*pivots):
@@ -108,8 +115,10 @@ def test_diagonalize_cancelling_pair_still_finds_a_pivot():
 @pytest.mark.parametrize("fault,cause", [(-1, PoleAtZero), (1, SingularMatrixError)])
 def test_diagonalize_rejects_a_transform_that_is_not_a_unit_at_zero(monkeypatch, fault, cause):
     # the inverted pivot frame gets an eps**-1 (a pole) or an eps (singular
-    # at eps = 0) on its diagonal; the one elimination of A(0) must refuse it
-    f, B = gen_tangent(3)
+    # at eps = 0) on its diagonal; the one elimination of A(0) must refuse
+    # it.  The certificate's frame moves (A(0) is not I), so it is inverted
+    f, B = gen_random(2, 3, 3, seed=0)
+    assert diagonalize(B, f).base_change != ((1, 0), (0, 1))
     bad = eps_matrix([[EpsScalar.one(), EpsScalar.zero()], [EpsScalar.zero(), eps(fault)]])
     monkeypatch.setattr(EpsMatrix, "inverse", lambda self: bad)
     with pytest.raises(InvariantError, match="change of variables is not a unit at eps = 0") as info:
@@ -439,3 +448,129 @@ def test_span_check_clears_polynomial_denominators_per_vector():
     pivots, ref = kept_pivots(int_pivot(0, 0, u)), RefPivots([RefPivot(0, u)])
     assert pivots.spans(int_row(v)[0]) and ref.spans(v)
     assert not pivots.spans(int_row(w)[0]) and not ref.spans(w)
+
+
+# -- an identity frame moves nothing -------------------------------------------
+
+
+def families_levels():
+    """(B, f) of every diagonalize call a pass over the benchmark's families
+    inputs (seed 1) makes, at the default config and at the forced split."""
+    import importlib
+
+    import waring
+
+    module = importlib.import_module("waring.deborder")
+    inputs = load_bench_workloads().build_families(waring, 1, False).inputs
+    assert {cfg.y_size for *_, cfg in inputs} == {None, 1}
+    levels = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "diagonalize", lambda B, f: levels.append((B, f)) or
+                   diagonalize(B, f))
+        for _, f, B, cfg in inputs:
+            module.deborder(f, B, cfg)
+    return levels
+
+
+def is_identity_frame(D):
+    """The transform D made is I, entry by entry over Q(eps)."""
+    return all(x == int(i == j) for i, r in enumerate(eps_matrix_rows(D.transform))
+               for j, x in enumerate(r))
+
+
+def test_identity_frame_matches_the_inverted_frame_on_every_families_level():
+    levels = families_levels()
+    moved = [not is_identity_frame(assert_matches_ref_diagonalize(B, f)) for B, f in levels]
+    # both routes run: tangent and osculating levels keep their frame, the
+    # multibase local groups move theirs
+    assert True in moved and False in moved
+
+
+def reorder_summands(fB, perm):
+    f, B = fB
+    return f, BorderDecomposition(B.nvars, B.degree, tuple(B.summands[i] for i in perm))
+
+
+# x0 twice, then x1: the second x0 reduces to zero, so the pivot order
+# (0, 2, 1) is not the input order, while the frame is the identity
+REPEATED_FORM = (mono(2, (3, 0), 3) + mono(2, (0, 3), 3), BorderDecomposition(2, 3, (
+    (F(1), LinearForm.variable(2, 0)), (F(2), LinearForm.variable(2, 0)),
+    (F(3), LinearForm.variable(2, 1)))))
+
+
+def diagonalize_inputs():
+    """(f, B): random certificates, the same composed with a transform whose
+    forms carry the denominator 1 + eps, families certificates embedded in
+    more variables by a shear or a permutation of the variables, and
+    families certificates with their summands reordered."""
+    shapes = st.sampled_from([(2, 3, 3), (3, 3, 4), (2, 4, 2), (3, 4, 5), (4, 3, 4)])
+    random = st.tuples(shapes, st.integers(0, 11)).map(
+        lambda a: gen_random(*a[0], seed=a[1]))
+    composed = random.map(lambda fB: (fB[0], compose_with_unit_denominators(fB[1])))
+    families = st.sampled_from([gen_tangent(3), gen_tangent(5), gen_multibase(3)])
+    sheared = st.sampled_from([embed_certificate(*gen_tangent(5), SHEAR_IN_3),
+                               embed_certificate(*gen_multibase(3), SHEAR_IN_5)])
+    permuted = families.flatmap(lambda fB: st.permutations(range(fB[0].nvars + 1)).map(
+        lambda p: embed_certificate(*fB, [[F(int(j == i)) for j in p] for i in p])))
+    reordered = st.sampled_from([gen_tangent(3), gen_osculating(4, 2), gen_multibase(3),
+                                 REPEATED_FORM]).flatmap(
+        lambda fB: st.permutations(range(fB[1].rank())).map(lambda p: reorder_summands(fB, p)))
+    return st.one_of(random, composed, sheared, permuted, reordered)
+
+
+@given(diagonalize_inputs())
+@settings(max_examples=60)
+def test_identity_frame_matches_the_inverted_frame(fB):
+    f, B = fB
+    assert_matches_ref_diagonalize(B, f)
+
+
+def count_frame_work(monkeypatch):
+    """Lists that record each EpsMatrix.inverse, rat_inverse,
+    _substitute_row and HomoPoly.substitute_linear call diagonalize makes."""
+    calls = {"inverse": [], "rat_inverse": [], "_substitute_row": [], "substitute_linear": []}
+    for cls, name in ((EpsMatrix, "inverse"), (HomoPoly, "substitute_linear")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a, real=real, out=calls[name]: (
+            out.append(a) or real(self, *a)))
+    for name in ("rat_inverse", "_substitute_row"):
+        real = getattr(diagonal, name)
+        monkeypatch.setattr(diagonal, name, lambda *a, real=real, out=calls[name]: (
+            out.append(a) or real(*a)))
+    return calls
+
+
+def test_an_identity_frame_inverts_and_substitutes_nothing(monkeypatch):
+    calls = count_frame_work(monkeypatch)
+    for f, B in (gen_tangent(4), REPEATED_FORM):
+        D = diagonalize(B, f)
+        assert is_identity_frame(D) and D.limit is f
+    assert D.perm == (0, 2, 1)
+    assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
+
+
+def test_a_moving_frame_is_inverted_and_every_row_moved(monkeypatch):
+    calls = count_frame_work(monkeypatch)
+    f, B = gen_random(3, 3, 4, seed=1)
+    D = diagonalize(B, f)
+    assert not is_identity_frame(D)
+    assert {k: len(v) for k, v in calls.items()} == {
+        "inverse": 1, "rat_inverse": 1, "_substitute_row": B.rank(), "substitute_linear": 1}
+
+
+@given(st.sampled_from([(2, 3, 3), (3, 3, 4), (2, 4, 2), (3, 4, 5), (4, 3, 4)]),
+       st.integers(0, 11))
+@settings(max_examples=30)
+def test_a_pivot_lead_is_the_lowest_coefficients_of_its_lists(shape, seed):
+    # read after the whole search, each kept lead is still the eps**valuation
+    # coefficients of the pivot's reduced lists
+    made = []
+    real = diagonal._Pivots.append
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagonal._Pivots, "append", lambda self, pv: made.append(pv) or real(self, pv))
+        f, B = gen_random(*shape, seed=seed)
+        diagonalize(B, f)
+    assert made
+    for pv in made:
+        assert pv.lead == _lowest(pv.lists)[1]
+        assert vars(pv)["lead"] is pv.lead  # computed once, then kept

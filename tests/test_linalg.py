@@ -228,6 +228,19 @@ def test_ragged_rows_are_a_value_error(func, args):
 def test_entries_over_q_eps_are_a_type_error():
     with pytest.raises(TypeError):
         rat_rank([[EpsScalar.one(), EpsScalar.eps()]])
+    # a row of ints is taken as it stands; one entry of another kind, an
+    # EpsScalar or a float, sends its row through the check, after an
+    # all-int row or inside the first
+    for bad in (EpsScalar.eps(), 2.5):
+        for rows in ([[1, 2], [3, bad]], [[1, bad], [0, 1]]):
+            with pytest.raises(TypeError):
+                rat_rank(rows)
+            with pytest.raises(TypeError):
+                rat_solve(rows, [1, 0])
+            with pytest.raises(TypeError):
+                rat_inverse(rows)
+        with pytest.raises(TypeError):
+            rat_solve([[1, 2], [3, 4]], [1, bad])
 
 
 def rand_matrix(rng, rows, cols, height=6):

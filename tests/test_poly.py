@@ -198,17 +198,13 @@ def test_linearform_substitute_matches_poly_substitution():
 
 
 def test_linearform_restrict_and_windows():
-    # restriction and dropping variables act on a certificate's rows
+    # restriction acts on a certificate's rows; widening on a decomposition's
     form = lf(F(0), F(1), F(2))
     B = BorderDecomposition(3, 2, ((F(1), form),))
     assert restrict_vars_zero(B, [1]).summands[0][1] == (F(0), F(0), F(2))
     assert restrict_vars_zero(B, [1, 2]).rank() == 0
     wide = WaringDecomposition(3, 2, ((F(1), form),)).extend_vars(4)
     assert wide.summands[0][1].coefs == (F(0), F(1), F(2), F(0))
-    pair = BorderDecomposition(2, 2, ((F(1), lf(F(1), F(0))),))
-    assert pair.take_vars(1).summands[0][1] == (F(1),)
-    with pytest.raises(ValueError):
-        B.take_vars(2)
 
 
 def test_linearform_variable_and_derivative():
