@@ -41,7 +41,6 @@ from .oracle import (
 from .errors import (
     CertificateCheckError,
     DegenerateDecompositionError,
-    DrawsExhaustedError,
     InvariantError,
     NoPivotError,
     PoleAtZero,
@@ -122,7 +121,6 @@ __all__ = [
     "DeborderConfig",
     "DeborderReport",
     "DegenerateDecompositionError",
-    "DrawsExhaustedError",
     "DiagonalizedDecomposition",
     "EpsPoly",
     "EpsScalar",

@@ -1,8 +1,7 @@
 """Command-line pipeline: generate, deborder, verify, oracle, bound.
 
 Exit codes: 0 success / verified; 1 exact verification failed (a witness is
-printed); 2 malformed input or invalid parameters, including a random
-family whose draws all fail (``DrawsExhaustedError``); 3 a runtime-checked
+printed); 2 malformed input or invalid parameters; 3 a runtime-checked
 structural hypothesis failed, reported as a JSON line
 {"lemma": tag, "message": ..., "witness": ...} on standard error.
 
@@ -23,7 +22,6 @@ from .decomp import check_border
 from .errors import (
     CertificateCheckError,
     DegenerateDecompositionError,
-    DrawsExhaustedError,
     PoleAtZero,
     VerificationError,
 )
@@ -43,10 +41,10 @@ from .serialize import (
 # largest shipped input, multibase d = 12, needs 50,388.
 MAX_CATALECTICANT_ENTRIES = 60_000
 
-# `gen --family random` redraws up to 2000 certificates of --rank summands.
-# At this ceiling all 2000 draws (4 variables, degree 3, seed 7) took 7.1 s
-# on a 2-vCPU host; above it most draws have a pole (rank 20 ran out of
-# draws on 5 of 8 seeds at 3 variables, degree 4).
+# `gen --family random` builds and expands one certificate of --rank
+# summands.  At this ceiling and the costliest admitted shape (3 variables,
+# degree 61) a `gen` call took 0.8 s at seed 7 and 2.0-2.5 s at seeds 2 and
+# 20, whose largest blocks hold 15 and 16 summands (2-vCPU host, 3 runs).
 MAX_RANDOM_RANK = 16
 
 # `bound` prints at most this many decimal digits, whatever limit the
@@ -268,7 +266,7 @@ def main(argv=None) -> int:
         diag = {"lemma": exc.check, "message": str(exc), "witness": exc.witness}
         print(json.dumps(diag, sort_keys=True, default=str), file=sys.stderr)
         return 3
-    except (ValueError, DrawsExhaustedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

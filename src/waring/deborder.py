@@ -454,6 +454,11 @@ def deborder(
     return W, report
 
 
+def _is_identity(M) -> bool:
+    """Mapping back through the square rational matrix M changes nothing."""
+    return all(x == int(i == j) for i, row in enumerate(M) for j, x in enumerate(row))
+
+
 def _concat(pieces: List[WaringDecomposition], empty: str) -> WaringDecomposition:
     if not pieces:
         raise InvariantError(empty)
@@ -482,8 +487,9 @@ class _Level:
         """Restrict f and B to the essential variables of f; then, when
         degree >= rank - 1, take each local group with a nonzero limit
         through ``_step``, else the whole certificate in one nonlocal
-        ``_step``; map the result back through T**-1.  Summands of one base
-        direction are the one group (B, f), with no partition."""
+        ``_step``; map the result back through T**-1, a step skipped when T
+        is the identity.  Summands of one base direction are the one group
+        (B, f), with no partition."""
         if self.fuel <= 0:
             raise InvariantError("recursion did not terminate within the rank budget")
         n = f.nvars
@@ -496,7 +502,8 @@ class _Level:
             )
         else:
             W = self._step(f, B, local=False)
-        return W.extend_vars(n).substitute(rat_inverse(T)) if N < n else W
+        W = W.extend_vars(n) if N < n else W
+        return W if _is_identity(T) else W.substitute(rat_inverse(T))
 
     def _step(self, f: HomoPoly, B: BorderDecomposition, local: bool) -> WaringDecomposition:
         """Diagonalize B against f, decompose the limit, and map it back.
@@ -540,10 +547,7 @@ class _Level:
             if not local:
                 self.record("NONLOCAL", r, d)
             W = self._split(g, epow, D, r, y)
-        inv = D.base_change_inv
-        if any(x != int(i == j) for i, row in enumerate(inv) for j, x in enumerate(row)):
-            W = W.substitute(inv)
-        return W
+        return W if _is_identity(D.base_change_inv) else W.substitute(D.base_change_inv)
 
     def _dense(self, g: HomoPoly, p: int, epow: int, rank: int) -> WaringDecomposition:
         """Dense solve of g on its first p variables, times x0**epow."""

@@ -28,10 +28,6 @@ class ZeroDerivativeError(RuntimeError):
     """The requested derivative of the limit polynomial vanishes identically."""
 
 
-class DrawsExhaustedError(RuntimeError):
-    """A seeded generator ran out of draws before one gave a valid certificate."""
-
-
 class DegenerateDecompositionError(RuntimeError):
     """The expanded sum of a decomposition is identically zero against a nonzero target."""
 

@@ -8,8 +8,9 @@ they deliberately share no code with it beyond basic polynomial arithmetic.
 
 The generators build border certificates with known ranks: the tangent and
 osculating families (divided differences along x + i*eps*y), a two-base
-family on disjoint variable pairs, and seeded random certificates whose
-target is defined as the limit of the drawn sum.
+family on disjoint variable pairs, and seeded random certificates made of
+divided-difference blocks along random lines, whose poles cancel within
+each block; their target is the limit of the sum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 from .decomp import BorderDecomposition, check_border
 from .epsilon import EpsPoly, EpsScalar
-from .errors import DrawsExhaustedError, InvariantError
+from .errors import InvariantError
 from .linalg import rat_nullspace, rat_rank
 from .poly import HomoPoly, LinearForm, falling_factorial, monomials_of_degree
 
@@ -155,57 +156,51 @@ def _rand_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
 
 
-def _rand_eps_coef(rng: random.Random) -> EpsScalar:
-    """Polynomial in eps of degree <= 2, sparse, height <= 9; may be zero."""
-    terms = {}
-    for e in range(3):
-        if rng.random() < 0.6:
-            continue
-        terms[e] = _rand_rational(rng)
-    return EpsScalar.from_poly(EpsPoly(terms))
-
-
-# draws gen_random tries before it gives up
-_RANDOM_RETRIES = 2000
+def _rand_vector(rng: random.Random, n: int) -> Tuple[int, ...]:
+    """Nonzero integer vector, entries in [-3, 3]; a zero draw gets a 1..3 entry."""
+    v = [rng.randint(-3, 3) for _ in range(n)]
+    if not any(v):
+        v[rng.randrange(n)] = rng.randint(1, 3)
+    return tuple(v)
 
 
 def gen_random(
     nvars: int, degree: int, rank: int, seed: int = 0
 ) -> Tuple[HomoPoly, BorderDecomposition]:
-    """Seeded random certificate; the target is the limit of the drawn sum.
+    """Seeded certificate of divided-difference blocks; it verifies by construction.
 
-    Forms have eps-polynomial coefficients of degree <= 2 and height <= 9,
-    weights are c * eps^v with v in [-2, 2].  Draws whose sum has a pole at
-    eps = 0 or a zero limit are rejected, so every returned pair verifies by
-    construction.  When every draw is rejected it raises
-    DrawsExhaustedError.
+    Blocks hold k summands, k drawn from [2, min(left, degree + 1)] (1 for a
+    last single one).  With j = k - 1, c rational of height <= 9 and l0, l1
+    random integer vectors, summand i is c (-1)^(j-i) C(j, i) eps^-j
+    (l0 + i eps l1)^degree, as in ``gen_osculating``: each has a pole of
+    order j, and the block tends to c j! C(degree, j) l0^(degree-j) l1^j != 0.
+    The target is the limit of the sum; when the block limits cancel, the
+    last block's weights are doubled, leaving its own limit.
     """
     if nvars < 1 or degree < 1 or rank < 1:
         raise ValueError("nvars, degree and rank must be at least 1")
     rng = random.Random(seed)
-    for _ in range(_RANDOM_RETRIES):
-        summands = []
-        for _i in range(rank):
-            while True:
-                coefs = tuple(_rand_eps_coef(rng) for _ in range(nvars))
-                if any(not c.is_zero for c in coefs):
-                    break
-            w = EpsScalar.from_rational(_rand_rational(rng)) * EpsScalar.eps(
-                rng.randint(-2, 2)
-            )
-            summands.append((w, LinearForm(coefs)))
-        B = BorderDecomposition(nvars, degree, tuple(summands))
-        S = B.expand(through=0)  # a pole and the limit sit at orders <= 0
-        if S.is_zero or S.min_valuation()[0] < 0:
-            continue
-        f = S.limit_at_zero()
-        if f.is_zero:
-            continue
-        return f, B
-    raise DrawsExhaustedError(
-        f"no convergent random certificate in {_RANDOM_RETRIES} draws "
-        f"(nvars {nvars}, degree {degree}, rank {rank}, seed {seed}); "
-        "try another seed or a lower rank")
+    summands = []
+    left = rank
+    while left:
+        k = 1 if left == 1 else rng.randint(2, min(left, degree + 1))
+        c = _rand_rational(rng)
+        l0, l1 = _rand_vector(rng, nvars), _rand_vector(rng, nvars)
+        j = k - 1
+        summands += [
+            (EpsScalar.from_rational(c * (-1) ** (j - i) * comb(j, i)) * EpsScalar.eps(-j),
+             LinearForm([EpsScalar.from_poly(EpsPoly({0: Fraction(a), 1: Fraction(i * b)}))
+                         for a, b in zip(l0, l1)]))
+            for i in range(k)]
+        left -= k
+    B = BorderDecomposition(nvars, degree, summands)
+    f = B.expand(through=0).limit_at_zero()
+    if f.is_zero:
+        # the block limits cancel; the last block, doubled, adds its own limit once more
+        summands[-k:] = [(w * 2, form) for w, form in summands[-k:]]
+        B = BorderDecomposition(nvars, degree, summands)
+        f = B.expand(through=0).limit_at_zero()
+    return f, B
 
 
 def gen_family(

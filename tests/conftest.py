@@ -429,6 +429,37 @@ def unit_denominator_tangent():
     return HomoPoly.monomial(2, (2, 1)), B
 
 
+# Two certificates of an earlier seeded generator, which drew every form
+# coefficient as a polynomial in eps and rejected the draws whose sum had a
+# pole, as cleared rows (wl, wden, lists, den).  Their runs under the Y/Z
+# split are pinned in tests/test_golden_documents.py and tests/test_deborder.py.
+FROZEN_ROWS = {
+    # five variables, degree 3: NONLOCAL at y_size = 1
+    "random5_3_5_s8": (5, 3, (
+        ([-3], [7], [[], [], [16], [0, 0, -5], [-30, -4]], [10]),
+        ([7], [6], [[0, -70, -80], [], [0, 0, 15], [], [30, -48]], [30]),
+        ([-7], [0, 0, 8], [[], [], [], [0, -35, 28], []], [20]),
+        ([-1], [2], [[-420], [140, 0, 360], [], [105, 504], [-105, -630]], [420]),
+        ([-7], [6], [[-108, 0, -12], [36, -28], [0, 0, 162], [], [0, 63]], [36]),
+    )),
+    # four variables, degree 5: two local groups at y_size = 2
+    "random4_5_5_s21": (4, 5, (
+        ([-3], [1], [[240, 40, -24], [], [0, 0, 45], []], [120]),
+        ([0, 5], [4], [[0, 0, -5], [], [], [0, 0, 28]], [4]),
+        ([0, 0, -2], [5], [[12, -2], [4], [-2, 0, -3], [4]], [4]),
+        ([1], [1], [[63, 1512, 504], [], [-672, -432, -448], []], [504]),
+        ([-1], [3], [[0, 0, -4], [], [0, -1], []], [1]),
+    )),
+}
+
+
+def frozen_certificate(name):
+    """(f, B) for one of FROZEN_ROWS: B built from its rows, f its limit."""
+    nvars, degree, rows = FROZEN_ROWS[name]
+    B = BorderDecomposition._of_rows(nvars, degree, rows)
+    return B.expand(through=0).limit_at_zero(), B
+
+
 def embed_certificate(f, B, rows):
     """f and B padded with unused variables to len(rows), then composed with
     the change of variables that replaces variable i by the form rows[i]."""

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from waring import (
     CertificateCheckError,
     DeborderConfig,
-    DrawsExhaustedError,
     EpsScalar,
     LinearForm,
     paper_bound,
@@ -119,6 +118,21 @@ def test_gen_explicit_output_paths(workdir):
     assert json.loads(out) == {"poly": "p.json", "border": "b.json", "verified": True}
     code, out, _ = run_cli(["verify", "--type", "border", "b.json", "p.json"])
     assert code == 0
+
+
+def test_gen_random_at_the_rank_ceiling_writes_a_verified_pair(workdir):
+    # every shape inside the ceilings builds: no draw is rejected
+    assert MAX_RANDOM_RANK == 16
+    code, out, err = run_cli(["gen", "--family", "random", "--nvars", "4", "--d", "3",
+                              "--rank", "16", "--seed", "7"])
+    assert code == 0, err
+    info = json.loads(out)
+    assert info == {"poly": "random_d3_n4_r16_s7_poly.json",
+                    "border": "random_d3_n4_r16_s7_border.json", "verified": True}
+    _, B = read_document(info["border"], "border")
+    assert B.rank() == 16
+    code, out, _ = run_cli(["verify", "--type", "border", info["border"], info["poly"]])
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_gen_osculating_and_multibase_names(workdir):
@@ -397,20 +411,6 @@ def test_lemma_failure_maps_to_exit_three(workdir, monkeypatch):
     diag = json.loads(err.strip().splitlines()[-1])
     assert diag["lemma"] == "group-convergence"
     assert diag["witness"] == {"base": ["1/1", "0/1"]}
-
-
-def test_random_family_out_of_draws_exits_two_with_one_line(workdir, monkeypatch):
-    # a generator with no draws left rejects every shape at once
-    oracle = importlib.import_module("waring.oracle")
-    monkeypatch.setattr(oracle, "_RANDOM_RETRIES", 0)
-    with pytest.raises(DrawsExhaustedError):
-        oracle.gen_random(2, 4, 3, seed=1)
-    code, out, err = run_cli(
-        ["gen", "--family", "random", "--nvars", "2", "--rank", "3", "--d", "4", "--seed", "1"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: no convergent random certificate in 0 draws")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert list(workdir.iterdir()) == []
 
 
 def test_module_entry_point_roundtrip(tmp_path):

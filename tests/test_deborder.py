@@ -54,6 +54,7 @@ from conftest import (
     compose_with_unit_denominators,
     embed_certificate,
     eps,
+    frozen_certificate,
     lf,
     mono,
     ref_essential_reduce,
@@ -607,7 +608,7 @@ def test_deborder_report_is_reproducible():
 
 
 def test_deborder_forced_split_runs_the_derivative_branches():
-    f, B = gen_random(5, 3, 5, seed=8)
+    f, B = frozen_certificate("random5_3_5_s8")
     cfg = DeborderConfig(y_size=1, base_threshold=1)
     W, report = deborder(f, B, cfg)
     assert report.verified and verify_waring(W, f)
@@ -859,7 +860,7 @@ def test_local_run_verifies_the_input_and_the_result_once(monkeypatch):
 @pytest.mark.parametrize("make,cfg,expected", [
     pytest.param(lambda: gen_tangent(5), DeborderConfig(), 1, id="tangent5-default"),
     pytest.param(lambda: gen_multibase(5), DeborderConfig(), 2, id="multibase5-default"),
-    pytest.param(lambda: gen_random(5, 3, 5, seed=8),
+    pytest.param(lambda: frozen_certificate("random5_3_5_s8"),
                  DeborderConfig(y_size=1, base_threshold=1), 5, id="random8-split"),
 ])
 def test_diagonalize_runs_once_per_local_group_and_nonlocal_level(monkeypatch, make, cfg, expected):
@@ -969,6 +970,28 @@ def test_families_substitute_only_for_the_diagonalized_limit(monkeypatch):
     moving = [D for D in staircases if not is_identity_frame(D)]
     assert 0 < len(moving) < len(staircases)
     assert border_subs == [] and len(poly_subs) == len(moving)
+
+
+def test_an_identity_restriction_maps_nothing_back(monkeypatch):
+    # every inessential level of a families pass keeps its leading
+    # coordinates and drops trailing ones, so T = I and the way back inverts
+    # nothing; tangent5_in3 keeps coordinates 0 and 2 (J = [0, 2]), so its
+    # T moves them and is inverted once per run
+    import waring
+    from test_diagonalize import load_bench_workloads
+
+    inputs = load_bench_workloads().build_families(waring, 1, False).inputs
+    inverses = _count_calls(monkeypatch, "rat_inverse")
+    levels = _count_calls(monkeypatch, "essential_reduce")
+    for _, f, B, cfg in inputs:
+        deborder(f, B, cfg)
+    assert {cfg.y_size for *_, cfg in inputs} == {None, 1}  # the default and the forced split
+    assert any(essential_rank(f) < f.nvars for f, _ in levels)  # some level is inessential
+    assert inverses == []
+    f, B = embed_certificate(*gen_tangent(5), SHEAR_IN_3)
+    for cfg in (DeborderConfig(), DeborderConfig(y_size=1, base_threshold=1)):
+        deborder(f, B, cfg)
+    assert len(inverses) == 2
 
 
 # -- a held certificate is cleared once ----------------------------------------

@@ -64,6 +64,7 @@ from conftest import (
     SHEAR_IN_5,
     compose_with_unit_denominators,
     embed_certificate,
+    frozen_certificate,
     unit_denominator_tangent,
 )
 
@@ -78,8 +79,11 @@ GENERATORS = {f"tangent{d}": (gen_tangent, (d,)) for d in range(3, 9)}
 GENERATORS["osculating6_2"] = (gen_osculating, (6, 2))
 GENERATORS["osculating6_3"] = (gen_osculating, (6, 3))
 GENERATORS["multibase5"] = (gen_multibase, (5,))
-GENERATORS["random5_3_5_s8"] = (gen_random, (5, 3, 5, 8))
-GENERATORS["random4_5_5_s21"] = (gen_random, (4, 5, 5, 21))
+GENERATORS["random5_3_5_s8"] = (frozen_certificate, ("random5_3_5_s8",))
+GENERATORS["random4_5_5_s21"] = (frozen_certificate, ("random4_5_5_s21",))
+# divided-difference blocks: a rank-3 local level and a rank-3 nonlocal one
+# inside derivative branches both end in a dense solve (BASE)
+GENERATORS["random3_3_5_s10"] = (gen_random, (3, 3, 5, 10))
 GENERATORS["unit_denominator"] = (unit_denominator_tangent, ())
 GENERATORS["composed_dense_n4_r9"] = (lambda: composed_dense_certificate(21, 4, 3, (1, 2), 4), ())
 GENERATORS["tangent5_in3"] = (lambda: embed_certificate(*gen_tangent(5), SHEAR_IN_3), ())
@@ -106,6 +110,7 @@ SHA256 = {
     ("multibase5", "split"): "155daa0149ee7aa0d015cdbd1742ba7f5ed66b2f04a0cb38eab6d1d5dac16cdf",
     ("random5_3_5_s8", "y1"): "64afaf01b1cce8ae3ce3f8a6e63da19dd09d2dd440104725eed6cc474f3ca333",
     ("random4_5_5_s21", "y2"): "0d3c5f03c1d3dcee9ee2adb762c0f75584bfa848dc91037ac323c5ffa4205336",
+    ("random3_3_5_s10", "split"): "48629b4291d79c3531b63629ef0c89dfc08272be36b343595a9c6fef18d59c92",
     ("osculating6_3", "split"): "b2e76ac0372ee2c0dfa10d424c07b9dc16b456fe348166691f306ffd0e078d46",
     ("unit_denominator", "default"): "ee37282d48af9a5d630dc3bc58de99fdd3f6b4a6d8f9aeaa59f620ed9bcd14b7",
     ("unit_denominator", "split"): "ecf0a36526da840644eb02122a13256b56a5e7701cbefbbf2c06f0a814127f03",
@@ -133,6 +138,10 @@ TRACES = {
     ],
     ("random4_5_5_s21", "y2"): [
         ("LOCAL", 2, 5, 0, 0), ("BASE", 2, 1, 0, 0), ("LOCAL", 1, 5, 0, 0),
+    ],
+    ("random3_3_5_s10", "split"): [
+        ("NONLOCAL", 5, 3, 0, 0), ("BASE", 5, 3, 0, 0), ("LOCAL", 3, 2, 1, 1),
+        ("BASE", 3, 2, 1, 1), ("BASE", 3, 1, 1, 2),
     ],
     ("random5_3_5_s8", "y1"): [
         ("NONLOCAL", 5, 3, 0, 0), ("BASE", 5, 3, 0, 0), ("LOCAL", 1, 2, 1, 1),

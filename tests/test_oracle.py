@@ -6,8 +6,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from waring import (
+    BorderDecomposition,
     EpsScalar,
     HomoPoly,
     LinearForm,
@@ -212,20 +214,63 @@ def test_gen_random_respects_the_advertised_shapes():
     for seed in range(10):
         _, B = gen_random(3, 5, 4, seed=seed)
         for w, form in B.summands:
-            # weights are a single term c * eps^v with v in [-2, 2]; for
-            # negative v the eps power sits in the denominator canonically
+            # weights are a single term c * eps^-j with 0 <= j <= degree; for
+            # j > 0 the eps power sits in the denominator canonically
             assert len(w.num.pairs()) == 1
             assert len(w.den.pairs()) == 1
-            assert -2 <= w.valuation() <= 2
-            c = w.num.lowest()[1] / w.den.lowest()[1]
-            assert abs(c.numerator) <= 9 and c.denominator <= 9
+            assert -B.degree <= w.valuation() <= 0
+            # forms are l0 + i * eps * l1: polynomial in eps of degree <= 1,
+            # l0 and l1 integer with entries in [-3, 3], and i <= degree
             for c in form.coefs:
                 if c.is_zero:
                     continue
                 assert c.is_polynomial
-                assert c.num.degree() <= 2
-                for _, coeff in c.num.pairs():
-                    assert abs(coeff.numerator) <= 9 and coeff.denominator <= 9
+                assert c.num.degree() <= 1
+                for e, coeff in c.num.pairs():
+                    assert coeff.denominator == 1
+                    assert abs(coeff) <= (3 if e == 0 else 3 * B.degree)
+
+
+def _total_valuation(w, form, degree):
+    return w.valuation() + degree * min(c.valuation() for c in form.coefs if not c.is_zero)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 8), st.integers(0, 10**6))
+def test_gen_random_builds_degenerate_certificates(nvars, degree, rank, seed):
+    f, B = gen_random(nvars, degree, rank, seed=seed)
+    assert B.rank() == rank
+    assert not f.is_zero
+    assert check_border(B, f).ok
+    assert gen_random(nvars, degree, rank, seed=seed) == (f, B)
+    # every block of two or more summands has a pole in each; only a last
+    # block of one converges on its own
+    converging = [s for s in B.summands if _total_valuation(*s, degree) >= 0]
+    assert len(converging) <= 1
+
+
+def test_gen_random_repairs_block_limits_that_cancel(monkeypatch):
+    # at this seed the two blocks, a divided difference and a single power,
+    # first have limits that cancel; the last block's weights are doubled,
+    # and the target is that block's own limit
+    limits = []
+    real = BorderDecomposition.expand
+
+    def recorded(self, through=None):
+        S = real(self, through)
+        limits.append(S.limit_at_zero())
+        return S
+
+    monkeypatch.setattr(BorderDecomposition, "expand", recorded)
+    f, B = gen_random(1, 1, 3, seed=143)
+    monkeypatch.undo()
+    assert len(limits) == 2 and limits[0].is_zero and limits[1] == f
+    assert not f.is_zero and check_border(B, f).ok
+    assert [w.valuation() for w, _ in B.summands] == [-1, -1, 0]
+    # the divided difference's limit is -f, and the doubled power is 2 f
+    first, last = (BorderDecomposition(1, 1, part).expand(through=0).limit_at_zero()
+                   for part in (B.summands[:2], B.summands[2:]))
+    assert first == -f and last == f.scale(2)
 
 
 def test_gen_random_validation():
