@@ -6,11 +6,12 @@ catalecticant rank in any number of variables is a lower bound for both.
 These are the yardsticks the decomposition pipeline is measured against, so
 they deliberately share no code with it beyond basic polynomial arithmetic.
 
-The generators build border certificates with known ranks: the tangent and
-osculating families (divided differences along x + i*eps*y), a two-base
-family on disjoint variable pairs, and seeded random certificates made of
-divided-difference blocks along random lines, whose poles cancel within
-each block; their target is the limit of the sum.
+The generators build border certificates with known ranks, every one from
+``_block``, a divided difference along a line whose poles cancel within the
+block: the tangent and osculating families (along x + t*y), a two-base
+family of two tangent blocks on disjoint variable pairs, and seeded random
+certificates of blocks along random lines, whose target is the limit of
+the sum.
 """
 
 from __future__ import annotations
@@ -97,26 +98,35 @@ def sylvester_rank(f: HomoPoly) -> Tuple[int, int]:
 # generators
 
 
-def gen_osculating(d: int, j: int) -> Tuple[HomoPoly, BorderDecomposition]:
-    """Certificate for x^(d-j) y^j from j-th divided differences.
+def _block(
+    c: int | Fraction, l0: Sequence[int], l1: Sequence[int], j: int
+) -> List[Tuple[EpsScalar, LinearForm]]:
+    """The j-th divided difference of c (l0 + t l1)^d at t = 0, eps, ..., j eps.
 
-    Summands are (x + i*eps*y)^d for i = 0..j with weights
-    (-1)^(j-i) C(j, i) / ((d)_j eps^j); the j-th finite difference of i^m
-    vanishes for m < j and equals j! at m = j, which isolates the eps^j
-    coefficient.  j = 1 is the tangent construction.
+    Summand i = 0..j is c (-1)^(j-i) C(j, i) eps^-j (l0 + i eps l1)^d, any
+    d >= j.  Expanding the powers, the block's eps^(m-j) coefficient is
+    c C(d, m) D_m l0^(d-m) l1^m, where D_m = sum_i (-1)^(j-i) C(j, i) i^m is
+    the j-th forward difference of i^m at 0: 0 for m < j (i^m has degree
+    below j) and j! at m = j.  So the poles cancel, the block tends to
+    c j! C(d, j) l0^(d-j) l1^j, nonzero for nonzero c, l0, l1, and for
+    j >= 1 each summand has a pole of order j.
     """
+    pole = EpsScalar.eps(-j)
+    return [
+        (EpsScalar.from_rational(c * (-1) ** (j - i) * comb(j, i)) * pole,
+         LinearForm([EpsScalar.from_poly(EpsPoly({0: Fraction(a), 1: Fraction(i * b)}))
+                     for a, b in zip(l0, l1)]))
+        for i in range(j + 1)
+    ]
+
+
+def gen_osculating(d: int, j: int) -> Tuple[HomoPoly, BorderDecomposition]:
+    """Certificate for x^(d-j) y^j: the ``_block`` along x + t*y with
+    c = 1 / (d)_j.  j = 1 is the tangent construction."""
     if d < 2 or not 1 <= j <= d - 1:
         raise ValueError("need d >= 2 and 1 <= j <= d-1")
     f = HomoPoly(2, d, {(d - j, j): Fraction(1)})
-    ff = falling_factorial(d, j)
-    summands = []
-    for i in range(j + 1):
-        c = Fraction((-1) ** (j - i) * comb(j, i), ff)
-        w = EpsScalar.from_rational(c) * EpsScalar.eps(-j)
-        form = LinearForm((EpsScalar.one(), EpsScalar.from_poly(EpsPoly({1: Fraction(i)}))
-                           if i else EpsScalar.zero()))
-        summands.append((w, form))
-    B = BorderDecomposition(2, d, tuple(summands))
+    B = BorderDecomposition(2, d, _block(Fraction(1, falling_factorial(d, j)), (1, 0), (0, 1), j))
     _require_verified(B, f, "osculating family")
     return f, B
 
@@ -127,26 +137,14 @@ def gen_tangent(d: int) -> Tuple[HomoPoly, BorderDecomposition]:
 
 
 def gen_multibase(d: int) -> Tuple[HomoPoly, BorderDecomposition]:
-    """Two tangent certificates on disjoint variable pairs.
-
-    Four summands at the two bases x and y, with limit
-    d * (x^(d-1) u + y^(d-1) v) in the variable order (x, y, u, v).
-    """
+    """Tangent ``_block``s (c = 1) along x + t*u and y + t*v, moving summand
+    first; the limit is d * (x^(d-1) u + y^(d-1) v) in the order (x, y, u, v)."""
     if d < 2:
         raise ValueError("need d >= 2")
     dd = Fraction(d)
     f = HomoPoly(4, d, {(d - 1, 0, 1, 0): dd, (0, d - 1, 0, 1): dd})
-    one = EpsScalar.one()
-    zero = EpsScalar.zero()
-    e1 = EpsScalar.eps(1)
-    wpos = EpsScalar.eps(-1)
-    summands = (
-        (wpos, LinearForm((one, zero, e1, zero))),
-        (-wpos, LinearForm((one, zero, zero, zero))),
-        (wpos, LinearForm((zero, one, zero, e1))),
-        (-wpos, LinearForm((zero, one, zero, zero))),
-    )
-    B = BorderDecomposition(4, d, summands)
+    B = BorderDecomposition(4, d, _block(1, (1, 0, 0, 0), (0, 0, 1, 0), 1)[::-1]
+                            + _block(1, (0, 1, 0, 0), (0, 0, 0, 1), 1)[::-1])
     _require_verified(B, f, "multibase family")
     return f, B
 
@@ -167,15 +165,13 @@ def _rand_vector(rng: random.Random, n: int) -> Tuple[int, ...]:
 def gen_random(
     nvars: int, degree: int, rank: int, seed: int = 0
 ) -> Tuple[HomoPoly, BorderDecomposition]:
-    """Seeded certificate of divided-difference blocks; it verifies by construction.
+    """Seeded certificate of ``_block``s along random lines.
 
-    Blocks hold k summands, k drawn from [2, min(left, degree + 1)] (1 for a
-    last single one).  With j = k - 1, c rational of height <= 9 and l0, l1
-    random integer vectors, summand i is c (-1)^(j-i) C(j, i) eps^-j
-    (l0 + i eps l1)^degree, as in ``gen_osculating``: each has a pole of
-    order j, and the block tends to c j! C(degree, j) l0^(degree-j) l1^j != 0.
-    The target is the limit of the sum; when the block limits cancel, the
-    last block's weights are doubled, leaving its own limit.
+    A block holds k summands, k drawn from [2, min(left, degree + 1)] (1 for
+    a last single one), with j = k - 1, c of height <= 9 and random integer
+    l0, l1.  The target is the limit of the sum; ``limit_at_zero`` raises on
+    a pole, so taking it verifies the certificate.  When the block limits
+    cancel, the last block's weights are doubled, leaving its own limit.
     """
     if nvars < 1 or degree < 1 or rank < 1:
         raise ValueError("nvars, degree and rank must be at least 1")
@@ -186,12 +182,7 @@ def gen_random(
         k = 1 if left == 1 else rng.randint(2, min(left, degree + 1))
         c = _rand_rational(rng)
         l0, l1 = _rand_vector(rng, nvars), _rand_vector(rng, nvars)
-        j = k - 1
-        summands += [
-            (EpsScalar.from_rational(c * (-1) ** (j - i) * comb(j, i)) * EpsScalar.eps(-j),
-             LinearForm([EpsScalar.from_poly(EpsPoly({0: Fraction(a), 1: Fraction(i * b)}))
-                         for a, b in zip(l0, l1)]))
-            for i in range(k)]
+        summands += _block(c, l0, l1, k - 1)
         left -= k
     B = BorderDecomposition(nvars, degree, summands)
     f = B.expand(through=0).limit_at_zero()

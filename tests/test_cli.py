@@ -144,6 +144,56 @@ def test_gen_osculating_and_multibase_names(workdir):
     assert json.loads(out)["border"] == "multibase_d5_border.json"
 
 
+GEN_FAMILIES = (
+    ["--family", "tangent", "--d", "4"],
+    ["--family", "osculating", "--d", "6", "--j", "2"],
+    ["--family", "multibase", "--d", "5"],
+    ["--family", "random", "--nvars", "3", "--d", "4", "--rank", "5", "--seed", "3"],
+)
+
+
+def test_gen_verifies_in_the_generator_and_not_again(workdir, monkeypatch):
+    import waring.cli
+    import waring.oracle
+
+    real = waring.oracle.check_border
+    calls = {"cli": 0, "oracle": 0}
+
+    def counted(where):
+        def check(B, f):
+            calls[where] += 1
+            return real(B, f)
+        return check
+
+    monkeypatch.setattr(waring.cli, "check_border", counted("cli"))
+    monkeypatch.setattr(waring.oracle, "check_border", counted("oracle"))
+    for argv in GEN_FAMILIES:
+        code, out, err = run_cli(["gen"] + argv)
+        assert code == 0 and json.loads(out)["verified"] is True, err
+    # the closed-form families verify once each; random verifies by taking its limit
+    assert calls == {"cli": 0, "oracle": 3}
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "border"])
+def test_gen_refuses_a_file_that_does_not_read_back_as_the_pair(workdir, monkeypatch, kind):
+    import waring.cli
+
+    real = waring.cli.write_document
+
+    def tampered(path, what, obj):
+        if what == kind == "polynomial":
+            obj = obj.scale(2)
+        elif what == kind == "border":
+            obj = BorderDecomposition(obj.nvars, obj.degree, obj.summands[1:])
+        return real(path, what, obj)
+
+    monkeypatch.setattr(waring.cli, "write_document", tampered)
+    for argv in GEN_FAMILIES:
+        code, out, err = run_cli(["gen"] + argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "read back" in err
+
+
 def test_verify_reports_a_null_q_on_an_exact_certificate(workdir):
     # xy = (x+y)^2/4 - (x-y)^2/4, with no eps anywhere: q is null, not absent
     B = BorderDecomposition(2, 2, ((F(1, 4), LinearForm((F(1), F(1)))),

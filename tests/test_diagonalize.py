@@ -221,6 +221,37 @@ def test_derivative_counts_and_targets_on_random_corpus():
     assert checked > 20
 
 
+def test_families_pass_builds_no_derivative_in_diagonal(monkeypatch):
+    # derivative_decomposition tells a vanishing partial of the limit from
+    # its exponents; a pass over the benchmark's families inputs (seed 1, at
+    # both configs) differentiates no polynomial inside waring.diagonal
+    import importlib
+    import sys
+
+    import waring
+
+    deborder_module = importlib.import_module("waring.deborder")
+    real_differentiate = HomoPoly.differentiate
+    callers, derivatives = [], []
+
+    def differentiate(self, var, order=1):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real_differentiate(self, var, order)
+
+    def derivative(D, var, order):
+        derivatives.append((var, order))
+        return derivative_decomposition(D, var, order)
+
+    monkeypatch.setattr(HomoPoly, "differentiate", differentiate)
+    monkeypatch.setattr(deborder_module, "derivative_decomposition", derivative)
+    inputs = load_bench_workloads().build_families(waring, 1, False).inputs
+    assert {cfg.y_size for *_, cfg in inputs} == {None, 1}
+    for _, f, B, cfg in inputs:
+        deborder_module.deborder(f, B, cfg)
+    assert len(derivatives) == 36
+    assert "waring.diagonal" not in callers
+
+
 def test_pivot_search_stops_at_nvars_pivots_and_drops_nothing(monkeypatch):
     # One reduce step per pivot; a step past that is taken only when the
     # search runs out of candidates before nvars pivots, and it must raise

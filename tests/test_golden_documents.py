@@ -342,3 +342,33 @@ def test_dense_route_document_bytes_are_unchanged(name):
     W, _ = deborder(f, B)
     digest = hashlib.sha256(dumps_document("waring", W).encode()).hexdigest()
     assert digest == DENSE_ROUTE_SHA256[name]
+
+
+# The generated pairs themselves: (polynomial, border) documents of every
+# generator over a grid, one digest per family.  Recorded while each
+# generator still wrote its divided differences out by hand, before they
+# were built from one block.
+GENERATED_PAIRS = {
+    "tangent": [(gen_tangent, (d,)) for d in range(2, 21)],
+    "osculating": [(gen_osculating, (d, j)) for d in range(2, 13) for j in range(1, d)],
+    "multibase": [(gen_multibase, (d,)) for d in range(2, 13)],
+    "random": [(gen_random, (n, d, r, s)) for n in range(1, 6) for d in (1, 2, 3, 5)
+               for r in (1, 2, 3, 5, 8) for s in range(4)],
+}
+
+GENERATED_SHA256 = {
+    "tangent": "b1bb69f98bc1201f0a490e49c41aaa3ce015ed086bdd2a1d17f7d22d8b833c22",
+    "osculating": "110faf21d23d8f3974c3393bcfc94e77beba3714ab780ccad5835f8bcc0bf73f",
+    "multibase": "e7ddc848f8b3eb923438725c90540f82c48e24258efc19d99718ab67390c7c5b",
+    "random": "3d37fe9b316d2075a72245224efb0f41e296f3bdb6660ebb7cb99549e3edc0c0",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED_SHA256))
+def test_generated_pair_bytes_are_unchanged(family):
+    h = hashlib.sha256()
+    for gen, args in GENERATED_PAIRS[family]:
+        f, B = gen(*args)
+        h.update((dumps_document("polynomial", f) + dumps_document("border", B)).encode())
+    assert sum(map(len, GENERATED_PAIRS.values())) == 496
+    assert h.hexdigest() == GENERATED_SHA256[family]

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb, factorial
 
 import pytest
 import sympy
@@ -26,6 +27,7 @@ from waring import (
     sylvester_rank,
     verify_waring,
 )
+from waring.oracle import _block
 from conftest import F, mono, rand_poly
 
 
@@ -233,6 +235,30 @@ def test_gen_random_respects_the_advertised_shapes():
 
 def _total_valuation(w, form, degree):
     return w.valuation() + degree * min(c.valuation() for c in form.coefs if not c.is_zero)
+
+
+@st.composite
+def blocks(draw):
+    """(n, d, j, c, l0, l1) for one divided-difference block."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    j = draw(st.integers(0, d))
+    c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+    vector = st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any).map(tuple)
+    return n, d, j, c, draw(vector), draw(vector)
+
+
+@settings(max_examples=100)
+@given(blocks())
+def test_block_tends_to_its_closed_form(block):
+    n, d, j, c, l0, l1 = block
+    summands = _block(c, l0, l1, j)
+    assert len(summands) == j + 1
+    B = BorderDecomposition(n, d, summands)
+    limit = (LinearForm(l0).power(d - j) * LinearForm(l1).power(j)).scale(
+        c * factorial(j) * comb(d, j))
+    assert check_border(B, limit).ok
+    if j >= 1:
+        assert all(_total_valuation(w, form, d) == -j for w, form in B.summands)
 
 
 @settings(max_examples=100)
