@@ -25,7 +25,7 @@ from .errors import (
     PoleAtZero,
     VerificationError,
 )
-from .oracle import catalecticant_bound, gen_family, sylvester_rank
+from .oracle import _refuse_unread, catalecticant_bound, gen_family, sylvester_rank
 from .serialize import (
     FormatError,
     check_shape,
@@ -64,6 +64,7 @@ _FAMILY_NVARS = {"tangent": 2, "osculating": 2, "multibase": 4}
 
 
 def cmd_gen(args) -> int:
+    _refuse_unread(args.family, "--", j=args.j, nvars=args.nvars, rank=args.rank)
     nvars = _FAMILY_NVARS.get(args.family, args.nvars)
     if args.d is not None and nvars is not None:
         check_shape(nvars, args.d)  # before the generator runs or anything is written

@@ -35,8 +35,11 @@ branch target, and ``deborder`` verifies the final decomposition against f
 and holds it to the ceiling ``paper_bound``.  ``multiply_by_power`` still
 checks its own output as well (ROADMAP item 1 says when that check goes).
 The structural hypotheses the paper's lemmas rest on (group convergence,
-divisibility of a local limit by a power of its base variable, the
-staircase, the derivative summand cap) are checked wherever they are used.
+a local group staying based at x0 once diagonalized, divisibility of a
+local limit by a power of its base variable, the staircase, the derivative
+summand cap) are checked wherever they are used, each once: the base by
+``_Level._step``, from the pivots ``diagonalize`` returns, since the
+diagonalization itself does not group its input by base.
 Group convergence is checked by ``partition_into_local``, which expands
 each group through eps**0; the recursion calls it only at a local level
 whose summands degenerate to two or more directions.  A level whose
@@ -511,7 +514,18 @@ class _Level:
         A local group's limit is x0**epow * g with epow = degree - rank + 1
         (``extract_local_cofactor``) and is recorded LOCAL; a nonlocal level
         decomposes the limit itself (epow = 0), and every one of its
-        variables must be a pivot.  g lies in the p pivot variables.  The
+        variables must be a pivot.  g lies in the p pivot variables.
+
+        A local group must stay based at x0, and the check reads the
+        pivots: the second pivot, if any, has valuation q_1 >= 1.  Every
+        normalized row has valuation 0 and A(0) is invertible, so every
+        transformed row has a nonzero eps**0 part, which is its base.  Once
+        ``staircase_check`` has passed, q_1 >= 1 leaves x0 alone at eps**0
+        in every row (an x_j coefficient has valuation >= q_j), so all rows
+        share the base x0; and q_1 = 0 makes pivot row 1 x1 + O(eps), a
+        second base beside pivot row 0's x0.  So the test agrees with
+        grouping the transformed rows by base.  A nonlocal level reads no
+        base, and the test does not run there.  The
         route, for rank r and Y-block width y (cfg.y_size, by default
         floor(10 * sqrt(r))):
 
@@ -532,6 +546,8 @@ class _Level:
         r, d, n = B.rank(), f.degree, f.nvars
         D = diagonalize(B, f)
         if local:
+            if D.p > 1 and D.pivots[1][1] == 0:
+                raise InvariantError("local input did not stay based at x0")
             self.record("LOCAL", r, d)
             g, epow = extract_local_cofactor(D.limit, r), d - r + 1
         elif D.p != n:

@@ -12,11 +12,13 @@ after which the transformed summands have a staircase shape:
   valuation >= q_j;
 * 0 = q_0 <= q_1 <= ... and the limit matrix A(0) is invertible.
 
-The staircase is asserted coefficient by coefficient, A is checked to be a
-unit at eps = 0, and a local input is checked to stay based at x0.  The
-transformed certificate is not re-expanded: A is regular at eps = 0, so the
-transformed expansion is the input one composed with A and its limit is
-f(A(0) x) by construction (the tests assert it on every corpus).
+The staircase is asserted coefficient by coefficient and A is checked to be
+a unit at eps = 0.  Nothing here reads the input's base directions: whether
+a local group stays based at x0 is its caller's check, read off the pivots
+(``deborder._Level._step``).  The transformed certificate is not
+re-expanded: A is regular at eps = 0, so the transformed expansion is the
+input one composed with A and its limit is f(A(0) x) by construction (the
+tests assert it on every corpus).
 
 The reduction loop needs one non-obvious ingredient to terminate: a candidate
 lying in the ring-span of the pivots can have its tail chased forever (reduce
@@ -54,9 +56,9 @@ counts its scalars.
 When G is S times the identity, every reduced pivot, shifted by its
 valuation and rescaled, is already a standard vector and the padding is the
 rest of them in order, so A = A(0) = I.  Nothing then moves: no inverse is
-taken, the rows are the normalized ones in pivot order, the limit is f and
-the local check reuses the input's grouping.  The staircase is still
-asserted.  Tangent and osculating certificates take this route.
+taken, the rows are the normalized ones in pivot order and the limit is f.
+The staircase is still asserted.  Tangent and osculating certificates take
+this route.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .decomp import BorderDecomposition, _group_by_base, normalize_border
+from .decomp import BorderDecomposition, normalize_border
 from .epsilon import _eps_of, _int_eps_row, _lowest
 from .errors import (
     InvariantError,
@@ -240,8 +242,10 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
     The input is normalized first (idempotent), so callers may pass any
     certificate that verifies against f.  A frame G = S*I is the identity
     change of variables, returned without inverting G or A(0), moving a row
-    or substituting f.  All structural postconditions are asserted; a
-    failure raises InvariantError rather than returning a malformed object.
+    or substituting f.  All structural postconditions of the staircase are
+    asserted; a failure raises InvariantError rather than returning a
+    malformed object.  Locality is the caller's check: the input is not
+    grouped by base direction here.
     """
     if B.rank() == 0:
         raise ValueError("cannot diagonalize an empty decomposition")
@@ -249,8 +253,6 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         raise ValueError("target polynomial shape does not match the decomposition")
     Bn = normalize_border(B)
     n = Bn.nvars
-    groups = _group_by_base(Bn)
-    local = len(groups) == 1
 
     # normalized rows are over a positive integer: (lists, den[0])
     rows = [(lists, den[0]) for _, _, lists, den in Bn.cleared]
@@ -278,8 +280,7 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
 
     G = [x for r in grows for x in r]
     order = [pv.original_index for pv in pivots] + remaining
-    moved = G != [[S] if i == j else [] for i in range(n) for j in range(n)]
-    if moved:
+    if G != [[S] if i == j else [] for i in range(n) for j in range(n)]:
         A = EpsMatrix(G, [S]).inverse()
         try:
             A0 = A.at_zero()
@@ -303,9 +304,6 @@ def diagonalize(B: BorderDecomposition, f: HomoPoly) -> DiagonalizedDecompositio
         limit=limit,
     )
     staircase_check(D)
-    if local and list(_group_by_base(D.decomposition) if moved else groups) != [
-            (1,) + (0,) * (n - 1)]:
-        raise InvariantError("local input did not stay based at x0")
     return D
 
 

@@ -194,6 +194,24 @@ def gen_random(
     return f, B
 
 
+# each family's generator and the parameters it reads, in its argument order;
+# the random generator also reads seed
+_FAMILIES = {
+    "tangent": (gen_tangent, ("d",)),
+    "osculating": (gen_osculating, ("d", "j")),
+    "multibase": (gen_multibase, ("d",)),
+    "random": (gen_random, ("nvars", "d", "rank")),
+}
+
+
+def _refuse_unread(family: str, flag: str, **given) -> None:
+    """Raise ValueError on the first parameter given a value that a known
+    family does not read, naming it after the prefix ``flag``."""
+    for k, v in given.items():
+        if v is not None and k not in _FAMILIES[family][1]:
+            raise ValueError(f"the {family} family takes no {flag}{k}")
+
+
 def gen_family(
     family: str,
     d: int | None = None,
@@ -202,24 +220,20 @@ def gen_family(
     rank: int | None = None,
     seed: int = 0,
 ) -> Tuple[HomoPoly, BorderDecomposition]:
-    """Dispatch by family tag; unused parameters must be left unset."""
-    if family == "tangent":
-        if d is None:
-            raise ValueError("tangent family needs d")
-        return gen_tangent(d)
-    if family == "osculating":
-        if d is None or j is None:
-            raise ValueError("osculating family needs d and j")
-        return gen_osculating(d, j)
-    if family == "multibase":
-        if d is None:
-            raise ValueError("multibase family needs d")
-        return gen_multibase(d)
-    if family == "random":
-        if d is None or nvars is None or rank is None:
-            raise ValueError("random family needs d, nvars and rank")
-        return gen_random(nvars, d, rank, seed)
-    raise ValueError(f"unknown family {family!r}")
+    """Dispatch by family tag; unused parameters must be left unset.
+
+    A value for a parameter the family does not read raises ValueError, as
+    does a parameter it reads left unset; seed alone is exempt, as only the
+    random family reads it.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    _refuse_unread(family, "", j=j, nvars=nvars, rank=rank)
+    gen, reads = _FAMILIES[family]
+    args = [{"d": d, "j": j, "nvars": nvars, "rank": rank}[k] for k in reads]
+    if None in args:
+        raise ValueError(f"{family} family needs {', '.join(reads)}")
+    return gen(*args, seed=seed) if family == "random" else gen(*args)
 
 
 def _require_verified(B: BorderDecomposition, f: HomoPoly, what: str) -> None:

@@ -609,7 +609,8 @@ def assert_staircase_invariants(f, B):
     expansion equals the original one composed with the transform, the
     transformed certificate still proves the transformed limit and equals
     the certificate rebuilt from its summands, and a local certificate stays
-    local.
+    local.  The pivots tell the two apart: the input has one base exactly
+    when there is no second pivot at valuation 0.
     """
     D = diagonalize(B, f)
     staircase_check(D)
@@ -649,6 +650,7 @@ def assert_staircase_invariants(f, B):
     assert again == D.decomposition and hash(again) == hash(D.decomposition)
     assert D.limit == f.substitute_linear(D.base_change)
 
-    if is_local(B) is not None:
-        assert is_local(D.decomposition) is not None
+    local = is_local(B) is not None
+    assert (is_local(D.decomposition) is not None) == local
+    assert (D.p == 1 or D.pivots[1][1] >= 1) == local
     return D

@@ -319,6 +319,16 @@ def test_gen_past_the_degree_ceiling_writes_nothing(workdir):
     assert list(workdir.iterdir()) == []
 
 
+# (gen argv, the one flag in it that its family does not read)
+UNREAD_GEN_FLAGS = [
+    (["--family", "tangent", "--d", "3", "--j", "2"], "--j"),
+    (["--family", "tangent", "--d", "3", "--rank", "20"], "--rank"),
+    (["--family", "multibase", "--d", "4", "--nvars", "70"], "--nvars"),
+    (["--family", "osculating", "--d", "4", "--j", "2", "--rank", "2"], "--rank"),
+    (["--family", "random", "--nvars", "2", "--d", "3", "--rank", "2", "--j", "1"], "--j"),
+]
+
+
 def test_gen_checks_the_shape_before_the_generator_runs(workdir, monkeypatch):
     import waring.cli
 
@@ -331,9 +341,12 @@ def test_gen_checks_the_shape_before_the_generator_runs(workdir, monkeypatch):
                        (["--family", "random", "--nvars", "65", "--d", "3", "--rank", "2"],
                         "ceiling"),
                        (["--family", "random", "--nvars", "2", "--d", "3",
-                         "--rank", str(MAX_RANDOM_RANK + 1)], "ceiling")):
+                         "--rank", str(MAX_RANDOM_RANK + 1)], "ceiling"),
+                       # a flag the family does not read is named, before any
+                       # ceiling (--rank 20 is past the random family's)
+                       *[(argv, f"takes no {flag}\n") for argv, flag in UNREAD_GEN_FLAGS]):
         code, out, err = run_cli(["gen"] + argv)
-        assert code == 2 and out == "" and says in err
+        assert code == 2 and out == "" and says in err and err.count("\n") == 1
     assert list(workdir.iterdir()) == []
 
 
@@ -510,6 +523,8 @@ def _bad_parameters():
         for value in bad + (str(over),):
             args = {**good, flag: value}
             grid.append((_gen("--family", "random", *[x for kv in args.items() for x in kv]), 2))
+    # a flag the family does not read
+    grid += [(_gen(*argv), 2) for argv, _ in UNREAD_GEN_FLAGS]
     debord = ["deborder", "--border", "b.json", "--poly", "p.json"]
     grid += [(debord + ["--y-size", y], 2) for y in bad]
     # neither knob has a ceiling: a Y block wider than the variables, or any

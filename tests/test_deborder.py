@@ -29,6 +29,7 @@ from waring import (
     essential_rank,
     essential_reduce,
     extract_local_cofactor,
+    is_local,
     multiply_by_power,
     normalize_border,
     paper_bound,
@@ -237,15 +238,26 @@ def recursion_cases():
 def test_one_base_levels_skip_the_partition_without_changing_the_output(monkeypatch):
     # the same runs with every local level sent through the partition, as
     # when the recursion held no one-base shortcut: identical documents and
-    # full traces, and the shortcut is taken on these inputs
-    calls = []
-    real = _DEBORDER.partition_into_local
+    # full traces, and the shortcut is taken on these inputs.  On every
+    # diagonalization of the runs, the input has one base exactly when
+    # there is no second pivot at valuation 0, the test ``_Level._step``
+    # makes on a local group
+    calls, bases = [], []
+    real, real_diagonalize = _DEBORDER.partition_into_local, _DEBORDER.diagonalize
 
     def counted(B, f):
         calls.append(B)
         return real(B, f)
 
+    def diagonalize_checked(B, f):
+        D = real_diagonalize(B, f)
+        one_base = is_local(B) is not None
+        assert (D.p == 1 or D.pivots[1][1] >= 1) == one_base
+        bases.append(one_base)
+        return D
+
     monkeypatch.setattr(_DEBORDER, "partition_into_local", counted)
+    monkeypatch.setattr(_DEBORDER, "diagonalize", diagonalize_checked)
     cases = recursion_cases()
     runs = [deborder(f, B, cfg) for _, f, B, cfg in cases]
     skipping = len(calls)
@@ -256,6 +268,7 @@ def test_one_base_levels_skip_the_partition_without_changing_the_output(monkeypa
             assert dumps_document("waring", W2) == dumps_document("waring", W), name
             assert report2 == report, name
     assert skipping < len(calls) - skipping
+    assert True in bases and False in bases
 
 
 @pytest.mark.parametrize("make,two_base_levels", [
@@ -733,6 +746,31 @@ def test_fault_in_diagonalized_weights_is_caught_by_the_branch_check(monkeypatch
         deborder(f, B, DeborderConfig(y_size=1, base_threshold=1))
 
 
+def test_a_local_group_with_a_second_base_is_refused_before_it_is_recorded(monkeypatch):
+    # multibase d = 5 is two local groups of rank 2, each diagonalized with
+    # pivots at valuations 0 and 1; the second comes back with q_1 = 0, as
+    # if its summands had kept a second base
+    real, real_record = _DEBORDER.diagonalize, _DEBORDER._Level.record
+    pivots, cases = [], []
+
+    def second_base(B, f):
+        D = real(B, f)
+        pivots.append(D.pivots)
+        return dataclasses.replace(D, pivots=((0, 0), (1, 0))) if len(pivots) == 2 else D
+
+    def record(self, case, *args):
+        cases.append(case)
+        real_record(self, case, *args)
+
+    monkeypatch.setattr(_DEBORDER, "diagonalize", second_base)
+    monkeypatch.setattr(_DEBORDER._Level, "record", record)
+    f, B = gen_multibase(5)
+    with pytest.raises(InvariantError, match="local input did not stay based at x0"):
+        deborder(f, B)
+    assert pivots == [((0, 0), (1, 1))] * 2
+    assert cases == ["LOCAL", "BASE"]  # the first group's alone
+
+
 @pytest.mark.parametrize("make,cfg", [
     # the local cofactor times a power of x0, in ``_Level._dense``
     pytest.param(lambda: gen_tangent(5), DeborderConfig(), id="tangent5-default"),
@@ -1032,8 +1070,9 @@ def count_clearing_and_scalars(monkeypatch):
     lambda: gen_tangent(5), lambda: gen_osculating(10, 4), lambda: gen_multibase(5),
 ], ids=["dense_n4", "dense_n5", "tangent5", "osculating104", "multibase5"])
 def test_a_held_laurent_certificate_is_never_cleared_again_or_rebuilt(monkeypatch, make):
-    # the default route diagonalizes every group or level; the staircase and
-    # the local-base check read rows, so no scalar is built at all
+    # the default route diagonalizes every group or level; the staircase
+    # reads rows and the local-base check the pivots, so no scalar is built
+    # at all
     f, B = make()
     cleared, rebuilt, built, gcds = count_clearing_and_scalars(monkeypatch)
     diagonalize(B, f)

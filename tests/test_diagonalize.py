@@ -139,13 +139,16 @@ def test_a_repeated_pivot_lead_cannot_complete_the_frame(monkeypatch):
 
 def test_diagonalize_random_corpus_invariants():
     shapes = [(2, 3, 3), (3, 3, 4), (2, 4, 2), (3, 4, 5), (4, 3, 4)]
-    count = 0
+    count, second_base = 0, 0
     for nvars, degree, rank in shapes:
         for seed in range(6):
             f, B = gen_random(nvars, degree, rank, seed=seed)
-            assert_staircase_invariants(f, B)
+            D = assert_staircase_invariants(f, B)
+            second_base += D.p > 1 and D.pivots[1][1] == 0
             count += 1
     assert count == 30
+    # the corpus holds one-base and multi-base inputs alike
+    assert 0 < second_base < count
 
 
 def test_derivative_of_pure_power():
@@ -249,6 +252,37 @@ def test_families_pass_builds_no_derivative_in_diagonal(monkeypatch):
     for _, f, B, cfg in inputs:
         deborder_module.deborder(f, B, cfg)
     assert len(derivatives) == 36
+    assert "waring.diagonal" not in callers
+
+
+@pytest.mark.parametrize("build,expected", [("build_families", 108), ("build_dense", 0)])
+def test_a_pass_groups_by_base_only_in_the_recursion(monkeypatch, build, expected):
+    # diagonalize is a change of variables and groups nothing by base; a
+    # pass over the benchmark's families inputs (seed 1, at both configs)
+    # groups each level once to tell local from not (is_local) and each
+    # two-base level once more (partition_into_local); the dense inputs are
+    # nonlocal at every level and group nothing
+    import importlib
+    import pkgutil
+    import sys
+
+    import waring
+
+    callers = []
+    for info in pkgutil.iter_modules(waring.__path__):
+        mod = importlib.import_module(f"waring.{info.name}")
+        real = getattr(mod, "_group_by_base", None)
+        if real is not None:
+            def counted(B, real=real):
+                callers.append(sys._getframe(1).f_globals["__name__"])
+                return real(B)
+
+            monkeypatch.setattr(mod, "_group_by_base", counted)
+    deborder_module = importlib.import_module("waring.deborder")
+    inputs = getattr(load_bench_workloads(), build)(waring, 1, False).inputs
+    for _, f, B, cfg in inputs:
+        deborder_module.deborder(f, B, cfg)
+    assert len(callers) == expected
     assert "waring.diagonal" not in callers
 
 

@@ -321,6 +321,17 @@ def test_gen_family_dispatch():
         gen_family("random", d=3)
     with pytest.raises(ValueError):
         gen_family("cubature", d=3)
+    # a parameter the family does not read is refused, not ignored; seed is
+    # exempt, as the command line always passes one
+    valid = {"tangent": {"d": 4}, "multibase": {"d": 4}, "osculating": {"d": 4, "j": 2},
+             "random": {"d": 4, "nvars": 2, "rank": 2}}
+    for family, name, value in [("tangent", "j", 2), ("tangent", "rank", 20),
+                                ("tangent", "nvars", 2), ("multibase", "j", 1),
+                                ("multibase", "nvars", 4), ("osculating", "rank", 3),
+                                ("osculating", "nvars", 2), ("random", "j", 1)]:
+        with pytest.raises(ValueError, match=f"the {family} family takes no {name}$"):
+            gen_family(family, **valid[family], **{name: value})
+    assert gen_family("tangent", d=3, seed=5) == gen_tangent(3)
 
 
 # -- monomial decompositions ------------------------------------------------
